@@ -216,6 +216,12 @@ class FusedConvPool(Module):
     kernel from :mod:`repro.core.kernels`; it serves gradient-free
     (inference) forwards, while training forwards keep the autograd
     ``impl`` path on the shared parameters.
+
+    A kernel with a ``fold`` method (the fp32 kernel) gets its weight
+    operand from a per-module cache, keyed on the identity and
+    ``_version`` of the weight and bias data: it is re-folded only after
+    a rebind of ``.data`` or an in-place write that called
+    :meth:`~repro.nn.tensor.Tensor.bump_version`.
     """
 
     def __init__(self, conv_block, impl: str = "vectorized") -> None:
@@ -242,6 +248,7 @@ class FusedConvPool(Module):
         self.activation = conv_block.activation
         self.impl = impl
         self._kernel = None  # lowered kernel bound by the compiler
+        self._folded = None  # (weight data, version, bias data, version, wmat)
         # Share (not copy) parameters for counting and training.
         self.register_parameter("weight", conv_block.conv.weight)
         if conv_block.conv.bias is not None:
@@ -252,20 +259,49 @@ class FusedConvPool(Module):
     def attach_kernel(self, kernel) -> None:
         """Bind (or with ``None``, unbind) a lowered inference kernel."""
         self._kernel = kernel
+        self._folded = None
 
     @property
     def kernel(self):
         """The bound lowered kernel, or ``None`` before lowering."""
         return self._kernel
 
+    def __getstate__(self):
+        # the folded operand is derived from the parameters: pickles and
+        # deep copies rebuild it on first use
+        state = self.__dict__.copy()
+        state["_folded"] = None
+        return state
+
+    def _folded_weights(self):
+        """The bound kernel's folded operand, re-folded only on a change."""
+        w, b = self.weight, self.bias
+        bdata, bver = (None, 0) if b is None else (b.data, b._version)
+        cached = self._folded
+        if (
+            cached is None
+            or cached[0] is not w.data
+            or cached[1] != w._version
+            or cached[2] is not bdata
+            or cached[3] != bver
+        ):
+            wmat = self._kernel.fold(w.data, bdata)
+            # holding the arrays (not their ids) keeps an id from being reused
+            cached = self._folded = (w.data, w._version, bdata, bver, wmat)
+        return cached[4]
+
     def forward(self, x: Tensor) -> Tensor:
         if self._kernel is not None and not is_grad_enabled():
+            extra = {}
+            if hasattr(self._kernel, "fold"):
+                extra["wmat"] = self._folded_weights()
             out = self._kernel.run_nchw(
                 x.data,
                 self.weight.data,
                 None if self.bias is None else self.bias.data,
                 padding=self.padding,
                 activation=self.activation,
+                **extra,
             )
             return Tensor(out)
         return fused_conv_pool(

@@ -16,13 +16,18 @@ layout in which every memory stage is contiguous:
 * **bias folded into the GEMM** — the patch matrix carries a constant
   ones column and the weight matrix a bias row, so bias addition costs
   nothing extra; the ``1/p^2`` scaling is folded into the weights.
-* **plan-time workspaces** — all intermediates are allocated once per
-  input shape and reused; steady-state calls allocate only the output
-  of the final GEMM.
+* **plan-time workspaces** — all activation intermediates are allocated
+  once per input shape and reused; steady-state calls allocate only the
+  output of the final GEMM.
 
-Weights are re-folded on every call (a few-microsecond copy of the
-(M, C, K, K) tensor), so a kernel bound to a module that later trains
-never serves stale weights.
+Folding the weights — cast, transpose to the gather order, scale and
+append the bias row — is a separate step, :meth:`F32NHWCKernel.fold`.
+It moves the whole (M, C, K, K) tensor (about 13 ms for a 512x512x3x3
+layer on a 2-core x86 VM, against about a millisecond for its batch-1
+GEMM), so callers that run the same weights repeatedly fold once and pass the
+result as ``wmat=``.  :class:`repro.core.fusion.FusedConvPool` does this,
+re-folding only when a parameter's data object or version changes.
+Called without ``wmat``, the kernel folds on every call.
 
 Accuracy: outputs deviate from the float64 reference by single-
 precision round-off (measured max ~3e-5 on the benchmark workload;
@@ -43,10 +48,10 @@ __all__ = ["F32NHWCKernel"]
 
 
 class _Plan:
-    """Workspaces for one (input shape, padding) specialization."""
+    """Activation workspaces for one (input shape, padding) specialization."""
 
-    def __init__(self, n: int, h: int, w: int, c: int, m: int, k: int, pool: int, pad: int):
-        self.n, self.h, self.w, self.c, self.m, self.k = n, h, w, c, m, k
+    def __init__(self, n: int, h: int, w: int, c: int, k: int, pool: int, pad: int):
+        self.n, self.h, self.w, self.c, self.k = n, h, w, c, k
         self.pool, self.pad = pool, pad
         hp, wp = h + 2 * pad, w + 2 * pad
         self.ha, self.wa = hp - pool + 1, wp - pool + 1
@@ -67,7 +72,6 @@ class _Plan:
         # patch matrix with a trailing ones column (bias folded into GEMM)
         self.cols = np.empty((n, self.po, self.qo, self.ck + 1), dtype=f32)
         self.cols[..., self.ck] = 1.0
-        self.wmat = np.empty((self.ck + 1, m), dtype=f32)
 
 
 class F32NHWCKernel:
@@ -82,23 +86,35 @@ class F32NHWCKernel:
 
     # -- planning -----------------------------------------------------------
 
-    def _plan_for(self, x_shape: Tuple[int, ...], m: int, k: int, pad: int) -> _Plan:
-        key = (x_shape, m, k, pad)
+    def _plan_for(self, x_shape: Tuple[int, ...], k: int, pad: int) -> _Plan:
+        key = (x_shape, k, pad)
         plan = self._plans.get(key)
         if plan is None:
             n, h, w, c = x_shape
-            plan = _Plan(n, h, w, c, m, k, self.shape_class.pool, pad)
+            plan = _Plan(n, h, w, c, k, self.shape_class.pool, pad)
             self._plans[key] = plan
         return plan
 
-    def _fold_weights(self, plan: _Plan, weight: np.ndarray, bias: Optional[np.ndarray]):
-        # (M, C, K, K) -> (Ki, Kj, C, M) rows matching the gather order,
-        # with the 1/p^2 pool scaling folded in and the bias as the row
-        # multiplying the patch matrix's ones column.
-        w32 = np.asarray(weight, dtype=np.float32)
-        inv = np.float32(1.0 / (plan.pool * plan.pool))
-        plan.wmat[: plan.ck] = w32.transpose(2, 3, 1, 0).reshape(plan.ck, plan.m) * inv
-        plan.wmat[plan.ck] = 0.0 if bias is None else np.asarray(bias, dtype=np.float32)
+    # -- weight folding -----------------------------------------------------
+
+    def fold(self, weight: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (C*K*K + 1, M) float32 GEMM operand for ``weight``/``bias``.
+
+        Rows follow the patch gather order (ki, kj, c), the ``1/p^2``
+        pool scaling is folded in, and the last row is the bias (zero
+        without one), multiplying the patch matrix's ones column.
+        """
+        m, c, k, _ = weight.shape
+        ck = c * k * k
+        # cast while transposing to (M, Ki, Kj, C), then scale into the
+        # (Ki, Kj, C, M) rows: two passes instead of cast, copy and scale
+        buf = np.empty((m, k, k, c), dtype=np.float32)
+        np.copyto(buf, weight.transpose(0, 2, 3, 1))
+        wmat = np.empty((ck + 1, m), dtype=np.float32)
+        inv = np.float32(1.0 / (self.shape_class.pool ** 2))
+        np.multiply(buf.reshape(m, ck).T, inv, out=wmat[:ck])
+        wmat[ck] = 0.0 if bias is None else bias
+        return wmat
 
     # -- the box sum (I_Acc), written into plan.acc -------------------------
 
@@ -134,8 +150,14 @@ class F32NHWCKernel:
         padding: int = 0,
         activation: str = "relu",
         record: bool = True,
+        wmat: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Run on an NHWC float32 batch ``(N, H, W, C)``; returns NHWC."""
+        """Run on an NHWC float32 batch ``(N, H, W, C)``; returns NHWC.
+
+        ``wmat`` is a pre-folded weight operand from :meth:`fold`; with
+        it, ``weight`` supplies only the layer geometry and ``bias`` is
+        ignored.  Without it the weights are folded for this call.
+        """
         if x.ndim != 4:
             raise ValueError(f"expected NHWC (N,H,W,C), got shape {x.shape}")
         if x.dtype != np.float32:
@@ -143,10 +165,15 @@ class F32NHWCKernel:
         m, cw, k, _ = weight.shape
         if x.shape[-1] != cw:
             raise ValueError(f"channel mismatch: input {x.shape[-1]}, weight {cw}")
-        plan = self._plan_for(x.shape, m, k, padding)
-        self._fold_weights(plan, weight, bias)
-        self._box_sum(plan, x)
+        plan = self._plan_for(x.shape, k, padding)
         p, po, qo, ck = plan.pool, plan.po, plan.qo, plan.ck
+        if wmat is None:
+            wmat = self.fold(weight, bias)
+        elif wmat.shape != (ck + 1, m) or wmat.dtype != np.float32:
+            raise ValueError(
+                f"folded weights must be float32 {(ck + 1, m)}, got {wmat.dtype} {wmat.shape}"
+            )
+        self._box_sum(plan, x)
         # gather: contiguous (kj, c) runs in both source and destination
         win = sliding_window_view(plan.acc, (k, k), axis=(1, 2))[:, ::p, ::p]
         win = win[:, :po, :qo]
@@ -154,7 +181,7 @@ class F32NHWCKernel:
             plan.cols[..., :ck].reshape(plan.n, po, qo, k, k, plan.c),
             win.transpose(0, 1, 2, 4, 5, 3),
         )
-        out = np.matmul(plan.cols.reshape(plan.n * po * qo, ck + 1), plan.wmat)
+        out = np.matmul(plan.cols.reshape(plan.n * po * qo, ck + 1), wmat)
         if activation == "relu":
             np.maximum(out, 0.0, out=out)
         elif activation == "sigmoid":
@@ -181,10 +208,13 @@ class F32NHWCKernel:
         padding: int = 0,
         activation: str = "relu",
         record: bool = True,
+        wmat: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """NCHW convenience wrapper (layout conversion both ways)."""
         xh = np.ascontiguousarray(np.moveaxis(x, 1, -1), dtype=np.float32)
-        out = self(xh, weight, bias, padding=padding, activation=activation, record=record)
+        out = self(
+            xh, weight, bias, padding=padding, activation=activation, record=record, wmat=wmat
+        )
         return np.ascontiguousarray(np.moveaxis(out, -1, 1))
 
     def __repr__(self) -> str:

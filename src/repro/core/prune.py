@@ -54,6 +54,7 @@ def magnitude_prune(model: Module, sparsity: float) -> SparsityReport:
     for name, conv in convs:
         mask = np.abs(conv.weight.data) <= threshold
         conv.weight.data[mask] = 0.0
+        conv.weight.bump_version()
         pruned += int(mask.sum())
         per_layer[name] = float(mask.mean())
     return SparsityReport(int(all_mags.size), pruned, per_layer)
@@ -76,6 +77,7 @@ def restore_masks(model: Module, masks: Dict[str, np.ndarray]) -> int:
             mask = masks[name]
             reset += int((mod.weight.data[mask] != 0).sum())
             mod.weight.data[mask] = 0.0
+            mod.weight.bump_version()
     return reset
 
 

@@ -102,6 +102,7 @@ class Module:
             raise ValueError(f"only float32/float64 are supported, got {dtype}")
         for _, p in self.named_parameters():
             p.data = p.data.astype(dtype)
+            p.bump_version()
             p.grad = None
         for name, b in self.named_buffers():
             b_cast = b.astype(dtype)
@@ -135,6 +136,7 @@ class Module:
                     f"shape mismatch for {name}: {p.data.shape} vs {state[name].shape}"
                 )
             p.data[...] = state[name]
+            p.bump_version()
         for name, b in buffers.items():
             b[...] = state[name]
 

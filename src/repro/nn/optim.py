@@ -59,6 +59,7 @@ class SGD(Optimizer):
                 v += g
                 g = g + self.momentum * v if self.nesterov else v
             p.data -= self.lr * g
+            p.bump_version()
 
 
 class Adam(Optimizer):
@@ -95,6 +96,7 @@ class Adam(Optimizer):
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p.bump_version()
 
 
 class LRSchedule:

@@ -1,0 +1,231 @@
+"""Folded fp32 weights: computed once per parameter version, never stale.
+
+``FusedConvPool`` caches the fp32 kernel's folded weight operand keyed on
+the identity and ``_version`` of the weight and bias data.  These tests
+check the fold itself against the original one-expression formula, and
+that every in-repo writer of parameter data invalidates the cache: after
+each write the compiled model's gradient-free output must still match the
+uncompiled float64 model carrying the same weights.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro import build_model, mlcnn_pipeline, reorder_activation_pooling, set_pooling
+from repro.core.fusion import FusedConvPool
+from repro.core.kernels import F32NHWCKernel, ShapeClass
+from repro.core.prune import capture_masks, magnitude_prune, restore_masks
+from repro.nn.optim import SGD, Adam
+from repro.nn.tensor import Tensor, no_grad
+
+#: the end-to-end inference bound: max |y - ref| <= RTOL * max |ref|
+RTOL = 1e-4
+
+
+def _formula_fold(weight, bias, pool):
+    """The fold as a single expression (the kernel's original formula)."""
+    m, c, k, _ = weight.shape
+    ck = c * k * k
+    wmat = np.empty((ck + 1, m), dtype=np.float32)
+    inv = np.float32(1.0 / (pool * pool))
+    wmat[:ck] = np.asarray(weight, dtype=np.float32).transpose(2, 3, 1, 0).reshape(ck, m) * inv
+    wmat[ck] = 0.0 if bias is None else np.asarray(bias, dtype=np.float32)
+    return wmat
+
+
+class TestFold:
+    @pytest.mark.parametrize(
+        "m, c, k, pool, with_bias",
+        [
+            (4, 3, 3, 2, True),
+            (6, 1, 5, 2, True),  # C = 1
+            (3, 2, 3, 3, True),  # pool = 3: inexact 1/9 scale
+            (5, 1, 2, 3, False),  # C = 1, pool = 3, no bias
+            (64, 32, 3, 2, False),
+            (2, 7, 1, 2, True),  # 1x1 kernel
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_formula(self, m, c, k, pool, with_bias, dtype):
+        rng = np.random.default_rng(m * 100 + c * 10 + k)
+        w = rng.standard_normal((m, c, k, k)).astype(dtype)
+        b = rng.standard_normal(m).astype(dtype) if with_bias else None
+        got = F32NHWCKernel(ShapeClass(k, pool, pool, 32)).fold(w, b)
+        assert got.dtype == np.float32 and got.shape == (c * k * k + 1, m)
+        np.testing.assert_array_equal(got, _formula_fold(w, b, pool))
+
+    def test_prefolded_run_matches_folding_run(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 3, 12, 12))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        kern = F32NHWCKernel(ShapeClass(3, 2, 2, 32))
+        folded = kern.run_nchw(x, w, b, padding=1, wmat=kern.fold(w, b))
+        np.testing.assert_array_equal(folded, kern.run_nchw(x, w, b, padding=1))
+
+    def test_rejects_a_wmat_for_other_geometry(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((1, 3, 10, 10))
+        w = rng.standard_normal((4, 3, 3, 3))
+        kern = F32NHWCKernel(ShapeClass(3, 2, 2, 32))
+        with pytest.raises(ValueError, match="folded weights"):
+            kern.run_nchw(x, w, wmat=kern.fold(w[:2]))
+        with pytest.raises(ValueError, match="folded weights"):
+            kern.run_nchw(x, w, wmat=kern.fold(w).astype(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# the per-module cache on a compiled lenet5
+# ---------------------------------------------------------------------------
+
+
+def _compiled():
+    model, _ = mlcnn_pipeline(strict=False, lower_bits=32).run(build_model("lenet5", seed=0))
+    return model.eval()
+
+
+def _fused(model):
+    return [m for _, m in model.named_modules() if isinstance(m, FusedConvPool)]
+
+
+def _reference_like(model):
+    """The uncompiled float64 lenet5 carrying ``model``'s current weights."""
+    ref = reorder_activation_pooling(set_pooling(build_model("lenet5", seed=0), "avg")).eval()
+    pairs = list(zip(ref.parameters(), model.parameters()))
+    assert len(pairs) == len(model.parameters())
+    for pr, pm in pairs:
+        assert pr.shape == pm.shape
+        pr.data = pm.data.astype(np.float64)
+    return ref
+
+
+X = np.random.default_rng(7).standard_normal((4, 3, 32, 32))
+
+
+def _infer(model):
+    with no_grad():
+        return model(Tensor(X)).data
+
+
+def _assert_current(model):
+    """The compiled output matches the f64 model with the same weights."""
+    y = _infer(model)
+    ref = _infer(_reference_like(model))
+    bound = RTOL * float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(y - ref))) <= bound
+    return y
+
+
+def _changed(before, after):
+    return float(np.max(np.abs(after - before))) > RTOL * float(np.max(np.abs(before)))
+
+
+@pytest.fixture
+def model():
+    m = _compiled()
+    assert all(isinstance(f.kernel, F32NHWCKernel) for f in _fused(m))
+    _assert_current(m)  # populates every fused layer's cache
+    return m
+
+
+def _train_step(model, optim):
+    out = model(Tensor(X))
+    (out * out).sum().backward()
+    optim.step()
+    optim.zero_grad()
+
+
+class TestNoStaleWeights:
+    def test_sgd_step(self, model):
+        before = _infer(model)
+        _train_step(model, SGD(model.parameters(), lr=1e-3))
+        assert _changed(before, _assert_current(model))
+
+    def test_adam_step(self, model):
+        before = _infer(model)
+        _train_step(model, Adam(model.parameters(), lr=1e-2))
+        assert _changed(before, _assert_current(model))
+
+    def test_load_state_dict(self, model):
+        before = _infer(model)
+        state = {k: v * 0.5 for k, v in model.state_dict().items()}
+        model.load_state_dict(state)
+        assert _changed(before, _assert_current(model))
+
+    def test_to_dtype_float32(self, model):
+        model.to_dtype(np.float32)
+        _assert_current(model)
+        assert all(f._folded[0] is f.weight.data for f in _fused(model))
+
+    def test_prune_then_restore_masks(self, model):
+        fused = _fused(model)
+        before = _infer(model)
+        masks = {}
+        for f in fused:
+            magnitude_prune(f.source, 0.5)
+            masks[f] = capture_masks(f.source)
+        pruned = _assert_current(model)
+        assert _changed(before, pruned)
+        # an optimizer step regrows the pruned weights ...
+        _train_step(model, SGD(model.parameters(), lr=1e-3))
+        _assert_current(model)
+        # ... and restoring the masks zeroes them again
+        for f in fused:
+            assert restore_masks(f.source, masks[f]) > 0
+        _assert_current(model)
+
+    @pytest.mark.parametrize("name", ["weight", "bias"])
+    def test_in_place_write_with_bump_version(self, model, name):
+        before = _infer(model)
+        for f in _fused(model):
+            param = getattr(f, name)
+            param.data[...] = param.data * 2.0 - 1.0
+            param.bump_version()
+        assert _changed(before, _assert_current(model))
+
+    def test_in_place_write_without_bump_serves_the_cached_fold(self, model):
+        """The contract the bump enforces: an unannounced write goes unseen."""
+        before = _infer(model)
+        for f in _fused(model):
+            f.weight.data[...] *= -1.0
+        np.testing.assert_array_equal(_infer(model), before)
+
+    @pytest.mark.parametrize("name", ["weight", "bias"])
+    def test_data_rebind(self, model, name):
+        before = _infer(model)
+        for f in _fused(model):
+            param = getattr(f, name)
+            param.data = param.data * 2.0 - 1.0
+        assert _changed(before, _assert_current(model))
+
+    def test_attaching_a_kernel_drops_the_cache(self, model):
+        for f in _fused(model):
+            f.attach_kernel(F32NHWCKernel(f.kernel.shape_class))
+            assert f._folded is None
+        _assert_current(model)
+
+    def test_copies_drop_the_cache_and_refold(self, model):
+        clone = copy.deepcopy(model)
+        assert all(f._folded is None for f in _fused(clone))
+        np.testing.assert_array_equal(_infer(clone), _infer(model))
+
+
+def test_fifty_calls_over_all_batch_sizes_fold_each_layer_once(monkeypatch):
+    folded = []
+    original = F32NHWCKernel.fold
+
+    def counting(self, weight, bias=None):
+        folded.append(weight)
+        return original(self, weight, bias)
+
+    monkeypatch.setattr(F32NHWCKernel, "fold", counting)
+    model = _compiled()
+    rng = np.random.default_rng(0)
+    with no_grad():
+        for i in range(50):
+            model(Tensor(rng.standard_normal((i % 16 + 1, 3, 32, 32))))
+    weights = [f.weight.data for f in _fused(model)]
+    assert len(weights) == 2
+    assert sorted(map(id, folded)) == sorted(map(id, weights))

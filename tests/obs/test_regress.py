@@ -73,6 +73,15 @@ class TestCompareMetrics:
         assert v.status == "regressed" and v.fails
         assert v.delta_rel == pytest.approx(-0.25)
 
+    def test_energy_efficiency_is_higher_better(self):
+        key = "fig15.energy_efficiency[config=mlcnn-fp32]"
+        assert policy_for(key).direction == "higher"
+        vs = compare_metrics("accel", {key: 3.14}, {key: 2.5})
+        v = _one(vs, key)
+        assert v.status == "regressed" and v.fails
+        vs = compare_metrics("accel", {key: 3.14}, {key: 4.0})
+        assert _one(vs, key).status == "improved"
+
     def test_lower_better_directions(self):
         # energy dropping is an improvement; rising is a regression
         vs = compare_metrics("accel", self.BASE, {"fig15.energy_nj": 80.0})
