@@ -19,9 +19,11 @@ Applications* (IPDPS 2022):
 * :mod:`repro.accel` — accelerator cycle/energy/area model and the
   RTL-level AR-unit/MAC-slice micro-simulator.
 * :mod:`repro.analysis` — FLOP audits and report formatting.
-* :mod:`repro.obs` — observability: process-wide tracer (spans,
-  counters, histograms), per-layer model instrumentation, JSONL /
-  Chrome-trace / summary exporters.
+* :mod:`repro.obs` — observability: spans (the process-wide tracer),
+  the telemetry registry of scalar series, measured op counters,
+  roofline attribution, run diffs and the regression gate.
+  ``python -m repro.experiments ... --obs DIR`` (:class:`repro.obs.ObsRun`)
+  turns it all on and writes one run directory.
 
 Quickstart::
 

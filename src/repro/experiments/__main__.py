@@ -7,17 +7,20 @@ Usage::
     python -m repro.experiments --only table2 fig13
     python -m repro.experiments --list         # print experiment names
     python -m repro.experiments --pipeline lenet5 --bits 8 --report
-    python -m repro.experiments --pipeline lenet5 --trace out.json \\
-        --trace-format chrome      # unified compile/forward/simulate trace
-    python -m repro.experiments --only fig13 --trace-summary
+    python -m repro.experiments --only fig4 --obs run   # record everything
     python -m repro.experiments --bench-compare metrics.jsonl \\
         --bench-dashboard dashboard.md   # perf regression gate (CI)
 
-``--trace`` enables the process-wide tracer (:mod:`repro.obs`) for the
-whole run and writes the collected spans/events to the given path —
-JSONL by default, or the Chrome trace-event format with
-``--trace-format chrome`` (open in ``chrome://tracing`` or Perfetto).
-``--trace-summary`` prints the top-N-spans table after the run.
+``--obs DIR`` is the one observability switch
+(:class:`repro.obs.ObsRun`).  In every run mode (suite, ``--pipeline``,
+``--numerics``, ``--attrib``) it turns on the tracer, the telemetry
+registry and the sampling profiler, writes ``trace.jsonl``,
+``trace.json`` (Chrome trace-event format, open in Perfetto),
+``metrics.jsonl``, ``profile.txt``, ``flamegraph.html``,
+``attrib.jsonl`` and ``dashboard.html`` into DIR, and prints the run's
+attribution table.  With ``--pipeline`` the run adds an instrumented
+forward and an accelerator simulation to the compile, so one trace
+holds compiler passes, layers and simulated layers.
 
 ``--bench-compare`` feeds a benchmark run's ``--metrics-jsonl`` file
 through the tolerance-policy regression gate (:mod:`repro.obs.regress`)
@@ -30,39 +33,24 @@ attribution engine (:mod:`repro.obs.attrib`): compile + instrumented
 forward + accelerator simulation under the tracer, joined with measured
 op counters against this host's calibrated roofline
 (:mod:`repro.obs.roofline`), printed as a per-layer/per-kernel table
-with span-coverage accounting.  ``--attrib-report PATH`` writes the
-rows as JSONL.
+with span-coverage accounting.  With ``--obs`` each model's rows land in
+``attrib.jsonl`` tagged with ``model``.
 
-``--diff-trace A.jsonl B.jsonl`` is cross-run forensics
-(:mod:`repro.obs.forensics`): attribute both traces and print the
-ranked "what changed" report — per-span wall deltas, kernel selection
-changes, ops/bytes drift.  ``--diff-bench metrics.jsonl`` ranks a
-working tree's fresh benchmark metrics against the committed
-``BENCH_<area>.json`` baselines.  Both honour ``--bench-dashboard``.
+``--diff-trace A B`` is cross-run forensics (:mod:`repro.obs.forensics`):
+attribute two traces (``--obs`` run directories or JSONL trace files)
+and print the ranked "what changed" report — per-span wall deltas,
+kernel selection changes, ops/bytes drift.
 
 ``--numerics [MODEL ...]`` (default: lenet5 vgg16) compiles each model
 through the MLCNN pipeline with the reorder-divergence probe, runs an
 instrumented forward+backward on the probe batch, and prints the
 per-layer numerics health report — streaming activation/gradient
 statistics, DoReFa clip/saturation rates, and the measured reorder
-divergence.  ``--numerics-report PATH`` writes the report as JSON
-(or JSONL for ``.jsonl`` paths); ``--bits`` selects the quantization
-width (default 8)::
+divergence.  ``--bits`` selects the quantization width (default 8);
+with ``--obs`` the report lands in ``numerics.jsonl``, each row tagged
+with ``model`` and ``bits``::
 
-    python -m repro.experiments --numerics lenet5 --bits 4 \\
-        --numerics-report numerics.json
-
-``--telemetry`` enables the live metric registry
-(:mod:`repro.obs.telemetry`) for the run and prints the per-series
-summary at the end; ``--telemetry-report PATH`` additionally exports a
-JSONL snapshot time series (``.jsonl``, scraped every 0.5 s by a
-background exporter) or a final Prometheus text-format snapshot
-(``.prom``).  ``--profile PATH`` runs everything under the background
-sampling profiler and writes an HTML flamegraph (``.html``) or
-collapsed-stack text::
-
-    python -m repro.experiments --only fig13 --telemetry \\
-        --telemetry-report telemetry.jsonl --profile profile.html
+    python -m repro.experiments --numerics lenet5 --bits 4 --obs run
 """
 
 from __future__ import annotations
@@ -221,13 +209,6 @@ def main(argv=None) -> int:
         "zoo models (default: lenet5 vgg16) and exit; honours --bits",
     )
     parser.add_argument(
-        "--numerics-report",
-        metavar="PATH",
-        default=None,
-        help="with --numerics: also write the report to PATH "
-        "(JSON, or JSONL for .jsonl paths)",
-    )
-    parser.add_argument(
         "--attrib",
         nargs="*",
         metavar="MODEL",
@@ -236,64 +217,20 @@ def main(argv=None) -> int:
         "models (default: lenet5 vgg16) and exit; honours --bits",
     )
     parser.add_argument(
-        "--attrib-report",
-        metavar="PATH",
-        default=None,
-        help="with --attrib: also write the attribution rows as JSONL",
-    )
-    parser.add_argument(
         "--diff-trace",
         nargs=2,
         metavar=("A", "B"),
         default=None,
-        help="cross-run forensics: attribute two JSONL traces and print "
-        "the ranked what-changed report (B relative to A)",
+        help="cross-run forensics: attribute two --obs run directories (or "
+        "JSONL traces) and print the ranked what-changed report (B relative to A)",
     )
     parser.add_argument(
-        "--diff-bench",
-        metavar="JSONL",
+        "--obs",
+        metavar="DIR",
         default=None,
-        help="rank a fresh --metrics-jsonl run against the committed "
-        "BENCH_<area>.json baselines (forensic ordering, not a gate)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="enable the repro.obs tracer and write the trace to PATH",
-    )
-    parser.add_argument(
-        "--trace-format",
-        choices=("jsonl", "chrome"),
-        default="jsonl",
-        help="trace file format: JSONL event log or Chrome trace-event JSON",
-    )
-    parser.add_argument(
-        "--trace-summary",
-        action="store_true",
-        help="print the top-N-spans summary table after the run",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="enable the live telemetry registry (repro.obs.telemetry) "
-        "for the run and print the metric summary at the end",
-    )
-    parser.add_argument(
-        "--telemetry-report",
-        metavar="PATH",
-        default=None,
-        help="implies --telemetry: export scraped snapshots to PATH — "
-        "a JSONL time series (background exporter, .jsonl) or a final "
-        "Prometheus text-format snapshot (.prom)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="PATH",
-        default=None,
-        help="run under the background sampling profiler and write the "
-        "profile to PATH (HTML flamegraph for .html, collapsed-stack "
-        "text otherwise); prints the top functions and measured overhead",
+        help="turn on the tracer, the telemetry registry and the sampling "
+        "profiler, write the run directory DIR (trace, metric series, "
+        "profile, attribution, dashboard) and print the attribution table",
     )
     parser.add_argument(
         "--bench-compare",
@@ -329,79 +266,39 @@ def main(argv=None) -> int:
         return 0
     if args.bits < 0:
         parser.error(f"--bits must be >= 0, got {args.bits}")
-    if args.diff_trace is not None or args.diff_bench is not None:
+    if args.bench_update and args.bench_compare is None:
+        parser.error("--bench-update refreshes baselines from --bench-compare's file")
+    bench = args.bench_compare is not None or (
+        args.bench_dashboard is not None and args.attrib is None
+    )
+    if args.obs is not None and (bench or args.diff_trace is not None):
+        parser.error("--obs records a run; it does not combine with the "
+                     "--bench-compare gate or --diff-trace")
+    if args.diff_trace is not None:
         return _run_diff(args)
-    if args.attrib is not None:
-        return _run_attrib(args)
-    if args.bench_compare is not None or args.bench_dashboard is not None:
+    if bench:
         return _bench_compare(args)
-
-    tracer = obs.get_tracer()
-    tracing = bool(args.trace or args.trace_summary)
-    if tracing:
-        tracer.clear()
-        tracer.enable()
-    telemetry = obs.get_telemetry()
-    telemetering = bool(args.telemetry or args.telemetry_report)
-    exporter = None
-    if telemetering:
-        telemetry.clear()
-        telemetry.enable()
-        if args.telemetry_report and args.telemetry_report.endswith(".jsonl"):
-            exporter = obs.TelemetryExporter(
-                telemetry, jsonl_path=args.telemetry_report, period_s=0.5
-            ).start()
-    profiler = obs.SamplingProfiler().start() if args.profile else None
-    try:
-        if args.pipeline is not None:
-            return _compile_pipeline(args.pipeline, args.bits, args.report)
-        if args.numerics is not None:
-            return _run_numerics(args)
-        return _run_suite(parser, args)
-    finally:
-        if profiler is not None:
-            profiler.stop()
-            if args.profile.endswith((".html", ".htm")):
-                profiler.write_flamegraph(args.profile)
-            else:
-                profiler.write_collapsed(args.profile)
-            print(
-                f"profile: {profiler.sample_count} sample(s) -> {args.profile} "
-                f"(measured overhead {100 * profiler.overhead_fraction:.3f}%)"
-            )
-            for frame, count in profiler.top_functions(5):
-                print(f"  {count:6d}  {frame}")
-        if telemetering:
-            if exporter is not None:
-                exporter.stop()
-                print(
-                    f"telemetry: {exporter.scrapes} snapshot(s) -> "
-                    f"{args.telemetry_report}"
-                )
-            elif args.telemetry_report:
-                snap = telemetry.snapshot()
-                with open(args.telemetry_report, "w") as fh:
-                    fh.write(snap.to_prometheus())
-                print(f"telemetry snapshot -> {args.telemetry_report}")
-            rows = telemetry.doc_rows()
-            if rows:
-                print("\ntelemetry:")
-                for row in rows:
-                    print(f"  {row}")
-            telemetry.disable()
-        if tracing:
-            tracer.disable()
-            if args.trace:
-                if args.trace_format == "chrome":
-                    n = obs.write_chrome_trace(args.trace, tracer)
-                else:
-                    n = obs.write_jsonl(args.trace, tracer)
-                print(f"trace: {n} event(s) -> {args.trace} [{args.trace_format}]")
-            if args.trace_summary:
-                print("\n" + obs.summary(tracer))
+    if args.obs is None:
+        return _run(parser, args, None)
+    with obs.ObsRun(args.obs) as run:
+        rc = _run(parser, args, run)
+    print("\n" + run.attribution.render())
+    print(f"obs: {len(run.FILES)} files -> {args.obs}")
+    return rc
 
 
-def _run_numerics(args) -> int:
+def _run(parser: argparse.ArgumentParser, args, run) -> int:
+    """Dispatch one run mode; ``run`` is the active ``--obs`` run or None."""
+    if args.attrib is not None:
+        return _run_attrib(args, run)
+    if args.pipeline is not None:
+        return _compile_pipeline(args.pipeline, args.bits, args.report)
+    if args.numerics is not None:
+        return _run_numerics(args, run)
+    return _run_suite(parser, args)
+
+
+def _run_numerics(args, run) -> int:
     """One-command numerics health report (the tentpole CLI surface).
 
     For each model: compile through the MLCNN pipeline (with the
@@ -411,8 +308,6 @@ def _run_numerics(args) -> int:
     and print per-layer streaming statistics, DoReFa clip/saturation
     rates and the measured reorder divergence.
     """
-    import json
-
     import numpy as np
 
     from repro.compiler import CompileContext, Pipeline
@@ -436,7 +331,6 @@ def _run_numerics(args) -> int:
         )
         return 2
     bits = args.bits or 8
-    combined = {}
     for name in models:
         model = build_model(name)
         ctx = CompileContext(quant_bits=bits)
@@ -464,42 +358,16 @@ def _run_numerics(args) -> int:
             loss.backward()
         print(f"\n-- {name} (INT{bits}) --")
         print(collector.summary())
-        combined[name] = collector.report()
-    if args.numerics_report:
-        path = args.numerics_report
-        with open(path, "w") as fh:
-            if path.endswith(".jsonl"):
-                for name, rep in combined.items():
-                    for row in rep["layers"]:
-                        fh.write(
-                            json.dumps({"type": "numerics", "model": name, **row}) + "\n"
-                        )
-                    for key, counter in sorted(rep["quant"].items()):
-                        fh.write(
-                            json.dumps(
-                                {"type": "quant_clip", "model": name, "name": key, **counter}
-                            )
-                            + "\n"
-                        )
-                    if rep["divergence"] is not None:
-                        fh.write(
-                            json.dumps(
-                                {"type": "reorder_divergence", "model": name, **rep["divergence"]}
-                            )
-                            + "\n"
-                        )
-                    if rep["anomaly"] is not None:
-                        fh.write(
-                            json.dumps({"type": "anomaly", "model": name, **rep["anomaly"]}) + "\n"
-                        )
-            else:
-                json.dump({"bits": bits, "models": combined}, fh, indent=2)
-                fh.write("\n")
-        print(f"numerics report -> {path}")
+        if run is not None:
+            with open(run.path(run.NUMERICS), "a") as fh:
+                fh.write(collector.to_jsonl(model=name, bits=bits))
+            table = collector.summary_report()
+            table.experiment += f" [{name}]"
+            run.reports.append(table)
     return 0
 
 
-def _run_attrib(args) -> int:
+def _run_attrib(args, run) -> int:
     """One-command roofline attribution (the tentpole CLI surface).
 
     For each model: compile + counter-instrumented forward +
@@ -519,61 +387,45 @@ def _run_attrib(args) -> int:
         )
         return 2
     roofline = get_roofline()
-    last = None
+    reports = {}
     for name in models:
-        report = attribute_model_run(name, bits=args.bits, roofline=roofline)
+        reports[name] = attribute_model_run(name, bits=args.bits, roofline=roofline)
         print(f"\n-- {name} --")
-        print(report.render())
-        last = report
-        if args.attrib_report:
-            path = args.attrib_report
-            if len(models) > 1:
-                stem, dot, ext = path.rpartition(".")
-                path = f"{stem}.{name}.{ext}" if dot else f"{path}.{name}"
-            n = report.write_jsonl(path)
-            print(f"attribution report: {n} row(s) -> {path}")
-    if args.bench_dashboard and last is not None:
-        from repro.obs.dashboard import write_dashboard
-        from repro.obs.metrics import MetricRegistry
-
-        path = write_dashboard(
-            args.bench_dashboard,
-            MetricRegistry(args.bench_root),
-            attribution=last.as_dict(),
-        )
-        print(f"dashboard -> {path}")
+        print(reports[name].render())
+    if run is not None:
+        run.model_attributions.update(reports)
+    if args.bench_dashboard:
+        _write_dashboard(args, reports=[r.to_experiment_report() for r in reports.values()])
     return 0
 
 
 def _run_diff(args) -> int:
-    """Cross-run forensics: trace diff and/or bench-vs-baseline diff."""
-    from repro.obs.forensics import diff_bench, diff_runs
+    """Cross-run forensics: the ranked span diff of two runs."""
+    from repro.obs.forensics import diff_runs
 
-    run_diff = None
-    if args.diff_trace is not None:
-        a, b = args.diff_trace
-        run_diff = diff_runs(a, b)
-        print(run_diff.render())
-        culprit = run_diff.culprit
-        if culprit is not None and abs(culprit.delta_us) > 0:
-            print(
-                f"top change: {culprit.name} "
-                f"({culprit.delta_us / 1e3:+.3f} ms"
-                + (f"; {'; '.join(culprit.notes)}" if culprit.notes else "")
-                + ")"
-            )
-    if args.diff_bench is not None:
-        bench = diff_bench(args.diff_bench, root=args.bench_root)
-        print(bench.render())
-    if args.bench_dashboard and run_diff is not None:
-        from repro.obs.dashboard import write_dashboard
-        from repro.obs.metrics import MetricRegistry
-
-        path = write_dashboard(
-            args.bench_dashboard, MetricRegistry(args.bench_root), run_diff=run_diff
+    a, b = args.diff_trace
+    run_diff = diff_runs(a, b)
+    print(run_diff.render())
+    culprit = run_diff.culprit
+    if culprit is not None and abs(culprit.delta_us) > 0:
+        print(
+            f"top change: {culprit.name} "
+            f"({culprit.delta_us / 1e3:+.3f} ms"
+            + (f"; {'; '.join(culprit.notes)}" if culprit.notes else "")
+            + ")"
         )
-        print(f"dashboard -> {path}")
+    if args.bench_dashboard:
+        _write_dashboard(args, reports=[run_diff.to_experiment_report()])
     return 0
+
+
+def _write_dashboard(args, **sections) -> None:
+    """``--bench-dashboard``: the baselines under ``--bench-root`` plus ``sections``."""
+    from repro.obs.dashboard import write_dashboard
+    from repro.obs.metrics import MetricRegistry
+
+    path = write_dashboard(args.bench_dashboard, MetricRegistry(args.bench_root), **sections)
+    print(f"dashboard -> {path}")
 
 
 def _bench_compare(args) -> int:
@@ -584,7 +436,6 @@ def _bench_compare(args) -> int:
     ``--bench-update`` refreshes the baselines instead;
     ``--bench-dashboard`` renders the trend dashboard either way.
     """
-    from repro.obs.dashboard import write_dashboard
     from repro.obs.metrics import MetricRegistry, load_metrics_jsonl
     from repro.obs.regress import gate_metrics
 
@@ -608,10 +459,7 @@ def _bench_compare(args) -> int:
         rc = 1 if report.failed else 0
 
     if args.bench_dashboard:
-        path = write_dashboard(
-            args.bench_dashboard, registry, current=per_area or None, gate_report=report
-        )
-        print(f"dashboard -> {path}")
+        _write_dashboard(args, current=per_area or None, gate_report=report)
     return rc
 
 
@@ -639,9 +487,7 @@ def _run_suite(parser: argparse.ArgumentParser, args) -> int:
                 else:
                     report = fn()
             report.show()
-            wall = perf_counter() - start
-            tracer.observe("experiment.wall_s", wall)
-            print(f"  [{name}: {wall:.1f}s]")
+            print(f"  [{name}: {perf_counter() - start:.1f}s]")
     print(
         f"\n== total: {len(experiments)} experiment(s) in "
         f"{perf_counter() - suite_start:.1f}s =="

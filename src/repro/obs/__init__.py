@@ -1,34 +1,40 @@
-"""Observability: spans, metrics and trace export for every subsystem.
+"""Observability: spans, scalar series, op counters and their reports.
 
-One process-wide :class:`Tracer` (disabled by default, near-zero
-overhead while off) that the compiler pipeline, the nn layers (via
-:func:`instrument_model`), the :class:`~repro.train.Trainer` and the
-accelerator simulator all report into, so a single run yields a single
-unified timeline.  Export it three ways::
+Three instruments check the paper's claims: spans (where time goes —
+the process-wide :class:`Tracer` that the compiler pipeline, the
+:class:`~repro.train.Trainer`, the accelerator simulator and
+instrumented ``Module`` trees report into), measured op counters
+(:class:`OpCounters`: RME/LAR/GAR events), and the accelerator model.
+Scalar series (batch latency, loss, top-1) live in the telemetry
+registry (:func:`get_telemetry`).  All are disabled by default and
+near-free while off.
+
+One switch turns everything on: :class:`ObsRun` (``--obs DIR`` on the
+CLI) enables the tracer, the telemetry registry and the sampling
+profiler, and writes one run directory — ``trace.jsonl``,
+``trace.json`` (Chrome), ``metrics.jsonl``, ``profile.txt``,
+``flamegraph.html``, ``attrib.jsonl`` and ``dashboard.html``::
 
     from repro import obs
 
-    obs.get_tracer().enable()
-    ...                                   # compile / train / simulate
-    obs.write_chrome_trace("trace.json")  # open in chrome://tracing
-    obs.write_jsonl("trace.jsonl")        # greppable event log
-    print(obs.summary())                  # top-N spans table
+    with obs.ObsRun("run") as run:
+        ...                               # compile / train / simulate
+    print(run.attribution.render())       # where the time went
 
 or from the CLI::
 
-    python -m repro.experiments --pipeline lenet5 --trace out.json \\
-        --trace-format chrome
+    python -m repro.experiments --pipeline lenet5 --bits 8 --obs run
 
 On top of collection sits the analysis layer: the roofline attribution
 engine (:func:`build_attribution` / :func:`attribute_model_run` — join
 spans with measured op counters against this host's calibrated
-roofline) and cross-run forensics (:func:`diff_runs` /
-:func:`diff_bench` — ranked "what changed" reports localizing a
-regression to a layer, pass or kernel)::
+roofline), cross-run forensics (:func:`diff_runs` — a ranked "what
+changed" report localizing a regression to a layer, pass or kernel) and
+the regression gate (:func:`gate_metrics` — every benchmark metric
+against the committed baselines)::
 
     python -m repro.experiments --attrib lenet5
-    python -m repro.experiments --diff-trace before.jsonl after.jsonl
-    python -m repro.experiments --diff-bench metrics.jsonl
+    python -m repro.experiments --diff-trace run_a run_b
 """
 
 from repro.obs.attrib import (
@@ -37,11 +43,10 @@ from repro.obs.attrib import (
     build_attribution,
 )
 from repro.obs.dashboard import write_dashboard
-from repro.obs.forensics import BenchDiff, RunDiff, diff_bench, diff_runs
+from repro.obs.forensics import RunDiff, diff_runs
 from repro.obs.roofline import Roofline, calibrate, get_roofline
 from repro.obs.export import (
-    summary,
-    summary_report,
+    ObsRun,
     to_chrome_trace,
     to_jsonl,
     write_chrome_trace,
@@ -73,34 +78,21 @@ from repro.obs.regress import (
     gate_metrics,
 )
 from repro.obs.telemetry import (
-    Alert,
-    AlertEngine,
     SamplingProfiler,
-    SloRule,
     TelemetryExporter,
     TelemetryRegistry,
     TelemetrySnapshot,
     get_telemetry,
     read_telemetry_jsonl,
 )
-from repro.obs.tracer import (
-    SpanEvent,
-    Tracer,
-    add,
-    event,
-    get_tracer,
-    observe,
-    span,
-)
+from repro.obs.tracer import SpanEvent, Tracer, event, get_tracer, span
 
 __all__ = [
-    "Alert",
-    "AlertEngine",
     "AttributionReport",
-    "BenchDiff",
     "MetricRegistry",
     "NumericsCollector",
     "NumericsError",
+    "ObsRun",
     "OpCounters",
     "P2Quantile",
     "RegressionReport",
@@ -108,7 +100,6 @@ __all__ = [
     "RunDiff",
     "RunRecord",
     "SamplingProfiler",
-    "SloRule",
     "SpanEvent",
     "TelemetryExporter",
     "TelemetryRegistry",
@@ -118,13 +109,11 @@ __all__ = [
     "Tracer",
     "Verdict",
     "Welford",
-    "add",
     "attribute_model_run",
     "build_attribution",
     "calibrate",
     "collect_counters",
     "deinstrument_model",
-    "diff_bench",
     "diff_runs",
     "event",
     "gate_jsonl",
@@ -134,14 +123,11 @@ __all__ = [
     "get_telemetry",
     "get_tracer",
     "instrument_model",
-    "observe",
     "provenance",
     "read_telemetry_jsonl",
     "record_quant_event",
     "reorder_divergence",
     "span",
-    "summary",
-    "summary_report",
     "to_chrome_trace",
     "to_jsonl",
     "write_chrome_trace",

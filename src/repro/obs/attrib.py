@@ -28,8 +28,9 @@ up as coverage loss instead of silently vanishing.
 
 The engine is trace-driven: it accepts a live
 :class:`~repro.obs.tracer.Tracer`, a JSONL trace file written by
-:func:`repro.obs.export.write_jsonl`, or an iterable of already-parsed
-event dicts — which is what makes cross-run forensics
+:func:`repro.obs.export.write_jsonl`, or an iterable of recorded
+:class:`~repro.obs.tracer.SpanEvent`\\ s or already-parsed event
+dicts — which is what makes cross-run forensics
 (:mod:`repro.obs.forensics`) a diff of two of these tables.
 """
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.obs.roofline import Roofline
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import SpanEvent, Tracer
 
 __all__ = [
     "AttribRow",
@@ -84,32 +85,32 @@ def _counters_ops(counters: Mapping[str, float]) -> float:
     return mults + adds
 
 
+def _event_row(ev: SpanEvent) -> Dict[str, Any]:
+    return {
+        "type": "span" if ev.is_span else "instant",
+        "name": ev.name,
+        "ts_us": ev.ts_us,
+        "dur_us": ev.dur_us,
+        "tid": ev.tid,
+        "depth": ev.depth,
+        "parent": ev.parent,
+        "cat": ev.category,
+        "attrs": dict(ev.attrs),
+    }
+
+
 def normalize_events(
-    source: Union[Tracer, str, Iterable[Mapping[str, Any]]],
+    source: Union[Tracer, str, Iterable[Union[SpanEvent, Mapping[str, Any]]]],
 ) -> List[Dict[str, Any]]:
     """Event dicts (span/instant rows) from any supported trace source.
 
     Accepts a :class:`Tracer`, a path to a JSONL trace, or an iterable
-    of already-parsed rows; counter/histogram aggregate rows are
-    dropped.  Returns rows shaped like the JSONL exporter's output.
+    of :class:`SpanEvent`\\ s or already-parsed rows; rows of any other
+    type are dropped.  Returns rows shaped like the JSONL exporter's
+    output.
     """
     if isinstance(source, Tracer):
-        rows: List[Dict[str, Any]] = []
-        for ev in source.events:
-            rows.append(
-                {
-                    "type": "span" if ev.is_span else "instant",
-                    "name": ev.name,
-                    "ts_us": ev.ts_us,
-                    "dur_us": ev.dur_us,
-                    "tid": ev.tid,
-                    "depth": ev.depth,
-                    "parent": ev.parent,
-                    "cat": ev.category,
-                    "attrs": dict(ev.attrs),
-                }
-            )
-        return rows
+        source = source.events
     if isinstance(source, str):
         rows = []
         with open(source) as fh:
@@ -124,7 +125,8 @@ def normalize_events(
                 if row.get("type") in ("span", "instant"):
                     rows.append(row)
         return rows
-    return [dict(r) for r in source if r.get("type") in ("span", "instant")]
+    rows = [_event_row(r) if isinstance(r, SpanEvent) else dict(r) for r in source]
+    return [r for r in rows if r.get("type") in ("span", "instant")]
 
 
 class _Node:
@@ -396,17 +398,22 @@ class AttributionReport:
             "rows": [r.as_dict() for r in self.rows],
         }
 
-    def write_jsonl(self, path: str) -> int:
-        """One JSON row per attribution row plus a summary row."""
-        lines = [json.dumps({"type": "attrib_summary", **{
-            k: v for k, v in self.as_dict().items() if k != "rows"
-        }})]
+    def to_jsonl(self, **tags: Any) -> str:
+        """A summary row, then one JSON row per attribution row; every
+        row carries ``tags`` (e.g. ``model="lenet5"``)."""
+        summary = {k: v for k, v in self.as_dict().items() if k != "rows"}
+        lines = [json.dumps({"type": "attrib_summary", **tags, **summary})]
         lines.extend(
-            json.dumps({"type": "attrib_row", **r.as_dict()}) for r in self.rows
+            json.dumps({"type": "attrib_row", **tags, **r.as_dict()}) for r in self.rows
         )
+        return "\n".join(lines) + "\n"
+
+    def write_jsonl(self, path: str) -> int:
+        """Write :meth:`to_jsonl` to ``path``; returns the row count."""
+        text = self.to_jsonl()
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return len(lines)
+            fh.write(text)
+        return text.count("\n")
 
     def to_experiment_report(self, top: int = 20):
         """Render as the standard experiment table."""
@@ -466,7 +473,7 @@ class AttributionReport:
 
 
 def build_attribution(
-    source: Union[Tracer, str, Iterable[Mapping[str, Any]]],
+    source: Union[Tracer, str, Iterable[Union[SpanEvent, Mapping[str, Any]]]],
     roofline: Optional[Roofline] = None,
     root: Optional[str] = None,
 ) -> AttributionReport:
@@ -518,8 +525,10 @@ def attribute_model_run(
     (compiler-pass spans), instruments it with per-layer counter
     collection, runs one inference batch, optionally simulates the
     model's layer specs on the accelerator model, and returns the
-    joined report.  Uses the process-wide tracer; any previously
-    collected events are cleared.
+    joined report.  Records into the process-wide tracer (enabled for
+    the call if it was off) without clearing it, and attributes only
+    the events this call recorded — so several runs under one
+    ``--obs`` run directory keep every model's spans.
     """
     import numpy as np
 
@@ -532,7 +541,7 @@ def attribute_model_run(
     ctx = CompileContext(quant_bits=bits)
     tracer = obs.get_tracer()
     was_enabled = tracer.enabled
-    tracer.clear()
+    first = len(tracer.events)
     tracer.enable()
     try:
         mlcnn_pipeline(bits=bits, strict=False).run(model, ctx)
@@ -553,4 +562,4 @@ def attribute_model_run(
                 simulate_network(layer_specs, get_config("mlcnn-fp32"))
     finally:
         tracer.enabled = was_enabled
-    return build_attribution(tracer, roofline=roofline, root=root)
+    return build_attribution(tracer.events[first:], roofline=roofline, root=root)

@@ -1,16 +1,20 @@
-"""Benchmark dashboard: metric trends + counter breakdown as MD/HTML.
+"""Dashboard: metric trends, gate verdicts and run tables as MD/HTML.
 
 Renders the state of the run registry (``BENCH_<area>.json``) — latest
 baseline vs the current run, relative deltas, and a unicode sparkline
 of each metric's history — plus, when supplied, the regression-gate
-verdicts and a measured :class:`~repro.obs.metrics.OpCounters`
-breakdown.  CI writes the markdown flavour as a build artifact::
+verdicts, a telemetry snapshot series, and any other table a run
+produced (attribution, numerics, run diff).  Every section is an
+:class:`~repro.analysis.report.ExperimentReport`, the table type every
+experiment prints.  CI writes the markdown flavour as a build
+artifact::
 
     python -m repro.experiments --bench-compare metrics.jsonl \\
         --bench-dashboard dashboard.md
 
-The HTML flavour (``--bench-dashboard dash.html``) wraps the same
-tables in a minimal standalone page; format is chosen by extension.
+The HTML flavour (``--bench-dashboard dash.html``, and the
+``dashboard.html`` of an ``--obs`` run directory) wraps the same tables
+in a minimal standalone page; format is chosen by extension.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 import html
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.obs.metrics import MetricRegistry, OpCounters, provenance
+from repro.analysis.report import ExperimentReport
+from repro.obs.metrics import MetricRegistry, provenance
 
 __all__ = ["sparkline", "build_dashboard", "render_markdown", "render_html", "write_dashboard"]
 
@@ -37,26 +42,19 @@ def sparkline(values: Sequence[float]) -> str:
     return "".join(_BLOCKS[int((v - lo) / span * (len(_BLOCKS) - 1))] for v in vals)
 
 
-class _Section:
-    """One titled table plus optional lead-in lines."""
-
-    def __init__(self, title: str, headers: List[str], rows: List[List[str]], notes: List[str]):
-        self.title = title
-        self.headers = headers
-        self.rows = rows
-        self.notes = notes
-
-
 def _area_section(
     registry: MetricRegistry,
     area: str,
     current: Optional[Mapping[str, float]],
-) -> _Section:
+) -> ExperimentReport:
+    rep = ExperimentReport(
+        f"Area `{area}`",
+        "committed baseline vs current run, trend over the run history",
+        headers=["metric", "baseline", "current", "delta", "trend"],
+    )
     baseline = registry.baseline(area) or {}
     cur = dict(current or {})
-    keys = sorted(set(baseline) | set(cur))
-    rows: List[List[str]] = []
-    for key in keys:
+    for key in sorted(set(baseline) | set(cur)):
         base_v = baseline.get(key)
         cur_v = cur.get(key)
         if base_v is not None and cur_v is not None and base_v != 0:
@@ -66,323 +64,106 @@ def _area_section(
         series = [v for _, v in registry.series(area, key)]
         if cur_v is not None:
             series = series + [cur_v]
-        rows.append(
-            [
-                key,
-                "-" if base_v is None else f"{base_v:.6g}",
-                "-" if cur_v is None else f"{cur_v:.6g}",
-                delta,
-                sparkline(series) or "·",
-            ]
+        rep.add_row(
+            key,
+            "-" if base_v is None else f"{base_v:.6g}",
+            "-" if cur_v is None else f"{cur_v:.6g}",
+            delta,
+            sparkline(series) or "·",
         )
     doc = registry.load(area)
-    notes: List[str] = []
     if doc is not None:
         prov = doc.get("provenance") or {}
-        notes.append(
+        rep.add_note(
             f"baseline: {prov.get('git_sha', '?')} @ {prov.get('timestamp', '?')} "
             f"on {prov.get('host', '?')} ({len(doc.get('history') or [])} prior run(s))"
         )
     else:
-        notes.append("no committed baseline yet (seed with --bench-update)")
-    return _Section(
-        f"Area `{area}`",
-        ["metric", "baseline", "current", "delta", "trend"],
-        rows,
-        notes,
-    )
+        rep.add_note("no committed baseline yet (seed with --bench-update)")
+    return rep
 
 
-def _numerics_section(report: Mapping) -> _Section:
-    """Numerics health: per-layer streams, clip counters, divergence."""
-    rows: List[List[str]] = []
-    for row in report.get("layers") or []:
-        rows.append(
-            [
-                f"{row['layer']}.{row['kind']}",
-                f"{int(row['count'])}",
-                f"{row['mean']:.4g}",
-                f"{row['std']:.4g}",
-                f"[{row['min']:.4g}, {row['max']:.4g}]",
-                f"{100 * row['zero_fraction']:.1f}%",
-                f"{int(row['nan'])}/{int(row['inf'])}",
-            ]
-        )
-    notes: List[str] = []
-    for name, counter in sorted((report.get("quant") or {}).items()):
-        notes.append(
-            f"quant `{name}`: {counter['clipped']}/{counter['total']} clipped "
-            f"({100 * counter['rate']:.2f}%)"
-        )
-    div = report.get("divergence")
-    if div:
-        notes.append(
-            f"reorder divergence: end-to-end max|dev| {div['end_to_end_max_abs']:.4g}, "
-            f"top-1 flips {100 * div['top1_flip_rate']:.1f}% "
-            f"over {div['layers']} pooled layer(s)"
-        )
-    anomaly = report.get("anomaly")
-    if anomaly:
-        notes.append(
-            f"**ANOMALY**: {anomaly['layer']}.{anomaly['kind']} "
-            f"({anomaly['nan']} NaN, {anomaly['inf']} inf) "
-            f"at epoch {anomaly['epoch']}, batch {anomaly['batch']}"
-        )
-    return _Section(
-        "Numerics health",
-        ["stream", "count", "mean", "std", "range", "zeros", "nan/inf"],
-        rows,
-        notes,
-    )
+def _telemetry_section(snapshots: Sequence) -> ExperimentReport:
+    """Per-series time evolution of a telemetry snapshot sequence.
 
-
-def _attribution_section(attribution: Mapping) -> _Section:
-    """Attribution / roofline: the joined per-row table + coverage.
-
-    ``attribution`` is an
-    :meth:`~repro.obs.attrib.AttributionReport.as_dict` document.
-    """
-    rows: List[List[str]] = []
-
-    def fmt(row: Mapping, key: str, scale: float, digits: int = 2) -> str:
-        value = row.get(key)
-        return "-" if value is None else f"{value / scale:.{digits}f}"
-
-    for row in (attribution.get("rows") or [])[:25]:
-        frac = row.get("attained_fraction")
-        rows.append(
-            [
-                str(row.get("name")),
-                str(row.get("kind")),
-                fmt(row, "wall_us", 1e3, 3),
-                fmt(row, "ops", 1e6),
-                fmt(row, "bytes_moved", 1e6),
-                fmt(row, "intensity", 1.0),
-                "-" if frac is None else f"{100 * frac:.1f}%",
-                str(row.get("bound") or "-"),
-            ]
-        )
-    coverage = float(attribution.get("span_coverage") or 0.0)
-    notes = [
-        f"span coverage {100 * coverage:.1f}% "
-        f"({(attribution.get('total_us') or 0.0) / 1e3:.3f} ms total, "
-        f"{(attribution.get('unexplained_us') or 0.0) / 1e3:.3f} ms unexplained)"
-    ]
-    roof = attribution.get("roofline")
-    if roof:
-        notes.append(
-            f"host roofline: peak {roof['peak_flops'] / 1e9:.2f} GFLOP/s, "
-            f"stream {roof['stream_bandwidth'] / 1e9:.2f} GB/s, "
-            f"ridge {roof['ridge_intensity']:.2f} FLOP/B"
-        )
-    plan = attribution.get("kernel_plan") or {}
-    if plan:
-        notes.append(
-            "kernel plan: "
-            + ", ".join(f"{k}→{v}" for k, v in sorted(plan.items()))
-        )
-    return _Section(
-        "Attribution / Roofline",
-        ["row", "kind", "wall ms", "MFLOPs", "MB", "FLOP/B", "%roof", "bound"],
-        rows,
-        notes,
-    )
-
-
-def _run_diff_section(run_diff) -> _Section:
-    """Run diff: ranked per-span wall-time changes (a ``RunDiff``)."""
-    rows: List[List[str]] = []
-    for e in run_diff.top(20):
-        rel = "-" if e.delta_rel is None else f"{100 * e.delta_rel:+.1f}%"
-        rows.append(
-            [
-                e.name,
-                e.kind,
-                f"{e.wall_a_us / 1e3:.3f}",
-                f"{e.wall_b_us / 1e3:.3f}",
-                f"{e.delta_us / 1e3:+.3f}",
-                rel,
-                "; ".join(e.notes) or "-",
-            ]
-        )
-    return _Section(
-        "Run diff",
-        ["row", "kind", "A ms", "B ms", "delta ms", "delta %", "notes"],
-        rows,
-        [
-            f"total {run_diff.total_a_us / 1e3:.3f} ms → "
-            f"{run_diff.total_b_us / 1e3:.3f} ms "
-            f"({run_diff.total_delta_us / 1e3:+.3f} ms), ranked by |delta|"
-        ],
-    )
-
-
-def _telemetry_section(snapshots: Sequence, alerts: Optional[Sequence] = None) -> _Section:
-    """Live telemetry: per-series time evolution + active SLO alerts.
-
-    ``snapshots`` is a sequence of
-    :class:`~repro.obs.telemetry.registry.TelemetrySnapshot` (or their
-    ``as_dict`` documents), e.g. from
+    ``snapshots`` are :class:`~repro.obs.telemetry.registry.TelemetrySnapshot`
+    objects (or their ``as_dict`` documents), e.g. from
     :func:`~repro.obs.telemetry.registry.read_telemetry_jsonl`; the last
     one supplies current values and the whole sequence feeds the trend
-    sparkline.  ``alerts`` is a sequence of
-    :class:`~repro.obs.telemetry.rules.Alert` (or dicts).
+    sparkline.
     """
-    docs = [s.as_dict() if hasattr(s, "as_dict") else dict(s) for s in snapshots]
-    rows: List[List[str]] = []
-    if docs:
-        # series key -> value per snapshot, in snapshot order
-        def _rows_of(doc) -> Dict[str, Mapping]:
-            out: Dict[str, Mapping] = {}
-            for fam in doc.get("metrics") or []:
-                for srow in fam.get("series") or []:
-                    labels = srow.get("labels") or {}
-                    tag = "".join(f"[{k}={v}]" for k, v in sorted(labels.items()))
-                    out[f"{fam['name']}{tag}"] = {"type": fam["type"], **srow}
-            return out
-
-        history = [_rows_of(doc) for doc in docs]
-        latest = history[-1]
-        for key in sorted(latest):
-            row = latest[key]
-            if row["type"] == "histogram":
-                track = [
-                    h[key]["p99"]
-                    for h in history
-                    if key in h and h[key].get("p99") is not None
-                ]
-                count = int(row.get("count") or 0)
-                mean = (row["sum"] / count) if count else 0.0
-                rows.append(
-                    [
-                        key,
-                        "histogram",
-                        f"n={count} mean={mean:.3f} "
-                        f"p50={row.get('p50') if row.get('p50') is not None else float('nan'):.3f} "
-                        f"p95={row.get('p95') if row.get('p95') is not None else float('nan'):.3f} "
-                        f"p99={row.get('p99') if row.get('p99') is not None else float('nan'):.3f}",
-                        sparkline(track) or "·",
-                    ]
-                )
-            else:
-                track = [h[key]["value"] for h in history if key in h]
-                rows.append([key, row["type"], f"{row['value']:.6g}", sparkline(track) or "·"])
-    notes: List[str] = []
-    span_s = docs[-1]["ts"] - docs[0]["ts"] if len(docs) > 1 else 0.0
-    notes.append(
-        f"{len(docs)} snapshot(s) over {span_s:.1f}s "
-        "(histogram trend tracks p99)"
-    )
-    alert_docs = [a.as_dict() if hasattr(a, "as_dict") else dict(a) for a in (alerts or [])]
-    active = [a for a in alert_docs if a.get("resolved_at") is None]
-    if alert_docs:
-        notes.append(f"alerts: {len(active)} active / {len(alert_docs)} fired")
-        for a in alert_docs:
-            state = "ACTIVE" if a.get("resolved_at") is None else "resolved"
-            notes.append(f"{state}: {a.get('message') or a.get('rule')}")
-    else:
-        notes.append("alerts: none fired")
-    return _Section(
+    rep = ExperimentReport(
         "Live telemetry",
-        ["series", "type", "current", "trend"],
-        rows,
-        notes,
+        "telemetry registry series over the run",
+        headers=["series", "type", "current", "trend"],
     )
+    docs = [s.as_dict() if hasattr(s, "as_dict") else dict(s) for s in snapshots]
 
+    def rows_of(doc) -> Dict[str, Mapping]:
+        out: Dict[str, Mapping] = {}
+        for fam in doc.get("metrics") or []:
+            for srow in fam.get("series") or []:
+                labels = srow.get("labels") or {}
+                tag = "".join(f"[{k}={v}]" for k, v in sorted(labels.items()))
+                out[f"{fam['name']}{tag}"] = {"type": fam["type"], **srow}
+        return out
 
-def _counters_section(counters: OpCounters) -> _Section:
-    rows = [[name, f"{value:.6g}"] for name, value in counters.as_dict().items() if value]
-    denom = counters.mults + counters.mults_eliminated
-    notes = []
-    if denom:
-        notes.append(f"RME eliminated {100 * counters.mults_eliminated / denom:.1f}% of dense multiplications")
-    spent_plus_saved = counters.additions + counters.reuse_hits
-    if spent_plus_saved and counters.reuse_hits:
-        notes.append(
-            f"LAR+GAR avoided {100 * counters.reuse_hits / spent_plus_saved:.1f}% of no-reuse additions"
-        )
-    return _Section("Measured counters", ["counter", "value"], rows, notes)
+    def fmt(value) -> str:
+        return "nan" if value is None else f"{value:.3f}"
+
+    history = [rows_of(doc) for doc in docs]
+    latest = history[-1] if history else {}
+    for key in sorted(latest):
+        row = latest[key]
+        if row["type"] == "histogram":
+            track = [h[key]["p99"] for h in history if h.get(key, {}).get("p99") is not None]
+            count = int(row.get("count") or 0)
+            mean = (row["sum"] / count) if count else 0.0
+            current = (
+                f"n={count} mean={mean:.3f} p50={fmt(row.get('p50'))} "
+                f"p95={fmt(row.get('p95'))} p99={fmt(row.get('p99'))}"
+            )
+        else:
+            track = [h[key]["value"] for h in history if key in h]
+            current = f"{row['value']:.6g}"
+        rep.add_row(key, row["type"], current, sparkline(track) or "·")
+    span_s = docs[-1]["ts"] - docs[0]["ts"] if len(docs) > 1 else 0.0
+    rep.add_note(
+        f"{len(docs)} snapshot(s) over {span_s:.1f}s (histogram trend tracks p99)"
+    )
+    return rep
 
 
 def build_dashboard(
-    registry: MetricRegistry,
+    registry: Optional[MetricRegistry] = None,
     current: Optional[Mapping[str, Mapping[str, float]]] = None,
-    counters: Optional[OpCounters] = None,
     gate_report=None,
-    numerics: Optional[Mapping] = None,
-    attribution: Optional[Mapping] = None,
-    run_diff=None,
     telemetry: Optional[Sequence] = None,
-    alerts: Optional[Sequence] = None,
-) -> List[_Section]:
+    reports: Sequence[ExperimentReport] = (),
+) -> List[ExperimentReport]:
     """Assemble dashboard sections (shared by both output formats).
 
-    ``numerics`` is a :meth:`NumericsCollector.report()
-    <repro.obs.numerics.NumericsCollector.report>` document;
-    ``attribution`` an
-    :meth:`~repro.obs.attrib.AttributionReport.as_dict` document;
-    ``run_diff`` a :class:`~repro.obs.forensics.RunDiff`; ``telemetry``
-    a sequence of telemetry snapshots (see :func:`_telemetry_section`)
-    with ``alerts`` the matching SLO alert episodes.  Each renders as
-    its own section when given.
+    One section per baseline area of ``registry`` (and of ``current``),
+    then the ``telemetry`` snapshot series (see
+    :func:`_telemetry_section`), the given ``reports`` in order — e.g.
+    ``AttributionReport.to_experiment_report()``,
+    ``NumericsCollector.summary_report()`` or
+    ``RunDiff.to_experiment_report()`` — and finally the
+    :class:`~repro.obs.regress.RegressionReport` verdicts.
     """
-    sections: List[_Section] = []
-    areas = sorted(set(registry.areas()) | set(current or {}))
-    for area in areas:
-        sections.append(_area_section(registry, area, (current or {}).get(area)))
+    sections: List[ExperimentReport] = []
+    if registry is not None:
+        for area in sorted(set(registry.areas()) | set(current or {})):
+            sections.append(_area_section(registry, area, (current or {}).get(area)))
     if telemetry is not None:
-        sections.append(_telemetry_section(telemetry, alerts))
-    if numerics is not None:
-        sections.append(_numerics_section(numerics))
-    if attribution is not None:
-        sections.append(_attribution_section(attribution))
-    if run_diff is not None:
-        sections.append(_run_diff_section(run_diff))
+        sections.append(_telemetry_section(telemetry))
+    sections.extend(reports)
     if gate_report is not None:
-        order = {"regressed": 0, "invalid": 1, "improved": 2, "ok": 3,
-                 "missing_baseline": 4, "missing_current": 5}
-        rows = [
-            [
-                v.status + ("" if v.policy.required else " (advisory)"),
-                v.area,
-                v.metric,
-                "-" if v.baseline is None else f"{v.baseline:.6g}",
-                "-" if v.current is None else f"{v.current:.6g}",
-                v.policy.direction,
-                getattr(v, "note", "") or "-",
-            ]
-            for v in sorted(gate_report.verdicts, key=lambda v: (order[v.status], v.area, v.metric))
-        ]
-        verdict = "**FAIL**" if gate_report.failed else "pass"
-        notes = [f"gate verdict: {verdict}"]
-        # Surface auto-downgrades (host-sensitive metrics judged on a
-        # machine shaped unlike the baseline's) with their reason —
-        # previously only the CLI report mentioned why a metric that
-        # normally gates required showed up advisory.
-        downgraded = [
-            v for v in gate_report.verdicts
-            if not v.policy.required and (getattr(v, "note", "") or "").startswith("host mismatch")
-        ]
-        if downgraded:
-            reasons = sorted({getattr(v, "note", "") for v in downgraded})
-            notes.append(
-                f"{len(downgraded)} metric(s) auto-downgraded to advisory — "
-                + "; ".join(reasons)
-            )
-        sections.append(
-            _Section(
-                "Regression gate",
-                ["status", "area", "metric", "baseline", "current", "better", "note"],
-                rows,
-                notes,
-            )
-        )
-    if counters is not None:
-        sections.append(_counters_section(counters))
+        sections.append(gate_report.to_experiment_report())
     return sections
 
 
-def render_markdown(sections: List[_Section]) -> str:
+def render_markdown(sections: List[ExperimentReport]) -> str:
     prov = provenance()
     out = [
         "# Benchmark dashboard",
@@ -392,23 +173,23 @@ def render_markdown(sections: List[_Section]) -> str:
         "",
     ]
     for s in sections:
-        out.append(f"## {s.title}")
+        out.append(f"## {s.experiment}")
         out.append("")
-        for note in s.notes:
+        for note in [s.description] + s.notes:
             out.append(f"_{note}_")
             out.append("")
         if s.rows:
             out.append("| " + " | ".join(s.headers) + " |")
             out.append("|" + "|".join("---" for _ in s.headers) + "|")
             for row in s.rows:
-                out.append("| " + " | ".join(row) + " |")
+                out.append("| " + " | ".join(str(c) for c in row) + " |")
         else:
             out.append("(no metrics)")
         out.append("")
     return "\n".join(out)
 
 
-def render_html(sections: List[_Section]) -> str:
+def render_html(sections: List[ExperimentReport]) -> str:
     prov = provenance()
     parts = [
         "<!doctype html><html><head><meta charset='utf-8'>",
@@ -421,8 +202,8 @@ def render_html(sections: List[_Section]) -> str:
         f"{html.escape(prov['host'])} (commit {html.escape(prov['git_sha'])})</em></p>",
     ]
     for s in sections:
-        parts.append(f"<h2>{html.escape(s.title)}</h2>")
-        for note in s.notes:
+        parts.append(f"<h2>{html.escape(s.experiment)}</h2>")
+        for note in [s.description] + s.notes:
             parts.append(f"<p><em>{html.escape(note)}</em></p>")
         if s.rows:
             parts.append("<table><tr>")
@@ -430,7 +211,7 @@ def render_html(sections: List[_Section]) -> str:
             parts.append("</tr>")
             for row in s.rows:
                 parts.append(
-                    "<tr>" + "".join(f"<td>{html.escape(c)}</td>" for c in row) + "</tr>"
+                    "<tr>" + "".join(f"<td>{html.escape(str(c))}</td>" for c in row) + "</tr>"
                 )
             parts.append("</table>")
         else:
@@ -439,27 +220,16 @@ def render_html(sections: List[_Section]) -> str:
     return "".join(parts)
 
 
-def write_dashboard(
-    path: str,
-    registry: MetricRegistry,
-    current: Optional[Mapping[str, Mapping[str, float]]] = None,
-    counters: Optional[OpCounters] = None,
-    gate_report=None,
-    numerics: Optional[Mapping] = None,
-    attribution: Optional[Mapping] = None,
-    run_diff=None,
-    telemetry: Optional[Sequence] = None,
-    alerts: Optional[Sequence] = None,
-) -> str:
-    """Write the dashboard to ``path`` (HTML iff the extension says so)."""
-    sections = build_dashboard(
-        registry, current, counters, gate_report, numerics, attribution, run_diff,
-        telemetry, alerts,
-    )
+def write_dashboard(path: str, registry: Optional[MetricRegistry] = None, **sections) -> str:
+    """Write the dashboard to ``path`` (HTML iff the extension says so).
+
+    ``sections`` are the keyword arguments of :func:`build_dashboard`.
+    """
+    built = build_dashboard(registry, **sections)
     text = (
-        render_html(sections)
+        render_html(built)
         if path.endswith((".html", ".htm"))
-        else render_markdown(sections)
+        else render_markdown(built)
     )
     with open(path, "w") as fh:
         fh.write(text)

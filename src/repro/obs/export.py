@@ -1,33 +1,42 @@
-"""Trace exporters: JSONL, Chrome trace-event format, summary table.
+"""Trace exporters and the ``--obs`` run directory.
 
-Three consumers of one :class:`~repro.obs.tracer.Tracer`:
+Two serializations of one :class:`~repro.obs.tracer.Tracer`:
 
-* :func:`write_jsonl` — one JSON object per line (spans, instants,
-  then counter/histogram aggregates); greppable, diffable, the format
-  the benchmark trend-tracking option emits.
+* :func:`write_jsonl` — one JSON object per span or instant event;
+  greppable, diffable, and the format :mod:`repro.obs.attrib` and
+  :mod:`repro.obs.forensics` read back.
 * :func:`write_chrome_trace` — the Chrome trace-event format
   (``chrome://tracing`` / https://ui.perfetto.dev): spans become
   complete (``"ph": "X"``) events with microsecond ``ts``/``dur``,
   instant events become ``"ph": "i"``.
-* :func:`summary_report` — top-N spans by total wall time rendered with
-  the same :class:`repro.analysis.report.ExperimentReport` table
-  machinery every experiment uses.
+
+:class:`ObsRun` is the single observability switch: it turns on the
+tracer, the telemetry registry and the sampling profiler for a run,
+and writes everything they recorded into one directory.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict, List, Optional
 
-from repro.obs.tracer import SpanEvent, Tracer, get_tracer
+from repro.obs.attrib import AttributionReport, build_attribution
+from repro.obs.dashboard import write_dashboard
+from repro.obs.telemetry import (
+    SamplingProfiler,
+    TelemetryExporter,
+    get_telemetry,
+    read_telemetry_jsonl,
+)
+from repro.obs.tracer import Tracer, get_tracer
 
 __all__ = [
     "to_jsonl",
     "write_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
-    "summary_report",
-    "summary",
+    "ObsRun",
 ]
 
 
@@ -46,7 +55,7 @@ def _json_safe(value):
 
 
 def to_jsonl(tracer: Optional[Tracer] = None) -> str:
-    """Serialize the tracer's events + aggregates, one JSON doc per line."""
+    """Serialize the tracer's events, one JSON doc per line."""
     tracer = tracer or get_tracer()
     lines: List[str] = []
     for ev in tracer.events:
@@ -65,11 +74,6 @@ def to_jsonl(tracer: Optional[Tracer] = None) -> str:
         if ev.attrs:
             doc["attrs"] = _json_safe(ev.attrs)
         lines.append(json.dumps(doc))
-    for name, value in sorted(tracer.counters.items()):
-        lines.append(json.dumps({"type": "counter", "name": name, "value": value}))
-    for name in sorted(tracer.histograms):
-        stats = tracer.histogram_stats(name)
-        lines.append(json.dumps({"type": "histogram", "name": name, **stats}))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -115,46 +119,92 @@ def write_chrome_trace(path: str, tracer: Optional[Tracer] = None) -> int:
     return len(doc["traceEvents"])
 
 
-def summary_report(tracer: Optional[Tracer] = None, top: int = 10):
-    """Top-N span names by total wall time as an ExperimentReport."""
-    from repro.analysis.report import ExperimentReport
+class ObsRun:
+    """One observability run directory; the only owner of its file names.
 
-    tracer = tracer or get_tracer()
-    agg: Dict[str, List[float]] = {}
-    for ev in tracer.events:
-        if ev.is_span:
-            agg.setdefault(ev.name, []).append(ev.dur_us)
-    rep = ExperimentReport(
-        "Trace",
-        f"top {top} spans by total wall time",
-        headers=["span", "count", "total ms", "mean ms", "max ms"],
-    )
-    # Tie-break equal totals by name so report diffs are stable across runs.
-    ranked = sorted(agg.items(), key=lambda kv: (-sum(kv[1]), kv[0]))[:top]
-    for name, durs in ranked:
-        rep.add_row(
-            name,
-            len(durs),
-            f"{sum(durs) / 1e3:.3f}",
-            f"{sum(durs) / len(durs) / 1e3:.3f}",
-            f"{max(durs) / 1e3:.3f}",
+    Entering clears and enables the process-wide tracer and telemetry
+    registry, starts a :class:`TelemetryExporter` scraping into
+    ``metrics.jsonl``, and starts the :class:`SamplingProfiler`.
+    Exiting stops them and writes the trace (JSONL and Chrome), the
+    profile (collapsed stacks and flamegraph), the attribution rows and
+    the dashboard.  Every file is removed on entry, so a reused
+    directory never mixes two runs.  ``--numerics`` runs add
+    ``numerics.jsonl`` at :meth:`path` ``(ObsRun.NUMERICS)``::
+
+        with ObsRun("obs-run") as run:
+            ...                       # compile / train / simulate
+        print(run.attribution.render())
+    """
+
+    TRACE = "trace.jsonl"
+    CHROME_TRACE = "trace.json"
+    METRICS = "metrics.jsonl"
+    PROFILE = "profile.txt"
+    FLAMEGRAPH = "flamegraph.html"
+    ATTRIB = "attrib.jsonl"
+    DASHBOARD = "dashboard.html"
+    NUMERICS = "numerics.jsonl"
+    FILES = (TRACE, CHROME_TRACE, METRICS, PROFILE, FLAMEGRAPH, ATTRIB, DASHBOARD)
+    #: seconds between telemetry snapshots in ``metrics.jsonl``
+    SCRAPE_PERIOD_S = 0.5
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        #: per-model reports from ``attribute_model_run``; written to
+        #: ``attrib.jsonl`` tagged with ``model`` instead of the run's own
+        self.model_attributions: Dict[str, AttributionReport] = {}
+        #: extra tables for the dashboard (e.g. numerics summaries)
+        self.reports: List = []
+        #: the attribution of the run's own trace, set on exit
+        self.attribution: Optional[AttributionReport] = None
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.directory, name)
+
+    @classmethod
+    def trace_path(cls, run: str) -> str:
+        """The JSONL trace of ``run``: a run directory or a trace file."""
+        return os.path.join(run, cls.TRACE) if os.path.isdir(run) else run
+
+    def __enter__(self) -> "ObsRun":
+        os.makedirs(self.directory, exist_ok=True)
+        for name in self.FILES + (self.NUMERICS,):
+            if os.path.exists(self.path(name)):
+                os.remove(self.path(name))
+        tracer, telemetry = get_tracer(), get_telemetry()
+        tracer.clear()
+        tracer.enable()
+        telemetry.clear()
+        telemetry.enable()
+        self._exporter = TelemetryExporter(
+            telemetry, jsonl_path=self.path(self.METRICS), period_s=self.SCRAPE_PERIOD_S
+        ).start()
+        self._profiler = SamplingProfiler().start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._profiler.stop()
+        self._exporter.stop()
+        get_telemetry().disable()
+        tracer = get_tracer()
+        tracer.disable()
+        write_jsonl(self.path(self.TRACE), tracer)
+        write_chrome_trace(self.path(self.CHROME_TRACE), tracer)
+        self._profiler.write_collapsed(self.path(self.PROFILE))
+        self._profiler.write_flamegraph(self.path(self.FLAMEGRAPH))
+        self.attribution = build_attribution(tracer)
+        tagged = self.model_attributions or {"": self.attribution}
+        tables = []
+        with open(self.path(self.ATTRIB), "w") as fh:
+            for model, report in tagged.items():
+                fh.write(report.to_jsonl(**({"model": model} if model else {})))
+                table = report.to_experiment_report()
+                if model:
+                    table.experiment += f" [{model}]"
+                tables.append(table)
+        write_dashboard(
+            self.path(self.DASHBOARD),
+            telemetry=read_telemetry_jsonl(self.path(self.METRICS)),
+            reports=tables + self.reports,
         )
-    n_instant = sum(1 for ev in tracer.events if not ev.is_span)
-    rep.add_note(
-        f"{len(tracer.events)} events ({n_instant} instant), "
-        f"{len(agg)} distinct spans"
-    )
-    for name, value in sorted(tracer.counters.items()):
-        rep.add_note(f"counter {name} = {value:g}")
-    for name in sorted(tracer.histograms):
-        s = tracer.histogram_stats(name)
-        rep.add_note(
-            f"histogram {name}: n={s['count']} mean={s['mean']:.4g} "
-            f"min={s['min']:.4g} max={s['max']:.4g}"
-        )
-    return rep
-
-
-def summary(tracer: Optional[Tracer] = None, top: int = 10) -> str:
-    """Rendered text of :func:`summary_report`."""
-    return summary_report(tracer, top=top).render()
+        return False

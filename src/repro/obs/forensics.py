@@ -1,36 +1,28 @@
 """Cross-run regression forensics: *what changed, and where*.
 
-Two entry points, one output shape — a ranked "what changed" report:
-
-* :func:`diff_runs` — compare two traces (live tracers, JSONL trace
-  files, or pre-built :class:`~repro.obs.attrib.AttributionReport`\\ s).
-  Every span identity (layer, compiler pass, kernel shape-class,
-  simulated layer) becomes one diff entry with its wall time delta;
-  entries are ranked by absolute delta so the top entry
-  *is* the localized regression.  Kernel selection changes (a layer
-  lowered to a different shape-class kernel) and ops/bytes drift are
-  annotated on the entry — the usual root causes travel with the
-  ranking.
-* :func:`diff_bench` — compare a working tree's fresh benchmark
-  metrics (a ``--metrics-jsonl`` file) against the committed
-  ``BENCH_*.json`` baseline registry, ranked by relative delta.  This
-  is the "is my branch slower, and on which metric" view; the
-  regression *gate* (:mod:`repro.obs.regress`) stays the pass/fail
-  authority, this is the forensic ordering.
-
-Both renders are plain text tables (CI-log friendly) via the standard
-:class:`~repro.analysis.report.ExperimentReport`.
+:func:`diff_runs` compares two traces (``--obs`` run directories,
+JSONL trace files, live tracers, or pre-built
+:class:`~repro.obs.attrib.AttributionReport`\\ s).  Every span
+identity (layer, compiler pass, kernel shape-class, simulated layer)
+becomes one diff entry with its wall time delta; entries are ranked by
+absolute delta so the top entry *is* the localized regression.  Kernel
+selection changes (a layer lowered to a different shape-class kernel)
+and ops/bytes drift are annotated on the entry — the usual root causes
+travel with the ranking.  The comparison of benchmark metrics against
+the committed baselines is the regression gate's job
+(:mod:`repro.obs.regress`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.attrib import AttributionReport, build_attribution
+from repro.obs.export import ObsRun
 from repro.obs.tracer import Tracer
 
-__all__ = ["DiffEntry", "RunDiff", "diff_runs", "BenchDiffEntry", "BenchDiff", "diff_bench"]
+__all__ = ["DiffEntry", "RunDiff", "diff_runs"]
 
 
 @dataclass
@@ -125,6 +117,8 @@ class RunDiff:
 def _as_report(run: Union[AttributionReport, Tracer, str]) -> AttributionReport:
     if isinstance(run, AttributionReport):
         return run
+    if isinstance(run, str):
+        run = ObsRun.trace_path(run)
     return build_attribution(run)
 
 
@@ -135,8 +129,8 @@ def diff_runs(
 ) -> RunDiff:
     """Rank every span identity by how much its wall time moved A→B.
 
-    ``a`` and ``b`` may each be a live tracer, a JSONL trace path, or a
-    pre-built attribution report.  Rows present in only one run are
+    ``a`` and ``b`` may each be an ``--obs`` run directory, a JSONL
+    trace path, a live tracer, or a pre-built attribution report.  Rows present in only one run are
     kept (noted ``added``/``removed``) — a span that vanishes is
     exactly the kind of change forensics must surface.
     """
@@ -200,105 +194,3 @@ def diff_runs(
         coverage_a=ra.span_coverage,
         coverage_b=rb.span_coverage,
     )
-
-
-@dataclass
-class BenchDiffEntry:
-    """One benchmark metric's change vs its committed baseline."""
-
-    key: str
-    area: str
-    baseline: float
-    current: float
-
-    @property
-    def delta(self) -> float:
-        return self.current - self.baseline
-
-    @property
-    def delta_rel(self) -> Optional[float]:
-        if self.baseline == 0:
-            return None
-        return self.delta / abs(self.baseline)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "area": self.area,
-            "baseline": self.baseline,
-            "current": self.current,
-            "delta": self.delta,
-            "delta_rel": self.delta_rel,
-        }
-
-
-@dataclass
-class BenchDiff:
-    """Ranked metric diff of a working tree vs the baseline registry."""
-
-    entries: List[BenchDiffEntry] = field(default_factory=list)
-    missing_baseline: List[str] = field(default_factory=list)
-    missing_current: List[str] = field(default_factory=list)
-
-    def to_experiment_report(self, top: int = 20):
-        from repro.analysis.report import ExperimentReport
-
-        rep = ExperimentReport(
-            "Bench diff",
-            "working-tree metrics vs committed BENCH_* baselines, ranked by |delta %|",
-            headers=["metric", "area", "baseline", "current", "delta %"],
-        )
-        for e in self.entries[:top]:
-            rel = "-" if e.delta_rel is None else f"{100 * e.delta_rel:+.2f}"
-            rep.add_row(e.key, e.area, f"{e.baseline:.6g}", f"{e.current:.6g}", rel)
-        if self.missing_baseline:
-            rep.add_note(
-                f"{len(self.missing_baseline)} metric(s) with no baseline: "
-                + ", ".join(self.missing_baseline[:8])
-            )
-        if self.missing_current:
-            rep.add_note(
-                f"{len(self.missing_current)} baseline metric(s) not re-measured: "
-                + ", ".join(self.missing_current[:8])
-            )
-        return rep
-
-    def render(self, top: int = 20) -> str:
-        return self.to_experiment_report(top=top).render()
-
-
-def diff_bench(metrics_jsonl: str, root: str = ".") -> BenchDiff:
-    """Diff freshly measured metrics against the committed baselines.
-
-    ``metrics_jsonl`` is a benchmark run's ``--metrics-jsonl`` output
-    from the working tree; baselines come from the ``BENCH_<area>.json``
-    registry under ``root``.  Unlike the gate, every overlapping metric
-    is reported, ranked by relative movement.
-    """
-    from repro.obs.metrics import MetricRegistry, load_metrics_jsonl
-
-    registry = MetricRegistry(root)
-    current = load_metrics_jsonl(metrics_jsonl)
-
-    diff = BenchDiff()
-    seen_baseline_keys: set = set()
-    areas = sorted(set(current) | set(registry.areas()))
-    for area in areas:
-        baseline = registry.baseline(area) or {}
-        for key, value in (current.get(area) or {}).items():
-            if key in baseline:
-                seen_baseline_keys.add((area, key))
-                diff.entries.append(
-                    BenchDiffEntry(
-                        key=key, area=area, baseline=float(baseline[key]), current=value
-                    )
-                )
-            else:
-                diff.missing_baseline.append(key)
-        for key in baseline:
-            if (area, key) not in seen_baseline_keys:
-                diff.missing_current.append(key)
-    diff.entries.sort(
-        key=lambda e: (-(abs(e.delta_rel) if e.delta_rel is not None else float("inf")), e.key)
-    )
-    return diff

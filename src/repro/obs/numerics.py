@@ -32,10 +32,11 @@ Three layers:
   exposes it as a compiler validation step.
 
 Everything exports through the existing surfaces: ``report()`` is a
-JSON document, ``to_jsonl()`` a greppable event log,
-``summary_report()`` the standard top-N table, and the dashboard gains
-a "Numerics health" section.  Disabled collectors cost one attribute
-check per call (guarded by ``tests/obs/test_numerics_overhead.py``).
+JSON document, ``to_jsonl()`` a greppable event log (the
+``numerics.jsonl`` of an ``--obs`` run directory), and
+``summary_report()`` the standard table the dashboard renders.
+Disabled collectors cost one attribute check per call (guarded by
+``tests/obs/test_overhead.py``).
 """
 
 from __future__ import annotations
@@ -565,18 +566,19 @@ class NumericsCollector:
             "anomaly": self.first_anomaly,
         }
 
-    def to_jsonl(self) -> str:
-        """One JSON object per stream / clip counter / probe result."""
+    def to_jsonl(self, **tags: Any) -> str:
+        """One JSON object per stream / clip counter / probe result;
+        every row carries ``tags`` (e.g. ``model="lenet5", bits=8``)."""
         lines: List[str] = []
         doc = self.report()
         for row in doc["layers"]:
-            lines.append(json.dumps({"type": "numerics", **row}))
+            lines.append(json.dumps({"type": "numerics", **tags, **row}))
         for key, counter in sorted(doc["quant"].items()):
-            lines.append(json.dumps({"type": "quant_clip", "name": key, **counter}))
+            lines.append(json.dumps({"type": "quant_clip", **tags, "name": key, **counter}))
         if doc["divergence"] is not None:
-            lines.append(json.dumps({"type": "reorder_divergence", **doc["divergence"]}))
+            lines.append(json.dumps({"type": "reorder_divergence", **tags, **doc["divergence"]}))
         if doc["anomaly"] is not None:
-            lines.append(json.dumps({"type": "anomaly", **doc["anomaly"]}))
+            lines.append(json.dumps({"type": "anomaly", **tags, **doc["anomaly"]}))
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_report(self, path: str) -> str:

@@ -9,15 +9,16 @@ every metric::
     regressed         moved past tolerance in the bad direction  -> fails
     invalid           current value is NaN/inf                   -> fails
     missing_baseline  metric has no baseline yet (new metric)
-    missing_current   baseline metric the run did not emit
+    missing_current   baseline metric the run did not emit       -> fails
 
 Per-metric :class:`TolerancePolicy` decides the good direction
 (``higher`` or ``lower`` is better) and the relative/absolute
 thresholds; policies resolve by exact key, then longest registered
-prefix, then a keyword heuristic over the metric name (``energy``,
-``cycles``, ``adds`` ... are lower-better; everything else defaults to
-higher-better).  Noisy wall-clock metrics register advisory policies
-(``required=False``) so CI host variance cannot fail a build.
+prefix in :data:`POLICY_OVERRIDES`, and default to higher-better.
+Every lower-is-better metric declares that there.  Noisy wall-clock
+metrics register advisory policies (``required=False``) so CI host
+variance cannot fail a build; only required metrics fail on
+``regressed`` or ``missing_current``.
 
 CI entry point: ``python -m repro.experiments --bench-compare
 metrics.jsonl`` — exits non-zero iff :attr:`RegressionReport.failed`.
@@ -76,9 +77,14 @@ class TolerancePolicy:
 #: worse, which fails the gate like a performance regression.
 POLICY_OVERRIDES: Dict[str, TolerancePolicy] = {
     "kernel.": TolerancePolicy(direction="higher", rel_tol=0.90, required=False),
-    # An efficiency ratio (dcnn energy / mlcnn energy): higher is better,
-    # although "energy" in its name would make the keyword list say lower.
+    # An efficiency ratio (dcnn energy / mlcnn energy): higher is better.
     "fig15.energy_efficiency": TolerancePolicy(direction="higher"),
+    # Accelerator operating points are speedups, whatever the label
+    # (``[bytes_per_cycle=...]``) says.
+    "operating.": TolerancePolicy(direction="higher"),
+    # Additions actually spent per output row, and silicon area.
+    "table4.measured_adds_per_row": TolerancePolicy(direction="lower"),
+    "table7.area_mm2": TolerancePolicy(direction="lower"),
     "numerics.": TolerancePolicy(direction="lower", rel_tol=0.25, abs_tol=1e-6),
     # Span coverage is the attribution engine's self-check: the
     # fraction of measured wall time explained by instrumented spans.
@@ -148,22 +154,6 @@ def host_mismatch(
         return f"baseline cpu_count={base_cpu}, host cpu_count={cur_cpu}"
     return None
 
-#: metric-name keywords implying lower-is-better when no policy matches
-_LOWER_IS_BETTER = (
-    "energy",
-    "cycles",
-    "adds",
-    "additions",
-    "mults",
-    "bytes",
-    "time",
-    "wall",
-    "latency",
-    "area",
-    "conflict",
-    "miss",
-)
-
 _DEFAULT = TolerancePolicy()
 
 
@@ -173,7 +163,7 @@ def policy_for(
     """Resolve the policy for a metric key.
 
     Precedence: exact key in ``overrides``/``POLICY_OVERRIDES``, then
-    the longest matching prefix, then the keyword heuristic.
+    the longest matching prefix, then the higher-is-better default.
     """
     table: Dict[str, TolerancePolicy] = dict(POLICY_OVERRIDES)
     if overrides:
@@ -184,12 +174,7 @@ def policy_for(
     for prefix, policy in table.items():
         if key.startswith(prefix) and len(prefix) > best[0]:
             best = (len(prefix), policy)
-    if best[1] is not None:
-        return best[1]
-    lowered = key.lower()
-    if any(word in lowered for word in _LOWER_IS_BETTER):
-        return TolerancePolicy(direction="lower")
-    return _DEFAULT
+    return best[1] if best[1] is not None else _DEFAULT
 
 
 @dataclass
@@ -209,7 +194,7 @@ class Verdict:
     def fails(self) -> bool:
         if self.status == "invalid":
             return True
-        return self.status == "regressed" and self.policy.required
+        return self.status in ("regressed", "missing_current") and self.policy.required
 
     @property
     def delta_rel(self) -> Optional[float]:
@@ -285,36 +270,52 @@ class RegressionReport:
     def by_status(self, *statuses: str) -> List[Verdict]:
         return [v for v in self.verdicts if v.status in statuses]
 
-    def render(self) -> str:
-        from repro.analysis.report import format_table
+    def ranked(self) -> List[Verdict]:
+        """Verdicts by status (failures first), then by |delta_rel| within
+        a status — the metric that moved most leads its group."""
+        order = {"regressed": 0, "invalid": 1, "missing_current": 2, "improved": 3,
+                 "ok": 4, "missing_baseline": 5}
+
+        def key(v: Verdict):
+            d = v.delta_rel
+            return (order[v.status], -abs(d) if d is not None else 0.0, v.area, v.metric)
+
+        return sorted(self.verdicts, key=key)
+
+    def to_experiment_report(self):
+        from repro.analysis.report import ExperimentReport
 
         def fmt(x: Optional[float]) -> str:
             return "-" if x is None else f"{x:.6g}"
 
-        rows = []
-        order = {"regressed": 0, "invalid": 1, "improved": 2, "ok": 3,
-                 "missing_baseline": 4, "missing_current": 5}
-        for v in sorted(self.verdicts, key=lambda v: (order[v.status], v.area, v.metric)):
-            d = v.delta_rel
-            rows.append(
-                [
-                    v.status + ("" if v.policy.required else " (advisory)"),
-                    v.area,
-                    v.metric,
-                    fmt(v.baseline),
-                    fmt(v.current),
-                    "-" if d is None else f"{100 * d:+.2f}%",
-                    v.policy.direction,
-                    v.note or "-",
-                ]
-            )
-        table = format_table(
-            ["status", "area", "metric", "baseline", "current", "delta", "better", "note"],
-            rows,
+        rep = ExperimentReport(
+            "Regression gate",
+            "every metric vs its committed baseline, largest |delta| first within a status",
+            headers=["status", "area", "metric", "baseline", "current", "delta", "better", "note"],
         )
-        counts = ", ".join(f"{k}={n}" for k, n in sorted(self.counts().items()))
-        verdict_line = "REGRESSION GATE: FAIL" if self.failed else "regression gate: pass"
-        return f"{table}\n{counts or 'no metrics'}\n{verdict_line}"
+        for v in self.ranked():
+            d = v.delta_rel
+            rep.add_row(
+                v.status + ("" if v.policy.required else " (advisory)"),
+                v.area,
+                v.metric,
+                fmt(v.baseline),
+                fmt(v.current),
+                "-" if d is None else f"{100 * d:+.2f}%",
+                v.policy.direction,
+                v.note or "-",
+            )
+        # Host-sensitive metrics judged on a machine shaped unlike the
+        # baseline's are advisory; say why.
+        reasons = sorted({v.note for v in self.verdicts if v.note.startswith("host mismatch")})
+        if reasons:
+            rep.add_note("auto-downgraded to advisory: " + "; ".join(reasons))
+        rep.add_note(", ".join(f"{k}={n}" for k, n in sorted(self.counts().items())) or "no metrics")
+        rep.add_note("REGRESSION GATE: FAIL" if self.failed else "regression gate: pass")
+        return rep
+
+    def render(self) -> str:
+        return self.to_experiment_report().render()
 
 
 def gate_metrics(

@@ -1,8 +1,7 @@
-"""Live telemetry runtime for long-running processes.
+"""Telemetry: the registry of scalar series and the sampling profiler.
 
-See :mod:`repro.obs.telemetry.registry` (labeled metrics + scraper),
-:mod:`repro.obs.telemetry.profiler` (sampling profiler), and
-:mod:`repro.obs.telemetry.rules` (SLO alert engine).
+See :mod:`repro.obs.telemetry.registry` (labeled metrics + scraper)
+and :mod:`repro.obs.telemetry.profiler` (sampling profiler).
 """
 
 from repro.obs.telemetry.registry import (
@@ -15,11 +14,9 @@ from repro.obs.telemetry.registry import (
     TelemetrySnapshot,
     exponential_buckets,
     get_telemetry,
-    parse_prometheus,
     read_telemetry_jsonl,
 )
 from repro.obs.telemetry.profiler import SamplingProfiler
-from repro.obs.telemetry.rules import Alert, AlertEngine, SloRule
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
@@ -31,10 +28,6 @@ __all__ = [
     "TelemetrySnapshot",
     "exponential_buckets",
     "get_telemetry",
-    "parse_prometheus",
     "read_telemetry_jsonl",
     "SamplingProfiler",
-    "Alert",
-    "AlertEngine",
-    "SloRule",
 ]

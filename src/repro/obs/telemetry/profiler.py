@@ -36,9 +36,13 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = ["SamplingProfiler"]
 
-#: frames whose function lives in these files are dropped from stacks
+#: frames with these function names are dropped from stacks
 #: (the sampler observing itself, threading scaffolding)
 _SKIP_NAMES = {"_sample_once", "_loop"}
+
+#: threads whose name starts with this are the observability machinery
+#: itself (this sampler, the telemetry exporter); they are not sampled
+_OWN_THREAD_PREFIX = "telemetry-"
 
 
 def _frame_name(frame) -> str:
@@ -80,14 +84,16 @@ class SamplingProfiler:
         self.elapsed_s = 0.0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._own_tid: Optional[int] = None
 
     # -- sampling ------------------------------------------------------------
     def _sample_once(self) -> None:
         t0 = time.perf_counter()
         frames = sys._current_frames()
+        own = {
+            t.ident for t in threading.enumerate() if t.name.startswith(_OWN_THREAD_PREFIX)
+        }
         for tid, top in frames.items():
-            if tid == self._own_tid:
+            if tid in own:
                 continue
             stack: List[str] = []
             frame = top
@@ -104,7 +110,6 @@ class SamplingProfiler:
         self.sampling_wall_s += time.perf_counter() - t0
 
     def _loop(self) -> None:
-        self._own_tid = threading.get_ident()
         while not self._stop.wait(self.interval_s):
             self._sample_once()
 

@@ -1,41 +1,33 @@
-"""Push-based labeled metric registry for long-running processes.
+"""Push-based labeled metric registry: the record of scalar series.
 
-Everything observability built so far is batch-shaped: run, dump,
-analyze.  This module is the *continuous* counterpart — the substrate a
-serving process scrapes every second instead of reading once at exit:
+Spans (:mod:`repro.obs.tracer`) record where time goes; every scalar
+series a run produces — batch latency, throughput, loss, top-1 — is
+recorded here:
 
 * **Instruments** — :class:`Counter` (monotone), :class:`Gauge`
   (last-write-wins) and :class:`Histogram` (exponential latency
-  buckets with streaming p50/p95/p99 derived from the bucket counts,
-  optionally cross-checked against the P² estimators from
-  :mod:`repro.obs.numerics`).  Each is a *family*: children are keyed
-  by their label set (``hist.labels(pool="plan").observe(ms)``), the
-  Prometheus data model.
+  buckets with streaming p50/p95/p99 derived from the bucket counts).
+  Each is a *family*: children are keyed by their label set
+  (``hist.labels(model="lenet5").observe(ms)``).
 * **The registry** — :class:`TelemetryRegistry`, process-wide via
   :func:`get_telemetry` and **disabled by default**: every instrument
   checks ``registry.enabled`` before doing any work, so permanently
   instrumented hot paths (the ``Trainer`` batch loop) cost one
-  attribute check when telemetry is off —
-  the same contract as the tracer, guarded by
-  ``tests/obs/test_telemetry_overhead.py``.
+  attribute check when telemetry is off — the same contract as the
+  tracer, guarded by ``tests/obs/test_overhead.py``.
 * **The scraper** — :meth:`TelemetryRegistry.snapshot` freezes the
   world into a :class:`TelemetrySnapshot`; :class:`TelemetryExporter`
   scrapes periodically from a background thread, appending each
-  snapshot to a JSONL time series and rewriting a Prometheus
-  text-format file (the node-exporter textfile contract), and feeds
-  every scrape through an optional
-  :class:`~repro.obs.telemetry.rules.AlertEngine`.
+  snapshot to a JSONL time series.
 
-Nothing here retains samples: histograms are fixed-size bucket arrays,
-quantiles are interpolated from them, and the optional P² cross-check
-estimators are O(1) per stream.
+Nothing here retains samples: histograms are fixed-size bucket arrays
+and quantiles are interpolated from them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import threading
 import time
 from bisect import bisect_left
@@ -52,7 +44,6 @@ __all__ = [
     "TelemetryExporter",
     "get_telemetry",
     "read_telemetry_jsonl",
-    "parse_prometheus",
 ]
 
 #: label sets are canonicalized to sorted (key, value) tuples
@@ -201,27 +192,20 @@ class Gauge(_Instrument):
 class _HistogramChild:
     """One label set's bucket array + moment accumulators.
 
-    ``bounds`` are inclusive upper edges (Prometheus ``le`` semantics);
-    ``counts`` has one extra slot for the +Inf overflow bucket.  The
-    observed min/max tighten quantile interpolation at the edges, and
-    the optional P² estimators provide an independent streaming
-    cross-check of the bucket-derived percentiles.
+    ``bounds`` are inclusive upper edges (``le`` semantics); ``counts``
+    has one extra slot for the +Inf overflow bucket.  The observed
+    min/max tighten quantile interpolation at the edges.
     """
 
-    __slots__ = ("bounds", "counts", "count", "sum", "minimum", "maximum", "p2")
+    __slots__ = ("bounds", "counts", "count", "sum", "minimum", "maximum")
 
-    def __init__(self, bounds: Tuple[float, ...], crosscheck: Sequence[float]) -> None:
+    def __init__(self, bounds: Tuple[float, ...]) -> None:
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.sum = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        self.p2: Dict[float, Any] = {}
-        if crosscheck:
-            from repro.obs.numerics import P2Quantile
-
-            self.p2 = {float(q): P2Quantile(float(q)) for q in crosscheck}
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -232,8 +216,6 @@ class _HistogramChild:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        for est in self.p2.values():
-            est.add(value)
 
     @property
     def mean(self) -> float:
@@ -273,11 +255,6 @@ class _HistogramChild:
         upper = self.bounds[i] if i < len(self.bounds) else max(self.maximum, value)
         return max(upper - lower, 0.0)
 
-    def p2_quantile(self, q: float) -> float:
-        """The independent P² estimate (NaN unless cross-check is on)."""
-        est = self.p2.get(float(q))
-        return est.value if est is not None else math.nan
-
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """(upper bound, cumulative count) pairs, +Inf last."""
         out, cum = [], 0
@@ -289,14 +266,7 @@ class _HistogramChild:
 
 
 class Histogram(_Instrument):
-    """Latency distribution in exponential buckets, scraped as quantiles.
-
-    ``crosscheck=(0.5, 0.95, 0.99)`` additionally streams every
-    observation through P² estimators so the bucket-derived percentiles
-    can be audited against an independent algorithm
-    (``tests/obs/test_telemetry_crosscheck.py``); off by default — the
-    bucket path is O(log buckets) per observe, the P² loop is not free.
-    """
+    """Latency distribution in exponential buckets, scraped as quantiles."""
 
     kind = "histogram"
 
@@ -306,17 +276,15 @@ class Histogram(_Instrument):
         name: str,
         help: str,
         buckets: Optional[Sequence[float]] = None,
-        crosscheck: Sequence[float] = (),
     ) -> None:
         super().__init__(registry, name, help)
         bounds = tuple(float(b) for b in (buckets or DEFAULT_LATENCY_BUCKETS_MS))
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("histogram buckets must be strictly increasing")
         self.bounds = bounds
-        self.crosscheck = tuple(float(q) for q in crosscheck)
 
     def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self.bounds, self.crosscheck)
+        return _HistogramChild(self.bounds)
 
     def observe(self, value: float, **labels: Any) -> None:
         if not self._registry.enabled:
@@ -335,36 +303,11 @@ class Histogram(_Instrument):
 #: quantiles every histogram snapshot reports
 _SNAPSHOT_QUANTILES = (0.5, 0.95, 0.99)
 
-_PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    """Prometheus metric names cannot contain dots; ours do."""
-    sanitized = _PROM_NAME_RE.sub("_", name)
-    return sanitized if not sanitized[:1].isdigit() else "_" + sanitized
-
-
-def _prom_labels(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{_prom_name(k)}="{str(v).replace(chr(92), chr(92) * 2).replace(chr(34), chr(92) + chr(34))}"'
-        for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(float(value))
-
 
 class TelemetrySnapshot:
     """A frozen point-in-time view of one registry.
 
-    ``doc`` is the JSON-ready document (one JSONL line per scrape);
-    :meth:`to_prometheus` renders the text exposition format.
+    ``doc`` is the JSON-ready document (one JSONL line per scrape).
     """
 
     def __init__(self, doc: Dict[str, Any]) -> None:
@@ -390,28 +333,6 @@ class TelemetrySnapshot:
 
     def to_jsonl_line(self) -> str:
         return json.dumps(self.doc)
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (histograms as
-        ``_bucket``/``_sum``/``_count`` with cumulative ``le`` labels)."""
-        lines: List[str] = []
-        for fam in self.doc["metrics"]:
-            name = _prom_name(fam["name"])
-            if fam.get("help"):
-                lines.append(f"# HELP {name} {fam['help']}")
-            lines.append(f"# TYPE {name} {fam['type']}")
-            for row in fam["series"]:
-                labels = row.get("labels") or {}
-                if fam["type"] == "histogram":
-                    for bound, cum in row["buckets"]:
-                        le = dict(labels)
-                        le["le"] = _fmt(float(bound))
-                        lines.append(f"{name}_bucket{_prom_labels(le)} {cum}")
-                    lines.append(f"{name}_sum{_prom_labels(labels)} {_fmt(row['sum'])}")
-                    lines.append(f"{name}_count{_prom_labels(labels)} {row['count']}")
-                else:
-                    lines.append(f"{name}{_prom_labels(labels)} {_fmt(row['value'])}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 class TelemetryRegistry:
@@ -444,7 +365,7 @@ class TelemetryRegistry:
         return False
 
     def clear(self) -> None:
-        """Drop every family (tests / fresh serving epoch)."""
+        """Drop every family (tests / a fresh run)."""
         with self._lock:
             self._families = {}
 
@@ -473,9 +394,8 @@ class TelemetryRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        crosscheck: Sequence[float] = (),
     ) -> Histogram:
-        return self._family(Histogram, name, help, buckets=buckets, crosscheck=crosscheck)
+        return self._family(Histogram, name, help, buckets=buckets)
 
     def get(self, name: str) -> Optional[_Instrument]:
         with self._lock:
@@ -518,31 +438,6 @@ class TelemetryRegistry:
             )
         return TelemetrySnapshot(doc)
 
-    def summary(self) -> str:
-        """One line per series — the quick CLI glance."""
-        lines: List[str] = []
-        for fam in self.doc_rows():
-            lines.append(fam)
-        return "\n".join(lines)
-
-    def doc_rows(self) -> List[str]:
-        rows: List[str] = []
-        for fam in self.snapshot().metrics:
-            for row in fam["series"]:
-                labels = row.get("labels") or {}
-                tag = "".join(f"[{k}={v}]" for k, v in sorted(labels.items()))
-                if fam["type"] == "histogram":
-                    rows.append(
-                        f"{fam['name']}{tag}: count={row['count']} "
-                        f"mean={(row['sum'] / row['count']) if row['count'] else 0.0:.3f} "
-                        f"p50={row['p50'] if row['p50'] is not None else float('nan'):.3f} "
-                        f"p95={row['p95'] if row['p95'] is not None else float('nan'):.3f} "
-                        f"p99={row['p99'] if row['p99'] is not None else float('nan'):.3f}"
-                    )
-                else:
-                    rows.append(f"{fam['name']}{tag}: {row['value']:.6g}")
-        return rows
-
 
 #: the process-wide registry every subsystem reports to; off by default
 _TELEMETRY = TelemetryRegistry(enabled=False)
@@ -554,32 +449,23 @@ def get_telemetry() -> TelemetryRegistry:
 
 
 class TelemetryExporter:
-    """Periodic scraper: JSONL time series + Prometheus textfile + alerts.
+    """Periodic scraper: a JSONL time series of registry snapshots.
 
     A daemon thread snapshots the registry every ``period_s`` seconds,
-    appending each snapshot as one line to ``jsonl_path`` (the
-    append-only time series the dashboard renders) and atomically
-    rewriting ``prom_path`` with the current Prometheus text exposition
-    (the node-exporter textfile-collector contract).  When an
-    ``engine`` (:class:`~repro.obs.telemetry.rules.AlertEngine`) is
-    attached, every scrape also evaluates the SLO rules.  ``stop()``
-    performs one final scrape so short runs always export at least one
-    snapshot.
+    appending each snapshot as one line to ``jsonl_path`` (the time
+    series the dashboard renders).  ``stop()`` performs one final
+    scrape so short runs always export at least one snapshot.
     """
 
     def __init__(
         self,
         registry: Optional[TelemetryRegistry] = None,
         jsonl_path: Optional[str] = None,
-        prom_path: Optional[str] = None,
         period_s: float = 1.0,
-        engine: Optional[Any] = None,
     ) -> None:
         self.registry = registry if registry is not None else get_telemetry()
         self.jsonl_path = jsonl_path
-        self.prom_path = prom_path
         self.period_s = max(0.01, float(period_s))
-        self.engine = engine
         self.scrapes = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -587,21 +473,11 @@ class TelemetryExporter:
 
     # -- scraping ------------------------------------------------------------
     def scrape(self, now: Optional[float] = None) -> TelemetrySnapshot:
-        """One scrape: snapshot, export, evaluate rules."""
+        """One scrape: snapshot the registry and append it to the series."""
         snap = self.registry.snapshot(ts=now)
-        with self._io_lock:
-            if self.jsonl_path:
-                with open(self.jsonl_path, "a") as fh:
-                    fh.write(snap.to_jsonl_line() + "\n")
-            if self.prom_path:
-                tmp = self.prom_path + ".tmp"
-                with open(tmp, "w") as fh:
-                    fh.write(snap.to_prometheus())
-                import os
-
-                os.replace(tmp, self.prom_path)
-        if self.engine is not None:
-            self.engine.evaluate(now=snap.ts)
+        if self.jsonl_path:
+            with self._io_lock, open(self.jsonl_path, "a") as fh:
+                fh.write(snap.to_jsonl_line() + "\n")
         self.scrapes += 1
         return snap
 
@@ -637,7 +513,7 @@ class TelemetryExporter:
 
 
 # ---------------------------------------------------------------------------
-# Readers (dashboard / CI smoke)
+# Reader (dashboard / CI smoke)
 # ---------------------------------------------------------------------------
 
 def read_telemetry_jsonl(path: str) -> List[TelemetrySnapshot]:
@@ -659,41 +535,4 @@ def read_telemetry_jsonl(path: str) -> List[TelemetrySnapshot]:
             if "ts" not in doc or "metrics" not in doc:
                 raise ValueError(f"{path}:{lineno}: not a telemetry snapshot")
             out.append(TelemetrySnapshot(doc))
-    return out
-
-
-_PROM_LINE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?\s+"
-    r"(?P<value>[+-]?(?:Inf|NaN|[0-9.eE+-]+))$"
-)
-
-
-def parse_prometheus(text: str) -> Dict[str, List[Tuple[Dict[str, str], float]]]:
-    """Strict parser for the text exposition format we emit.
-
-    Returns ``{metric_name: [(labels, value), ...]}``; raises
-    ``ValueError`` on any non-comment line that does not parse.  Used
-    by the CI smoke test to prove the export is well-formed.
-    """
-    out: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _PROM_LINE_RE.match(line)
-        if m is None:
-            raise ValueError(f"line {lineno}: not prometheus text format: {line!r}")
-        labels: Dict[str, str] = {}
-        if m.group("labels"):
-            for part in m.group("labels").split(","):
-                if not part:
-                    continue
-                k, _, v = part.partition("=")
-                if not v.startswith('"') or not v.endswith('"'):
-                    raise ValueError(f"line {lineno}: bad label {part!r}")
-                labels[k.strip()] = v[1:-1]
-        raw = m.group("value")
-        value = float("inf") if raw == "+Inf" else float("-inf") if raw == "-Inf" else float(raw)
-        out.setdefault(m.group("name"), []).append((labels, value))
     return out

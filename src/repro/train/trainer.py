@@ -171,15 +171,15 @@ class Trainer:
         cfg = self.config
         watch = self.numerics
         tracer = get_tracer()
-        # Live telemetry: instruments exist only while the process-wide
+        # Spans record time; the telemetry registry records every scalar
+        # series.  Instruments exist only while the process-wide
         # registry is enabled, so the batch loop pays one None check
         # (plus one registry-enabled check per fit) when telemetry is off.
         telemetry = get_telemetry()
         batch_hist = epoch_gauge = None
         if telemetry.enabled:
             # latency includes the data-loader wait (batch-to-batch wall
-            # time): a stalled input pipeline is precisely the kind of
-            # incident the p99 SLO exists to catch
+            # time), so a stalled input pipeline shows in the p99
             batch_hist = telemetry.histogram(
                 "train.batch_latency_ms",
                 "wall time of one training batch, data loading included",
@@ -188,6 +188,9 @@ class Trainer:
                 "train.samples_per_sec", "training throughput (last epoch)"
             )
             loss_gauge = telemetry.gauge("train.loss", "training loss (last epoch)")
+            top1_gauge = telemetry.gauge(
+                "train.val_top1", "validation top-1 accuracy (last epoch)"
+            )
             epoch_gauge = telemetry.gauge("train.epoch", "current epoch index")
             batches_ctr = telemetry.counter("train.batches_total", "batches completed")
             samples_ctr = telemetry.counter("train.samples_total", "samples trained on")
@@ -201,7 +204,7 @@ class Trainer:
         stale = 0
         with tracer.span("train.fit", category="train", epochs=cfg.epochs) as fit_span:
             for epoch in range(cfg.epochs):
-                with tracer.span("train.epoch", category="train", epoch=epoch) as ep_span:
+                with tracer.span("train.epoch", category="train", epoch=epoch):
                     epoch_start = time.perf_counter()
                     self.model.train()
                     total_loss = 0.0
@@ -248,19 +251,10 @@ class Trainer:
                         samples_per_sec=total_n / max(train_wall, 1e-12),
                     )
                     self.history.append(stats)
-                    ep_span.set(
-                        train_loss=stats.train_loss,
-                        val_loss=val_loss,
-                        val_top1=top1,
-                        samples_per_sec=stats.samples_per_sec,
-                    )
-                    tracer.add("train.samples", total_n)
-                    tracer.observe("train.loss", stats.train_loss)
-                    tracer.observe("train.val_top1", top1)
-                    tracer.observe("train.samples_per_sec", stats.samples_per_sec)
                     if batch_hist is not None:
                         thr_gauge.set(stats.samples_per_sec)
                         loss_gauge.set(stats.train_loss)
+                        top1_gauge.set(top1)
                 if cfg.verbose:
                     logger.info(
                         "epoch %3d  train_loss %.4f  val_loss %.4f  top1 %.3f  "
@@ -281,7 +275,7 @@ class Trainer:
                     stale += 1
                     if cfg.patience and stale >= cfg.patience:
                         break
-            fit_span.set(epochs_run=len(self.history), best_top1=self.best_top1)
+            fit_span.set(epochs_run=len(self.history))
         if self.best_state is not None:
             self.model.load_state_dict(self.best_state)
         return self.history

@@ -1,10 +1,10 @@
 """The ``--numerics`` CLI surface: one command, full health report.
 
-Acceptance criterion of PR 5: ``python -m repro.experiments --numerics``
-must produce a per-layer report covering forward *and* backward
-statistics, quantized-path clip rates, and the measured reorder
-divergence — and ``--numerics-report`` must persist it in both JSON
-and JSONL shapes.
+``python -m repro.experiments --numerics`` must produce a per-layer
+report covering forward *and* backward statistics, quantized-path clip
+rates, and the measured reorder divergence — and with ``--obs`` it must
+persist that report as ``numerics.jsonl`` rows tagged with ``model`` and
+``bits``.
 """
 
 import json
@@ -14,39 +14,49 @@ import pytest
 from repro.experiments.__main__ import main
 
 
+@pytest.fixture(autouse=True)
+def _clean_global_recorders():
+    yield
+    from repro.obs import get_telemetry, get_tracer
+
+    for recorder in (get_tracer(), get_telemetry()):
+        recorder.disable()
+        recorder.clear()
+
+
+def _rows(run_dir):
+    return [json.loads(line) for line in (run_dir / "numerics.jsonl").read_text().splitlines()]
+
+
 class TestNumericsCLI:
     def test_lenet_report_json(self, tmp_path, capsys):
-        out = tmp_path / "numerics.json"
-        rc = main(["--numerics", "lenet5", "--numerics-report", str(out)])
+        rc = main(["--numerics", "lenet5", "--obs", str(tmp_path)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "lenet5" in printed
-        doc = json.loads(out.read_text())
-        assert doc["bits"] == 8
-        rep = doc["models"]["lenet5"]
-        kinds = {row["kind"] for row in rep["layers"]}
+        rows = _rows(tmp_path)
+        kinds = {row["kind"] for row in rows if row["type"] == "numerics"}
         assert kinds == {"forward", "backward"}
-        assert any(k.endswith("dorefa.act_clip") for k in rep["quant"])
-        assert any(k.endswith("dorefa.weight_sat") for k in rep["quant"])
-        div = rep["divergence"]
+        clips = [row["name"] for row in rows if row["type"] == "quant_clip"]
+        assert any(k.endswith("dorefa.act_clip") for k in clips)
+        assert any(k.endswith("dorefa.weight_sat") for k in clips)
+        (div,) = [row for row in rows if row["type"] == "reorder_divergence"]
         assert div["layers"] == 2
         assert div["end_to_end_max_abs"] > 0.0  # avg pooling genuinely diverges
-        assert rep["anomaly"] is None
+        assert not [row for row in rows if row["type"] == "anomaly"]
 
     def test_jsonl_rows_typed_and_model_tagged(self, tmp_path):
-        out = tmp_path / "numerics.jsonl"
-        rc = main(["--numerics", "lenet5", "--numerics-report", str(out)])
+        rc = main(["--numerics", "lenet5", "--obs", str(tmp_path)])
         assert rc == 0
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        rows = _rows(tmp_path)
         types = {row["type"] for row in rows}
         assert {"numerics", "quant_clip", "reorder_divergence"} <= types
-        assert all(row["model"] == "lenet5" for row in rows)
+        assert all(row["model"] == "lenet5" and row["bits"] == 8 for row in rows)
 
     def test_honours_bits(self, tmp_path):
-        out = tmp_path / "n.json"
-        rc = main(["--numerics", "lenet5", "--bits", "4", "--numerics-report", str(out)])
+        rc = main(["--numerics", "lenet5", "--bits", "4", "--obs", str(tmp_path)])
         assert rc == 0
-        assert json.loads(out.read_text())["bits"] == 4
+        assert {row["bits"] for row in _rows(tmp_path)} == {4}
 
     def test_unknown_model_rejected(self, capsys):
         rc = main(["--numerics", "resnet999"])

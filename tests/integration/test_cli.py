@@ -46,24 +46,40 @@ class TestExperimentsCLI:
     def test_pipeline_unknown_model_errors(self, capsys):
         assert main(["--pipeline", "not-a-model"]) == 2
 
+    def test_bench_update_needs_bench_compare(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--only", "limits", "--bench-update"])
+        assert "--bench-update" in capsys.readouterr().err
+
+    def test_obs_rejects_bench_compare(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--obs", str(tmp_path / "run"), "--bench-compare", "m.jsonl"])
+        assert "--obs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_obs_rejects_diff_trace(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--obs", str(tmp_path / "run"), "--diff-trace", "a", "b"])
+        assert "--obs" in capsys.readouterr().err
+
 
 class TestTraceFlags:
-    @pytest.fixture(autouse=True)
-    def _clean_global_tracer(self):
-        yield
-        from repro.obs import get_tracer
+    """The trace half of an ``--obs`` run directory."""
 
-        get_tracer().disable()
-        get_tracer().clear()
+    @pytest.fixture(autouse=True)
+    def _clean_global_recorders(self):
+        yield
+        from repro.obs import get_telemetry, get_tracer
+
+        for recorder in (get_tracer(), get_telemetry()):
+            recorder.disable()
+            recorder.clear()
 
     def test_pipeline_chrome_trace_is_unified(self, tmp_path, capsys):
         """The acceptance command: compiler-pass, per-layer forward and
         simulator spans all land in one Chrome trace."""
-        path = tmp_path / "out.json"
-        assert main(
-            ["--pipeline", "lenet5", "--trace", str(path), "--trace-format", "chrome"]
-        ) == 0
-        doc = json.loads(path.read_text())
+        assert main(["--pipeline", "lenet5", "--bits", "8", "--obs", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "trace.json").read_text())
         events = doc["traceEvents"]
         assert events
         for ev in events:
@@ -75,24 +91,55 @@ class TestTraceFlags:
         assert "compile.pipeline" in names
         assert any(n.startswith("lenet5.") and n.endswith(".forward") for n in names)
         assert "sim.network" in names and "sim.layer" in names  # simulator
-        assert "trace:" in capsys.readouterr().out
+        assert f"obs: 7 files -> {tmp_path}" in capsys.readouterr().out
 
     def test_suite_jsonl_trace(self, tmp_path, capsys):
-        path = tmp_path / "out.jsonl"
-        assert main(["--only", "limits", "--trace", str(path)]) == 0
-        docs = [json.loads(line) for line in path.read_text().strip().split("\n")]
+        assert main(["--only", "limits", "--obs", str(tmp_path)]) == 0
+        docs = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
         names = {d["name"] for d in docs}
         assert "experiments.suite" in names
         assert "experiment.limits" in names
+        assert {"span"} == {d["type"] for d in docs}
 
-    def test_trace_summary_prints_table(self, capsys):
-        assert main(["--only", "limits", "--trace-summary"]) == 0
+    def test_trace_summary_prints_table(self, tmp_path, capsys):
+        """The attribution table of the run's own trace closes the run."""
+        assert main(["--only", "limits", "--obs", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "== Trace:" in out
-        assert "experiment.limits" in out
+        assert "== Attribution:" in out
+        assert "experiment.limits" in out.split("== Attribution:")[1]
 
     def test_tracer_disabled_after_run(self, tmp_path):
-        from repro.obs import get_tracer
+        from repro.obs import get_telemetry, get_tracer
 
-        assert main(["--only", "limits", "--trace", str(tmp_path / "t.jsonl")]) == 0
+        assert main(["--only", "limits", "--obs", str(tmp_path)]) == 0
         assert not get_tracer().enabled
+        assert not get_telemetry().enabled
+
+
+class TestObsRunDirectory:
+    @pytest.fixture(autouse=True)
+    def _clean_global_recorders(self):
+        yield
+        from repro.obs import get_telemetry, get_tracer
+
+        for recorder in (get_tracer(), get_telemetry()):
+            recorder.disable()
+            recorder.clear()
+
+    def test_attrib_keeps_every_models_spans(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_ROOFLINE_CACHE", str(tmp_path / "roofline.json"))
+        run = tmp_path / "run"
+        assert main(["--attrib", "lenet5", "resnet18", "--obs", str(run)]) == 0
+        names = {json.loads(line)["name"] for line in (run / "trace.jsonl").open()}
+        assert any(n.startswith("lenet5.") for n in names)
+        assert any(n.startswith("resnet18.") for n in names)
+        rows = [json.loads(line) for line in (run / "attrib.jsonl").open()]
+        assert {r["model"] for r in rows} == {"lenet5", "resnet18"}
+
+    def test_diff_trace_reads_run_directories(self, tmp_path, capsys):
+        for name in ("run_a", "run_b"):
+            assert main(["--only", "limits", "--obs", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert main(["--diff-trace", str(tmp_path / "run_a"), str(tmp_path / "run_b")]) == 0
+        out = capsys.readouterr().out
+        assert "== Run diff:" in out and "experiment.limits" in out

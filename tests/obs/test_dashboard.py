@@ -9,7 +9,8 @@ from repro.obs.dashboard import (
     sparkline,
     write_dashboard,
 )
-from repro.obs.metrics import MetricRegistry, OpCounters
+from repro.analysis.report import ExperimentReport
+from repro.obs.metrics import MetricRegistry
 from repro.obs.regress import gate_metrics
 
 
@@ -39,21 +40,22 @@ class TestRendering:
     def test_markdown_sections(self, registry):
         current = {"core": {"table2.rate[k=3]": 0.5, "table2.new[k=5]": 1.0}}
         report = gate_metrics(current, registry)
-        counters = OpCounters(mults=100, mults_eliminated=300,
-                              half_additions=10, lar_reuse_hits=30)
-        text = render_markdown(build_dashboard(registry, current, counters, report))
+        table = ExperimentReport("Attribution", "per-layer rows", headers=["row", "wall ms"])
+        table.add_row("lenet5.features.0.forward", "1.250")
+        text = render_markdown(
+            build_dashboard(registry, current, gate_report=report, reports=[table])
+        )
         assert "# Benchmark dashboard" in text
         assert "## Area `core`" in text
         assert "## Regression gate" in text
-        assert "## Measured counters" in text
+        assert "## Attribution" in text
+        assert "| lenet5.features.0.forward | 1.250 |" in text
         assert "table2.rate[k=3]" in text
         # trend sparkline over history + current value
         assert any(ch in text for ch in "▁▂▃▄▅▆▇█")
-        # counter-derived headline percentages
-        assert "RME eliminated 75.0%" in text
-        assert "LAR+GAR avoided 75.0%" in text
-        # zero-valued counters are omitted from the table
-        assert "dram_row_misses" not in text
+        # the gate section is the gate's own report, sections in order
+        assert text.index("## Attribution") < text.index("## Regression gate")
+        assert "regression gate: pass" in text
 
     def test_html_is_escaped_and_complete(self, registry):
         current = {"core": {"table2.rate[k=3]": 0.42}}
@@ -81,47 +83,29 @@ def _telemetry_snapshots(n=3):
 
     reg = TelemetryRegistry(enabled=True)
     h = reg.histogram("train.batch_latency_ms", buckets=(1.0, 10.0, 100.0))
-    g = reg.gauge("parallel.queue_depth")
+    g = reg.gauge("train.loss")
     snaps = []
     for i in range(n):
         h.observe(5.0 * (i + 1))
-        g.set(i, pool="plan")
+        g.set(1.0 / (i + 1), model="lenet5")
         snaps.append(reg.snapshot(ts=float(i)))
     return snaps
 
 
 class TestTelemetrySection:
-    def test_renders_series_alerts_and_trend(self, registry):
-        from repro.obs.telemetry.registry import TelemetryRegistry
-        from repro.obs.telemetry.rules import AlertEngine, SloRule
-
-        reg = TelemetryRegistry(enabled=True)
-        reg.gauge("parallel.queue_depth").set(99, pool="plan")
-        engine = AlertEngine(
-            [SloRule("deep", "parallel.queue_depth", threshold=10.0)], reg
-        )
-        engine.evaluate(now=0.0)
-        text = render_markdown(
-            build_dashboard(
-                registry,
-                telemetry=_telemetry_snapshots(),
-                alerts=engine.history,
-            )
-        )
+    def test_renders_series_and_trend(self, registry):
+        text = render_markdown(build_dashboard(registry, telemetry=_telemetry_snapshots()))
         assert "## Live telemetry" in text
         assert "train.batch_latency_ms" in text
-        assert "parallel.queue_depth[pool=plan]" in text
+        assert "train.loss[model=lenet5]" in text
         assert "p99" in text
-        assert "alerts: 1 active / 1 fired" in text
-        assert "ACTIVE: [warn] deep" in text
+        assert "3 snapshot(s)" in text
         # time-evolution sparkline across the snapshots
         assert any(ch in text for ch in "▁▂▃▄▅▆▇█")
 
-    def test_no_alerts_says_so(self, registry):
-        text = render_markdown(
-            build_dashboard(registry, telemetry=_telemetry_snapshots())
-        )
-        assert "alerts: none fired" in text
+    def test_run_dashboard_needs_no_registry(self):
+        html_text = render_html(build_dashboard(telemetry=_telemetry_snapshots()))
+        assert "Live telemetry" in html_text and "Area" not in html_text
 
     def test_accepts_raw_snapshot_dicts(self, registry, tmp_path):
         docs = [s.as_dict() for s in _telemetry_snapshots()]

@@ -1,16 +1,19 @@
-"""Exporters: JSONL, Chrome trace schema, summary table."""
+"""Exporters: JSONL, Chrome trace schema, the ``--obs`` run directory."""
 
 import json
+import os
+
+import pytest
 
 from repro.obs.export import (
-    summary,
-    summary_report,
+    ObsRun,
     to_chrome_trace,
     to_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.telemetry import get_telemetry, read_telemetry_jsonl
+from repro.obs.tracer import Tracer, get_tracer
 
 
 def populated_tracer() -> Tracer:
@@ -19,9 +22,6 @@ def populated_tracer() -> Tracer:
         with t.span("compile.pass.fuse", category="compiler") as sp:
             sp.set(rewrites=4)
         t.event("sim.layer", category="accel", layer="conv1", cycles=123.0)
-    t.add("train.samples", 64)
-    t.observe("train.loss", 1.5)
-    t.observe("train.loss", 0.5)
     return t
 
 
@@ -72,10 +72,7 @@ class TestJsonl:
         lines = path.read_text().strip().split("\n")
         docs = [json.loads(line) for line in lines]
         types = [d["type"] for d in docs]
-        assert types.count("span") == 2
-        assert types.count("instant") == 1
-        assert types.count("counter") == 1
-        assert types.count("histogram") == 1
+        assert types == ["span", "instant", "span"]
 
     def test_span_fields(self):
         docs = [json.loads(l) for l in to_jsonl(populated_tracer()).strip().split("\n")]
@@ -86,35 +83,54 @@ class TestJsonl:
         assert fuse["dur_us"] >= 0
         assert fuse["attrs"]["rewrites"] == 4
 
-    def test_aggregate_lines(self):
-        docs = [json.loads(l) for l in to_jsonl(populated_tracer()).strip().split("\n")]
-        counter = next(d for d in docs if d["type"] == "counter")
-        assert counter == {"type": "counter", "name": "train.samples", "value": 64}
-        hist = next(d for d in docs if d["type"] == "histogram")
-        assert hist["name"] == "train.loss"
-        assert hist["count"] == 2 and hist["mean"] == 1.0
-
     def test_empty_tracer_exports_empty(self):
         assert to_jsonl(Tracer(enabled=True)) == ""
 
 
-class TestSummary:
-    def test_top_spans_by_total_time(self):
-        rep = summary_report(populated_tracer(), top=5)
-        rendered = rep.render()
-        assert "compile.pipeline" in rendered
-        assert "compile.pass.fuse" in rendered
-        assert "counter train.samples = 64" in rendered
-        assert "histogram train.loss" in rendered
+class TestObsRun:
+    @pytest.fixture(autouse=True)
+    def _restore_globals(self):
+        yield
+        for recorder in (get_tracer(), get_telemetry()):
+            recorder.disable()
+            recorder.clear()
 
-    def test_top_limit_respected(self):
-        t = Tracer(enabled=True)
-        for i in range(20):
-            with t.span(f"span-{i}"):
-                pass
-        rep = summary_report(t, top=3)
-        assert len(rep.rows) == 3
+    def _run(self, directory, batches=3):
+        with ObsRun(str(directory)) as run:
+            assert get_tracer().enabled and get_telemetry().enabled
+            hist = get_telemetry().histogram("train.batch_latency_ms")
+            with get_tracer().span("work", category="experiments"):
+                with get_tracer().span("step", category="experiments"):
+                    for _ in range(batches):
+                        hist.observe(1.0)
+        return run
 
-    def test_summary_text_helper(self):
-        text = summary(populated_tracer())
-        assert text.startswith("== Trace:")
+    def test_writes_every_file_and_switches_off(self, tmp_path):
+        run = self._run(tmp_path / "run")
+        assert sorted(os.listdir(run.directory)) == sorted(ObsRun.FILES)
+        assert not get_tracer().enabled and not get_telemetry().enabled
+        names = {json.loads(line)["name"] for line in open(run.path(ObsRun.TRACE))}
+        assert names == {"work", "step"}
+        assert json.load(open(run.path(ObsRun.CHROME_TRACE)))["traceEvents"]
+        rows = [json.loads(line) for line in open(run.path(ObsRun.ATTRIB))]
+        assert {r["name"] for r in rows if r["type"] == "attrib_row"} == names
+        assert run.attribution.row("work").count == 1
+        assert "Live telemetry" in open(run.path(ObsRun.DASHBOARD)).read()
+
+    def test_reused_directory_holds_one_run(self, tmp_path):
+        self._run(tmp_path / "run", batches=5)
+        run = self._run(tmp_path / "run", batches=3)
+        snaps = read_telemetry_jsonl(run.path(ObsRun.METRICS))
+        counts = [s.find("train.batch_latency_ms")["series"][0]["count"] for s in snaps]
+        assert max(counts) == counts[-1] == 3
+        assert len(open(run.path(ObsRun.TRACE)).read().splitlines()) == 2
+
+    def test_stale_numerics_file_is_removed(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / ObsRun.NUMERICS).write_text("{}\n")
+        run = self._run(tmp_path / "run")
+        assert not os.path.exists(run.path(ObsRun.NUMERICS))
+
+    def test_trace_path_resolves_run_directories(self, tmp_path):
+        assert ObsRun.trace_path(str(tmp_path)) == str(tmp_path / ObsRun.TRACE)
+        assert ObsRun.trace_path("a.jsonl") == "a.jsonl"

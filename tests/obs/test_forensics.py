@@ -2,8 +2,7 @@
 
 The synthetic-trace tests inject a known slowdown / kernel swap /
 span removal between run A and run B and assert :func:`diff_runs`
-localizes exactly that change at the top of the ranking.  The bench
-tests exercise :func:`diff_bench` against a throwaway BENCH_* registry.
+localizes exactly that change at the top of the ranking.
 """
 
 import json
@@ -11,8 +10,8 @@ import json
 import pytest
 
 from repro.obs.attrib import build_attribution
-from repro.obs.forensics import BenchDiff, RunDiff, diff_bench, diff_runs
-from repro.obs.metrics import MetricRegistry
+from repro.obs.export import ObsRun, write_jsonl
+from repro.obs.forensics import RunDiff, diff_runs
 from repro.obs.tracer import Tracer
 
 
@@ -127,8 +126,6 @@ class TestDiffRuns:
             pass
         diff = diff_runs(ta, tb)
         assert any(e.name == "work" for e in diff.entries) or diff.entries == []
-        from repro.obs.export import write_jsonl
-
         path_a = tmp_path / "a.jsonl"
         path_b = tmp_path / "b.jsonl"
         write_jsonl(str(path_a), ta)
@@ -136,51 +133,18 @@ class TestDiffRuns:
         diff2 = diff_runs(str(path_a), str(path_b))
         assert {e.name for e in diff2.entries} == {e.name for e in diff.entries}
 
+    def test_accepts_run_directories(self, tmp_path):
+        """``--obs`` run directories diff through their ``trace.jsonl``."""
+        for run, slow in (("run_a", None), ("run_b", "net.fc")):
+            (tmp_path / run).mkdir()
+            rows = "".join(json.dumps(r) + "\n" for r in _model_trace(slow))
+            (tmp_path / run / ObsRun.TRACE).write_text(rows)
+        diff = diff_runs(str(tmp_path / "run_a"), str(tmp_path / "run_b"))
+        layers = [e for e in diff.entries if e.name != "net.forward"]
+        assert layers[0].name == "net.fc"
+
     def test_render_mentions_totals_and_culprit(self):
         a = build_attribution(_model_trace())
         b = build_attribution(_model_trace(slow_layer="net.fc"))
         text = diff_runs(a, b).render()
         assert "net.fc" in text and "span coverage" in text
-
-
-class TestDiffBench:
-    def _seed(self, tmp_path):
-        registry = MetricRegistry(str(tmp_path))
-        # kernel.* figures live in the accel area, attrib/train in core
-        registry.update("accel", {"kernel.fused_samples_per_sec": 100.0})
-        registry.update(
-            "core",
-            {"attrib.span_coverage[model=lenet5]": 0.95, "train.loss": 0.5},
-        )
-        return registry
-
-    def test_ranked_by_relative_movement(self, tmp_path):
-        self._seed(tmp_path)
-        jsonl = tmp_path / "metrics.jsonl"
-        rows = [
-            {"figure": "kernel", "metric": "fused_samples_per_sec", "value": 50.0},
-            {"figure": "attrib", "metric": "span_coverage", "model": "lenet5", "value": 0.94},
-        ]
-        jsonl.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        diff = diff_bench(str(jsonl), root=str(tmp_path))
-        assert isinstance(diff, BenchDiff)
-        # the -50% throughput regression outranks the -1% coverage drift
-        assert diff.entries[0].key == "kernel.fused_samples_per_sec"
-        assert diff.entries[0].delta_rel == pytest.approx(-0.5)
-        assert diff.entries[1].key == "attrib.span_coverage[model=lenet5]"
-        assert "train.loss" in diff.missing_current
-
-    def test_new_metric_lands_in_missing_baseline(self, tmp_path):
-        self._seed(tmp_path)
-        jsonl = tmp_path / "metrics.jsonl"
-        jsonl.write_text(json.dumps({"figure": "attrib", "metric": "brand_new", "value": 1.0}) + "\n")
-        diff = diff_bench(str(jsonl), root=str(tmp_path))
-        assert "attrib.brand_new" in diff.missing_baseline
-        assert diff.entries == []
-
-    def test_render_smoke(self, tmp_path):
-        self._seed(tmp_path)
-        jsonl = tmp_path / "metrics.jsonl"
-        jsonl.write_text(json.dumps({"figure": "train", "metric": "loss", "value": 0.6}) + "\n")
-        text = diff_bench(str(jsonl), root=str(tmp_path)).render()
-        assert "train.loss" in text and "+20.00" in text

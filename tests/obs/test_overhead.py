@@ -1,24 +1,52 @@
-"""Overhead guard: a disabled tracer must cost (almost) nothing.
+"""Overhead guard: every disabled instrument must cost (almost) nothing.
 
-The promise the whole subsystem rests on: leaving models instrumented
-and subsystems traced is free when tracing is off, so instrumentation
-never has to be ripped out for production runs.  Guarded two ways —
-an absolute per-call bound on the disabled span path, and an end-to-end
-ratio between a plain and an instrumented-but-disabled forward pass.
+The promise observability rests on: models stay instrumented and hot
+paths (the ``Trainer`` batch loop, the quantized kernels) stay wired to
+the tracer, the numerics collector and the telemetry registry, and all
+of it is free while switched off — so instrumentation never has to be
+ripped out.  Each disabled path gets an absolute per-call bound
+(microseconds), not a ratio of two noisy wall times; the disabled
+wrappers' share of a forward pass is built from such a bound too.  The
+cost of telemetry switched *on* over a whole fit is the required
+``telemetry.overhead_pct`` benchmark (``benchmarks/test_telemetry.py``).
 """
 
 import time
 
 import numpy as np
 
-from repro.nn import AvgPool2d, Conv2d, Flatten, Linear, ReLU, Sequential
+from repro.data import SyntheticImageConfig, make_synth_cifar, train_val_split
+from repro.models import build_model
+from repro.nn import AvgPool2d, Conv2d, Flatten, Linear, Module, ReLU, Sequential
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs.instrument import instrument_model
+from repro.obs.numerics import NumericsCollector, record_quant_event
+from repro.obs.telemetry.registry import TelemetryRegistry, get_telemetry
 from repro.obs.tracer import Tracer
+from repro.train import TrainConfig, Trainer
+
+#: "near-zero": microseconds per call, not tens of microseconds
+PER_CALL_BOUND_S = 20e-6
 
 
-def small_model(rng=None):
-    rng = rng or np.random.default_rng(0)
+def per_call_s(fn, n: int = 10_000) -> float:
+    """Mean wall time of one ``fn()`` call over ``n`` calls."""
+    t0 = time.perf_counter()
+    for _ in range(n):
+        fn()
+    return (time.perf_counter() - t0) / n
+
+
+class Passthrough(Module):
+    """A leaf module whose forward does no work: only the wrapper costs."""
+
+    def forward(self, x):
+        return x
+
+
+def small_model():
+    """A Sequential whose forward calls each of its 9 modules once."""
+    rng = np.random.default_rng(0)
     return Sequential(
         Conv2d(3, 16, 3, padding=1, rng=rng),
         ReLU(),
@@ -31,51 +59,85 @@ def small_model(rng=None):
     )
 
 
-def min_wall(fn, repeats: int) -> float:
-    """Best-of-N wall time — robust against scheduler noise."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 class TestDisabledOverhead:
     def test_disabled_span_per_call_cost_is_tiny(self):
         t = Tracer(enabled=False)
-        n = 10_000
-        span = t.span
-        t0 = time.perf_counter()
-        for _ in range(n):
-            with span("hot"):
+
+        def hot():
+            with t.span("hot"):
                 pass
-        per_call = (time.perf_counter() - t0) / n
-        # "near-zero": microseconds, not tens of microseconds
-        assert per_call < 20e-6, f"disabled span costs {per_call * 1e6:.2f} us/call"
+
+        cost = per_call_s(hot)
+        assert cost < PER_CALL_BOUND_S, f"disabled span costs {cost * 1e6:.2f} us/call"
         assert t.events == []
 
+    def test_disabled_numerics_observe_per_call_cost_is_tiny(self):
+        col = NumericsCollector()
+        arr = np.zeros(64)
+        cost = per_call_s(lambda: col.observe("layer", "forward", arr))
+        assert cost < PER_CALL_BOUND_S, f"disabled observe costs {cost * 1e6:.2f} us/call"
+        assert col.stats == {}
+
+    def test_disabled_record_quant_event_per_call_cost_is_tiny(self):
+        cost = per_call_s(lambda: record_quant_event("dorefa.act_clip", 1, 100))
+        assert cost < PER_CALL_BOUND_S, f"inactive quant event costs {cost * 1e6:.2f} us/call"
+
+    def test_disabled_histogram_observe_per_call_cost_is_tiny(self):
+        h = TelemetryRegistry(enabled=False).histogram("lat")
+        cost = per_call_s(lambda: h.observe(1.25))
+        assert cost < PER_CALL_BOUND_S, f"disabled observe costs {cost * 1e6:.2f} us/call"
+        assert not h.series()
+
+    def test_disabled_counter_and_gauge_per_call_cost_is_tiny(self):
+        reg = TelemetryRegistry(enabled=False)
+        c = reg.counter("c")
+        g = reg.gauge("g")
+
+        def hot():
+            c.inc()
+            g.set(3.0, model="lenet5")
+
+        cost = per_call_s(hot) / 2
+        assert cost < PER_CALL_BOUND_S, f"disabled inc/set costs {cost * 1e6:.2f} us/call"
+        assert c.value == 0 and not g.series()
+
+    def test_disabled_instrument_model_wrapper_per_call_cost_is_tiny(self):
+        tracer = Tracer(enabled=False)
+        col = NumericsCollector()
+        mod = instrument_model(Passthrough(), tracer=tracer, numerics=col)
+        x = Tensor(np.zeros(4))
+        cost = per_call_s(lambda: mod(x))
+        assert cost < PER_CALL_BOUND_S, f"disabled wrapper costs {cost * 1e6:.2f} us/call"
+        assert tracer.events == [] and col.stats == {}
+
     def test_instrumented_disabled_forward_within_a_few_percent(self):
+        """A disabled instrumented forward pays one wrapper call per
+        module: that count times the best per-call wrapper cost, over
+        the plain forward's best wall time, is its overhead."""
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 32, 32)))
         plain = small_model()
         tracer = Tracer(enabled=False)
-        instrumented = instrument_model(small_model(), tracer=tracer)
-        plain.eval()
-        instrumented.eval()
-
-        def run_plain():
-            with no_grad():
-                plain(x)
-
-        def run_instrumented():
-            with no_grad():
-                instrumented(x)
-
-        run_plain()  # warm up caches/allocations
-        run_instrumented()
-        base = min_wall(run_plain, repeats=7)
-        traced = min_wall(run_instrumented, repeats=7)
-        overhead = traced / base - 1.0
+        col = NumericsCollector()
+        instrumented = instrument_model(small_model(), tracer=tracer, numerics=col)
+        with no_grad():
+            np.testing.assert_array_equal(instrumented(x).data, plain(x).data)
+            base = min(per_call_s(lambda: plain(x), n=1) for _ in range(7))
+        probe = instrument_model(Passthrough(), tracer=tracer, numerics=col)
+        wrapper = min(per_call_s(lambda: probe(x), n=1_000) for _ in range(5))
+        overhead = len(list(instrumented.named_modules())) * wrapper / base
         # target is "a few percent"; the bound leaves headroom for CI noise
-        assert overhead < 0.15, f"disabled-tracer overhead {overhead:.1%}"
-        assert tracer.events == []
+        assert overhead < 0.15, f"disabled-instrumentation overhead {overhead:.1%}"
+        assert tracer.events == [] and col.stats == {} and col.quant == {}
+
+    def test_disabled_telemetry_creates_no_instruments(self):
+        """The Trainer looks its instruments up once per fit, and only
+        while the process-wide registry is enabled."""
+        reg = get_telemetry()
+        assert not reg.enabled  # the suite never leaves it on
+        reg.clear()
+        cfg = SyntheticImageConfig(num_classes=10, samples_per_class=6, image_size=32, seed=0)
+        train_set, val_set = train_val_split(make_synth_cifar(cfg), 0.25, seed=0)
+        Trainer(
+            build_model("lenet5", seed=0), train_set, val_set, TrainConfig(epochs=1, batch_size=16)
+        ).fit()
+        assert reg.families() == []

@@ -1,6 +1,7 @@
 """Sampling profiler: attribution correctness, export formats, overhead."""
 
 import re
+import threading
 import time
 
 import numpy as np
@@ -28,8 +29,8 @@ def test_collects_samples_and_measures_overhead():
 def test_top_frame_attributes_the_hot_function():
     with SamplingProfiler(interval_s=0.002) as prof:
         _spin_numpy(0.3)
-    # other suites may leave idle helper threads behind (exporters)
-    # whose blocked stacks are sampled too — the hot function
+    # other suites may leave idle helper threads behind whose
+    # blocked stacks are sampled too — the hot function
     # must rank among the top leaves, not necessarily first
     tops = [frame for frame, _ in prof.top_functions(5)]
     assert any("_spin_numpy" in t or "numeric" in t for t in tops), tops
@@ -77,6 +78,26 @@ def test_profiler_skips_its_own_thread():
         assert not any(
             f.startswith("repro.obs.telemetry.profiler:_") for f in stack
         ), stack
+
+
+def test_profiler_skips_telemetry_threads():
+    """An idle telemetry exporter must not fill an ``--obs`` profile."""
+    stop = threading.Event()
+
+    def idle_telemetry_worker():
+        stop.wait(5.0)
+
+    worker = threading.Thread(target=idle_telemetry_worker, name="telemetry-exporter")
+    worker.start()
+    try:
+        with SamplingProfiler(interval_s=0.002) as prof:
+            _spin_numpy(0.2)
+    finally:
+        stop.set()
+        worker.join(5.0)
+    assert not worker.is_alive()
+    assert prof.sample_count > 0
+    assert not any("idle_telemetry_worker" in f for stack in prof.stacks for f in stack)
 
 
 def test_compiled_lenet5_forward_top_frame_is_a_kernel():

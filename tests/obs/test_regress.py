@@ -47,22 +47,30 @@ class TestTolerancePolicy:
         }
         assert policy_for("fig15.energy_detail[m=a]", longer).direction == "higher"
         assert policy_for("fig15.other", longer).direction == "lower"
-        # keyword heuristic: energy/cycles/bytes/... are lower-better
-        assert policy_for("fig15.energy_nj[model=vgg16]").direction == "lower"
-        assert policy_for("fig13.total_cycles").direction == "lower"
         # default: higher-better, required
         d = policy_for("fig13.speedup[config=mlcnn]")
         assert d.direction == "higher" and d.required
 
+    def test_directions_are_declared_not_guessed(self):
+        # a "bytes" label does not make a speedup lower-is-better
+        key = "operating.speedup_vs_bandwidth[bytes_per_cycle=0.5]"
+        assert policy_for(key).direction == "higher"
+        assert policy_for("table4.measured_adds_per_row[k=3]").direction == "lower"
+        assert policy_for("table7.area_mm2[config=mlcnn-fp32]").direction == "lower"
+        # an undeclared name gets the default, whatever words it contains
+        assert policy_for("fig13.total_cycles").direction == "higher"
+
+
+AREA = "table7.area_mm2[config=a]"  # declared lower-is-better
+
 
 class TestCompareMetrics:
-    BASE = {"fig13.speedup": 4.0, "fig15.energy_nj": 100.0}
+    BASE = {"fig13.speedup": 4.0, AREA: 100.0}
 
     def test_within_tolerance_is_ok(self):
-        vs = compare_metrics("accel", self.BASE,
-                             {"fig13.speedup": 3.9, "fig15.energy_nj": 103.0})
+        vs = compare_metrics("accel", self.BASE, {"fig13.speedup": 3.9, AREA: 103.0})
         assert _one(vs, "fig13.speedup").status == "ok"
-        assert _one(vs, "fig15.energy_nj").status == "ok"
+        assert _one(vs, AREA).status == "ok"
         assert not RegressionReport(vs).failed
 
     def test_higher_better_directions(self):
@@ -83,11 +91,11 @@ class TestCompareMetrics:
         assert _one(vs, key).status == "improved"
 
     def test_lower_better_directions(self):
-        # energy dropping is an improvement; rising is a regression
-        vs = compare_metrics("accel", self.BASE, {"fig15.energy_nj": 80.0})
-        assert _one(vs, "fig15.energy_nj").status == "improved"
-        vs = compare_metrics("accel", self.BASE, {"fig15.energy_nj": 120.0})
-        assert _one(vs, "fig15.energy_nj").status == "regressed"
+        # area shrinking is an improvement; growing is a regression
+        vs = compare_metrics("accel", self.BASE, {AREA: 80.0})
+        assert _one(vs, AREA).status == "improved"
+        vs = compare_metrics("accel", self.BASE, {AREA: 120.0})
+        assert _one(vs, AREA).status == "regressed"
 
     def test_missing_baseline_passes(self):
         # whole area unseeded
@@ -99,10 +107,17 @@ class TestCompareMetrics:
                              {"fig13.speedup": 4.0, "fig13.new_metric": 1.0})
         assert _one(vs, "fig13.new_metric").status == "missing_baseline"
 
-    def test_missing_current_is_reported_not_fatal(self):
+    def test_missing_current_fails_only_when_required(self):
+        # a required metric the run stopped emitting fails the gate
         vs = compare_metrics("accel", self.BASE, {"fig13.speedup": 4.0})
-        v = _one(vs, "fig15.energy_nj")
+        v = _one(vs, AREA)
+        assert v.status == "missing_current" and v.fails
+        assert RegressionReport(vs).failed
+        # an advisory one is reported but passes
+        vs = compare_metrics("accel", {"kernel.x_per_sec": 1.0}, {"fig13.new": 1.0})
+        v = _one(vs, "kernel.x_per_sec")
         assert v.status == "missing_current" and not v.fails
+        assert not RegressionReport(vs).failed
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nan_inf_always_fails(self, bad):
@@ -129,13 +144,22 @@ class TestCompareMetrics:
         assert not RegressionReport(vs).failed
 
     def test_report_render(self):
-        vs = compare_metrics("accel", self.BASE,
-                             {"fig13.speedup": 3.0, "fig15.energy_nj": 80.0})
+        vs = compare_metrics("accel", self.BASE, {"fig13.speedup": 3.0, AREA: 80.0})
         rep = RegressionReport(vs)
         text = rep.render()
         assert "REGRESSION GATE: FAIL" in text
         assert "regressed" in text and "improved" in text
         assert rep.counts() == {"regressed": 1, "improved": 1}
+        assert rep.to_experiment_report().experiment == "Regression gate"
+
+    def test_report_ranks_by_delta_rel_within_status(self):
+        """Failures lead; within a status the metric that moved most is first."""
+        base = {"a.x": 100.0, "a.y": 100.0, "a.z": 100.0, "a.w": 100.0}
+        vs = compare_metrics("core", base, {"a.x": 102.0, "a.y": 50.0, "a.z": 90.0, "a.w": 96.0})
+        ranked = [(v.status, v.metric) for v in RegressionReport(vs).ranked()]
+        assert ranked == [
+            ("regressed", "a.y"), ("regressed", "a.z"), ("ok", "a.w"), ("ok", "a.x"),
+        ]
 
 
 def _write_jsonl(path, rows):

@@ -1,21 +1,16 @@
-"""Telemetry registry semantics: instruments, labels, export formats."""
+"""Telemetry registry semantics: instruments, labels, the JSONL series."""
 
-import json
 import math
-import os
 
+import numpy as np
 import pytest
 
 from repro.obs.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS_MS,
-    Counter,
-    Gauge,
-    Histogram,
     TelemetryExporter,
     TelemetryRegistry,
     exponential_buckets,
     get_telemetry,
-    parse_prometheus,
     read_telemetry_jsonl,
 )
 
@@ -179,20 +174,66 @@ def test_histogram_cumulative_le_semantics(reg):
     assert cum == [(1.0, 2), (2.0, 3), (4.0, 4), (math.inf, 5)]
 
 
-def test_histogram_p2_crosscheck_disabled_by_default(reg):
-    h = reg.histogram("lat")
-    h.observe(1.0)
-    assert math.isnan(h.labels().p2_quantile(0.5))
+N = 20_000
+
+
+def _bimodal(rng):
+    """70% fast path (~2 ms), 30% slow path (~40 ms): p50 in the fast
+    mode, p95/p99 in the slow mode."""
+    fast = rng.lognormal(mean=np.log(2.0), sigma=0.15, size=int(N * 0.7))
+    slow = rng.lognormal(mean=np.log(40.0), sigma=0.15, size=N - len(fast))
+    return rng.permutation(np.concatenate([fast, slow]))
+
+
+#: adversarial latency shapes -> (seed, sampler, buckets)
+SHAPES = {
+    "bimodal": (0, _bimodal, exponential_buckets(0.1, 1.3, 40)),
+    # sigma=1.2 lognormal: the p99/p50 ratio is ~16x
+    "lognormal": (
+        1,
+        lambda rng: rng.lognormal(mean=np.log(5.0), sigma=1.2, size=N),
+        exponential_buckets(0.05, 1.4, 40),
+    ),
+    # Pareto(alpha=2) at ms scale: the classic tail-latency shape
+    "pareto": (
+        2,
+        lambda rng: 1.0 + rng.pareto(2.0, size=N) * 3.0,
+        exponential_buckets(0.5, 1.35, 40),
+    ),
+    # essentially constant latency with timer jitter
+    "near_constant": (
+        3,
+        lambda rng: 10.0 + rng.normal(0.0, 0.05, size=N),
+        exponential_buckets(0.1, 1.3, 40),
+    ),
+    "gamma": (4, lambda rng: rng.gamma(2.0, 3.0, size=N), exponential_buckets(0.05, 1.3, 45)),
+}
+
+
+@pytest.mark.parametrize("q", (0.5, 0.95, 0.99))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_bucket_quantile_error_bounded_by_resolution(shape, q):
+    """Against exact numpy quantiles the bucket estimate is off by at
+    most one bucket width — the advertised contract."""
+    seed, sampler, buckets = SHAPES[shape]
+    samples = sampler(np.random.default_rng(seed))
+    reg = TelemetryRegistry(enabled=True)
+    h = reg.histogram("lat", buckets=buckets)
+    for v in samples:
+        h.observe(float(v))
+    child = h.labels()
+    exact = float(np.quantile(samples, q))
+    assert abs(child.quantile(q) - exact) <= child.bucket_resolution(exact)
 
 
 # ---------------------------------------------------------------------------
-# snapshot + prometheus export
+# snapshot + JSONL series
 # ---------------------------------------------------------------------------
 
 def _populated_registry():
     reg = TelemetryRegistry(enabled=True)
     reg.counter("train.batches_total", "batches").inc(7)
-    reg.gauge("parallel.queue_depth", "depth").set(3, pool="plan")
+    reg.gauge("train.loss", "loss").set(0.5, model="lenet5")
     h = reg.histogram("train.batch_latency_ms", "latency", buckets=(1.0, 10.0, 100.0))
     for v in (0.5, 5.0, 50.0):
         h.observe(v)
@@ -208,31 +249,6 @@ def test_snapshot_document_shape():
     assert row["min"] == 0.5 and row["max"] == 50.0
     assert row["p50"] is not None and row["p99"] is not None
     assert snap.find("missing") is None
-
-
-def test_prometheus_round_trip():
-    prom = _populated_registry().snapshot().to_prometheus()
-    parsed = parse_prometheus(prom)
-    # dots sanitized to underscores
-    assert parsed["train_batches_total"] == [({}, 7.0)]
-    assert parsed["parallel_queue_depth"] == [({"pool": "plan"}, 3.0)]
-    buckets = dict(
-        (labels["le"], v) for labels, v in parsed["train_batch_latency_ms_bucket"]
-    )
-    assert buckets["+Inf"] == 3.0
-    assert parsed["train_batch_latency_ms_count"] == [({}, 3.0)]
-    assert parsed["train_batch_latency_ms_sum"][0][1] == pytest.approx(55.5)
-
-
-def test_prometheus_help_and_type_lines():
-    prom = _populated_registry().snapshot().to_prometheus()
-    assert "# HELP train_batches_total batches" in prom
-    assert "# TYPE train_batch_latency_ms histogram" in prom
-
-
-def test_parse_prometheus_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_prometheus("this is not prometheus\n")
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -258,26 +274,13 @@ def test_read_telemetry_jsonl_rejects_corruption(tmp_path):
 # exporter
 # ---------------------------------------------------------------------------
 
-def test_exporter_writes_jsonl_and_prom(tmp_path):
+def test_exporter_writes_jsonl(tmp_path):
     reg = _populated_registry()
-    jp, pp = str(tmp_path / "t.jsonl"), str(tmp_path / "t.prom")
-    exporter = TelemetryExporter(reg, jsonl_path=jp, prom_path=pp, period_s=0.02)
+    jp = str(tmp_path / "t.jsonl")
+    exporter = TelemetryExporter(reg, jsonl_path=jp, period_s=0.02)
     with exporter:
         reg.counter("train.batches_total").inc()
     assert exporter.scrapes >= 1  # stop() always takes a final scrape
     snaps = read_telemetry_jsonl(jp)
-    assert snaps
+    assert len(snaps) == exporter.scrapes
     assert snaps[-1].find("train.batches_total")["series"][0]["value"] == 8
-    assert parse_prometheus(open(pp).read())
-    assert not os.path.exists(pp + ".tmp")  # atomic rewrite cleaned up
-
-
-def test_exporter_drives_alert_engine(tmp_path):
-    from repro.obs.telemetry.rules import AlertEngine, SloRule
-
-    reg = TelemetryRegistry(enabled=True)
-    reg.gauge("depth").set(50)
-    engine = AlertEngine([SloRule("deep", "depth", threshold=10.0)], reg)
-    exporter = TelemetryExporter(reg, period_s=5.0, engine=engine)
-    exporter.scrape(now=1.0)
-    assert len(engine.active()) == 1
