@@ -4,10 +4,10 @@ Not a paper figure: measures that the *software* fused kernel is itself
 faster than unfused Conv -> AvgPool -> ReLU on this machine, and
 benchmarks the RTL micro-simulator.
 
-The headline ``kernel.fused_samples_per_sec`` runs the plan-selected
-fp32 NHWC kernel — the same object :class:`LowerFusedKernelPass`
-attaches for ``bits=32`` — on an NHWC fp32 workload, the layout the
-kernel is specialized for.  Two companion metrics keep the other
+The headline ``kernel.fused_samples_per_sec`` runs the fp32 NHWC
+kernel — the one :class:`LowerFusedKernelPass` binds for
+``lower_bits=32`` — on an NHWC fp32 workload, the layout the kernel is
+specialized for.  Two companion metrics keep the other
 implementations on the dashboard trend: ``fused_module_samples_per_sec``
 (the default f64 vectorized autograd path, NCHW Tensors) and
 ``fused_reference_samples_per_sec`` (the golden ``impl="reference"``
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.fusion import fused_conv_pool
-from repro.core.kernels import KERNEL_REGISTRY, ShapeClass
+from repro.core.kernels import F32NHWCKernel
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad
 
@@ -43,7 +43,7 @@ def _samples_per_sec(run, batch: int = BATCH, repeats: int = 1) -> float:
     """Wall-clock throughput of run(), measured independently of the
     pytest-benchmark timer (which --benchmark-disable turns off).
     ``repeats > 1`` reports the best of that many timed runs — the
-    shape-class kernels cache their workspaces, so the steady state is
+    fp32 kernel caches its workspaces, so the steady state is
     the honest number."""
     run()  # warm up
     best = float("inf")
@@ -66,7 +66,7 @@ def test_bench_unfused_conv_pool(benchmark, workload, record_metric):
 
 
 def test_bench_lowered_f32_kernel(benchmark, workload, record_metric):
-    """Headline: the plan-selected fp32 NHWC shape-class kernel."""
+    """Headline: the fp32 NHWC kernel the lowering pass binds."""
     _, w, b = workload
     rng = np.random.default_rng(2)
     xh = np.ascontiguousarray(
@@ -74,10 +74,7 @@ def test_bench_lowered_f32_kernel(benchmark, workload, record_metric):
     )
     w32 = w.data.astype(np.float32)
     b32 = b.data.astype(np.float32)
-    sc = ShapeClass(kernel=3, pool=2, stride=2, bits=32)
-    spec = KERNEL_REGISTRY.select(sc)
-    assert spec.name == "fused-f32-nhwc"
-    kern = spec.make(sc)
+    kern = F32NHWCKernel(pool=2)
 
     def run():
         return kern(xh, w32, b32, padding=1)

@@ -17,14 +17,11 @@ the hash, two same-architecture models collide on purpose.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.nn.layers import Module
 
 CacheKey = Tuple[str, str, tuple]
-
-#: module path -> selected kernel spec name, per cache key
-KernelPlan = Dict[str, str]
 
 
 def architecture_signature(model: Module) -> str:
@@ -38,21 +35,10 @@ def architecture_signature(model: Module) -> str:
 
 
 class PlanCache:
-    """Set of compilation keys whose validation already succeeded.
-
-    Besides the validation-skip set, the cache stores the *kernel plan*
-    the lowering pass computed for a key (module path -> selected
-    kernel name).  Because the key covers the architecture signature,
-    the full pipeline spec (including the ``lower`` pass's
-    ``impl``/``bits`` signature) and the context knobs, a stored plan
-    can never be replayed for a different lowering configuration or
-    shape class — changing any of them changes the key.
-    """
+    """Set of compilation keys whose validation already succeeded."""
 
     def __init__(self) -> None:
         self._plans: Dict[CacheKey, int] = {}
-        #: key -> (registry signature at selection time, path -> kernel name)
-        self._kernel_plans: Dict[CacheKey, Tuple[Optional[str], KernelPlan]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -67,42 +53,11 @@ class PlanCache:
     def add(self, key: CacheKey) -> None:
         self._plans.setdefault(key, 0)
 
-    def store_kernel_plan(
-        self, key: CacheKey, plan: KernelPlan, registry_sig: Optional[str] = None
-    ) -> None:
-        """Record the lowering selection computed for ``key``.
-
-        ``registry_sig`` is the :meth:`KernelRegistry.signature
-        <repro.core.kernels.registry.KernelRegistry.signature>` digest
-        at selection time; a later :meth:`kernel_plan` lookup under a
-        *different* registry population returns None, forcing a fresh
-        selection (registering or removing kernels invalidates plans).
-        """
-        self._kernel_plans[key] = (registry_sig, dict(plan))
-
-    def kernel_plan(
-        self, key: CacheKey, registry_sig: Optional[str] = None
-    ) -> Optional[KernelPlan]:
-        """The stored lowering selection for ``key``.
-
-        None when absent, or when the stored plan was selected under a
-        registry whose signature differs from ``registry_sig`` (pass
-        None to skip the signature check).
-        """
-        entry = self._kernel_plans.get(key)
-        if entry is None:
-            return None
-        stored_sig, plan = entry
-        if registry_sig is not None and stored_sig is not None and stored_sig != registry_sig:
-            return None
-        return dict(plan)
-
     def __len__(self) -> int:
         return len(self._plans)
 
     def clear(self) -> None:
         self._plans.clear()
-        self._kernel_plans.clear()
         self.hits = 0
         self.misses = 0
 

@@ -1,48 +1,34 @@
-"""The lowering stage: bind plan-selected kernels to fused modules.
+"""The lowering stage: bind the fp32 NHWC kernel to fused modules.
 
-:class:`LowerFusedKernelPass` runs at the end of the MLCNN pipeline,
-after ``fuse``.  For every :class:`~repro.core.fusion.FusedConvPool`
-it derives the layer's :class:`~repro.core.kernels.registry.ShapeClass`
-``(k, pool, stride, bits)``, asks the
-:data:`~repro.core.kernels.registry.KERNEL_REGISTRY` to select an
-implementation, and attaches the instantiated kernel to the module —
-gradient-free forwards then execute the lowered kernel directly, while
-training forwards keep the autograd path.
+:class:`LowerFusedKernelPass` runs at the end of the MLCNN pipeline
+when ``mlcnn_pipeline(lower_bits=32)`` asks for it.  It binds a
+:class:`~repro.core.kernels.nhwc.F32NHWCKernel` to every
+:class:`~repro.core.fusion.FusedConvPool` whose pool stride equals its
+pool; gradient-free forwards of those modules then run the kernel,
+while training forwards keep the autograd path.  Every other fused
+layer (overlapping pools), and every layer of a pipeline without this
+pass, runs the module's own float64 forward.
 
-Plan-cache interaction: the pipeline exposes its cache key in
-``ctx.state["plan_cache_key"]``; on the first compilation of a key the
-pass stores its per-layer selection in the
-:class:`~repro.compiler.cache.PlanCache`, and later compilations with
-the same key replay the stored selection by name without consulting
-the registry again — repeated sweep compilations pay kernel selection
-once.  The key already includes this pass's
-:meth:`~LowerFusedKernelPass.signature` (``impl`` and ``bits``) and
-the architecture signature (which covers ``k``/``pool``/``stride`` per
-layer), so changing any lowering knob or shape class changes the key
-and can never serve a stale selection.  The stored plan additionally
-carries the kernel registry's content signature: registering or
-removing a spec invalidates every stored plan, so a newly-registered
-higher-priority kernel is always re-selected.
+The pass records which layers it lowered twice: in
+``PassResult.details["kernels"]`` and as one ``compile.plan`` tracer
+event (module path -> kernel name), which run forensics diffs to flag
+kernel swaps between runs.
 
-Semantics declaration: the default float64 lowering is exact (the
-generic kernel and the vectorized autograd path share one code path),
-so the pass declares ``preserves_semantics`` and the pipeline's probe
-check enforces it.  ``bits=32`` selects the fp32 NHWC specialization,
-which deviates by single-precision round-off — the pass then declares
-``preserves_semantics = False``.  ``impl="reference"`` detaches any
-kernels and pins modules to the golden loop-free reference
-composition.
+The fp32 kernel deviates from the float64 probe reference by
+single-precision round-off, so the pass declares
+``preserves_semantics = False``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.compiler.context import CompileContext, PassResult
 from repro.compiler.pass_base import Pass, register_pass
 from repro.core.fusion import FusedConvPool
-from repro.core.kernels import KERNEL_REGISTRY, ShapeClass
+from repro.core.kernels import F32NHWCKernel
 from repro.nn.layers import Module
+from repro.obs.tracer import event
 
 __all__ = ["LowerFusedKernelPass", "lowered_kernels"]
 
@@ -58,78 +44,22 @@ def lowered_kernels(model: Module) -> List[Tuple[str, object]]:
 
 @register_pass
 class LowerFusedKernelPass(Pass):
-    """Select and bind a lowered kernel per fused layer (see module doc)."""
+    """Bind the fp32 NHWC kernel to non-overlapping fused layers."""
 
     name = "lower"
     preserves_params = True
-
-    def __init__(self, impl: str = "vectorized", bits: int = 64) -> None:
-        if impl not in ("vectorized", "reference"):
-            raise ValueError(f"impl must be 'vectorized' or 'reference', got {impl!r}")
-        if bits not in (32, 64):
-            raise ValueError(f"lowering bits must be 32 or 64, got {bits}")
-        self.impl = impl
-        self.bits = bits
-        # fp32 kernels round differently from the f64 probe reference
-        self.preserves_semantics = bits == 64 or impl == "reference"
+    # fp32 kernels round differently from the f64 probe reference
+    preserves_semantics = False
 
     def applies_to(self, model: Module) -> bool:
         return any(isinstance(m, FusedConvPool) for _, m in model.named_modules())
 
-    def signature(self) -> str:
-        return f"{self.name}(impl={self.impl},bits={self.bits})"
-
     def run(self, model: Module, ctx: CompileContext) -> PassResult:
-        from repro.compiler.cache import PLAN_CACHE
-
-        cache_key = ctx.state.get("plan_cache_key")
-        registry_sig = KERNEL_REGISTRY.signature()
-        # A stored plan is replayed only when the registry still holds
-        # the same spec population it was selected from — registering
-        # (or removing) kernels invalidates every stored plan.
-        stored = (
-            PLAN_CACHE.kernel_plan(cache_key, registry_sig)
-            if cache_key is not None
-            else None
-        )
-        from_cache = stored is not None
-
-        plan: Dict[str, str] = {}
-        lowered = 0
+        plan = {}
         for path, mod in model.named_modules():
-            if not isinstance(mod, FusedConvPool):
-                continue
-            mod.impl = self.impl
-            if self.impl == "reference":
-                mod.attach_kernel(None)
-                plan[path] = "reference"
-                lowered += 1
-                continue
-            sc = ShapeClass(
-                kernel=mod.weight.shape[-1],
-                pool=mod.pool,
-                stride=getattr(mod, "pool_stride", mod.pool) or mod.pool,
-                bits=self.bits,
-                kind="float",
-            )
-            if from_cache and path in stored:
-                spec = KERNEL_REGISTRY.get(stored[path])  # replay, no selection
-            else:
-                spec = KERNEL_REGISTRY.select(sc)
-            mod.attach_kernel(spec.make(sc))
-            plan[path] = spec.name
-            lowered += 1
-
-        if cache_key is not None and not from_cache:
-            PLAN_CACHE.store_kernel_plan(cache_key, plan, registry_sig)
-        ctx.state["kernel_plan"] = {
-            "kernels": dict(plan),
-            "from_cache": from_cache,
-            "impl": self.impl,
-            "bits": self.bits,
-        }
-        return PassResult(
-            self.name,
-            lowered,
-            {"kernels": plan, "from_cache": from_cache, "impl": self.impl, "bits": self.bits},
-        )
+            if isinstance(mod, FusedConvPool) and mod.pool_stride == mod.pool:
+                kernel = F32NHWCKernel(mod.pool)
+                mod.attach_kernel(kernel)
+                plan[path] = kernel.name
+        event("compile.plan", category="compiler", kernels=dict(plan))
+        return PassResult(self.name, len(plan), {"kernels": plan})

@@ -157,9 +157,6 @@ class Pipeline:
         t0 = time.perf_counter()
         signature = architecture_signature(model)
         cache_key = (signature, self.spec(), ctx.cache_key())
-        # Passes that cache per-key derived state (e.g. the lowering
-        # pass's kernel plan) key it off the same tuple validation uses.
-        ctx.state["plan_cache_key"] = cache_key
         cached = ctx.use_cache and PLAN_CACHE.contains(cache_key)
         validate = ctx.validate and not cached
 
@@ -239,21 +236,6 @@ class Pipeline:
                 rewrites=report.total_rewrites,
                 validated=validate,
             )
-            # Publish the compiled plan into the trace: which
-            # shape-class kernel each module was lowered to.  Run
-            # forensics diffs these selections across traces, so "layer
-            # X got a different kernel" localizes without rerunning
-            # anything.
-            kernel_plan = ctx.state.get("kernel_plan")
-            if kernel_plan is not None:
-                tracer.event(
-                    "compile.plan",
-                    category="compiler",
-                    kernels=dict(kernel_plan.get("kernels") or {}),
-                    from_cache=kernel_plan.get("from_cache"),
-                    impl=kernel_plan.get("impl"),
-                    bits=kernel_plan.get("bits"),
-                )
         if validate and ctx.use_cache:
             PLAN_CACHE.add(cache_key)
         return model, report
@@ -280,27 +262,26 @@ def mlcnn_pipeline(
     sparsity: float = 0.0,
     strict: bool = True,
     probe_divergence: bool = False,
-    lower: bool = True,
-    lower_impl: str = "vectorized",
     lower_bits: int = 64,
     overlap: bool = False,
 ) -> Pipeline:
     """The canonical MLCNN preparation pipeline (Sections III-IV, VII).
 
     ``set-pooling(avg)`` -> ``reorder`` -> ``fuse`` [-> ``prune``]
-    [-> ``quantize(bits)``] -> ``lower`` — the sequence
+    [-> ``quantize(bits)``] [-> ``lower``] — the sequence
     :func:`repro.core.transform.prepare_mlcnn` has always applied, now
-    as composable passes, terminated by the lowering stage that binds
-    plan-selected vectorized kernels to the fused modules.
-    ``probe_divergence=True`` inserts the read-only ``reorder-probe``
-    validation pass right after ``reorder``, quantifying what the
-    reordering changed on the probe batch
-    (``ctx.state["reorder_divergence"]``).  ``lower_bits=32`` selects
-    the fp32 NHWC kernel specialization (inexact vs the f64 probe);
-    ``lower=False`` omits the lowering stage entirely.
+    as composable passes.  ``probe_divergence=True`` inserts the
+    read-only ``reorder-probe`` validation pass right after
+    ``reorder``, quantifying what the reordering changed on the probe
+    batch (``ctx.state["reorder_divergence"]``).  ``lower_bits=32``
+    appends the ``lower`` pass, which binds the fp32 NHWC kernel to
+    every non-overlapping fused layer (inexact vs the f64 probe); at
+    the default 64 the fused layers run their own float64 forward.
     ``overlap=True`` lets ``fuse`` take overlapping-pool
     (stride != pool) blocks too.
     """
+    if lower_bits not in (32, 64):
+        raise ValueError(f"lowering bits must be 32 or 64, got {lower_bits}")
     from repro.compiler.lower import LowerFusedKernelPass
     from repro.compiler.passes import (
         FuseConvPoolPass,
@@ -322,6 +303,6 @@ def mlcnn_pipeline(
         passes.append(PrunePass(sparsity))
     if bits:
         passes.append(QuantizePass(bits))
-    if lower:
-        passes.append(LowerFusedKernelPass(impl=lower_impl, bits=lower_bits))
+    if lower_bits == 32:
+        passes.append(LowerFusedKernelPass())
     return Pipeline(passes, name="mlcnn")

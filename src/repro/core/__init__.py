@@ -9,10 +9,10 @@ This package implements the paper's primary contribution:
   (Algorithm 1): vectorized execution and an instrumented reference
   executor that counts every addition/multiplication under configurable
   reuse (RME / LAR / row- and column-GAR).
-* :mod:`repro.core.kernels` — the lowering targets: fully vectorized
-  fused-kernel implementations (prefix-sum box sum, gather + GEMM,
-  fp32 NHWC specialization, exact int64 path) and the shape-class
-  registry the compiler's ``lower`` pass selects from.
+* :mod:`repro.core.kernels` — the fully vectorized fused-kernel
+  implementations: prefix-sum box sum, float64 gather + GEMM, exact
+  int64 path, and the fp32 NHWC kernel the compiler's ``lower`` pass
+  binds.
 * :mod:`repro.core.transform` — network-level fusion: rewrite a
   reordered model so fusable blocks execute the fused kernel.
 * :mod:`repro.core.quantize` — DoReFa-style k-bit quantization
@@ -66,7 +66,6 @@ from repro.core.fixedpoint import (
     int_path_error_bound,
 )
 from repro.core import kernels
-from repro.core.kernels import KERNEL_REGISTRY, KernelRegistry, KernelSpec, ShapeClass
 
 __all__ = [
     "rme_multiplication_reduction",
@@ -89,10 +88,6 @@ __all__ = [
     "fused_conv_pool_counted",
     "dense_conv_pool_counted",
     "kernels",
-    "ShapeClass",
-    "KernelSpec",
-    "KernelRegistry",
-    "KERNEL_REGISTRY",
     "fuse_network",
     "fused_blocks",
     "prepare_mlcnn",

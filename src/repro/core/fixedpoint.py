@@ -166,7 +166,7 @@ def fused_conv_pool_int(
 ) -> np.ndarray:
     """Integer fused conv-pool: int box-sum, int MACs, float epilogue.
 
-    ``x``: quantized (C, H, W) activations; ``w``: quantized
+    ``x``: quantized square (C, H, H) activations; ``w``: quantized
     (M, C, K, K) weights.  The box sum and the multiply-accumulate run
     entirely in int64 (exact); only the final rescale by
     ``x.scale * w.scale / pool^2``, the bias addition and the ReLU
@@ -199,6 +199,8 @@ def fused_conv_pool_int(
     m, cw, k, _ = wi.shape
     if c != cw:
         raise ValueError(f"channel mismatch: {c} vs {cw}")
+    if h != wdt:
+        raise ValueError(f"the int path needs a square input (H == W), got {h}x{wdt}")
 
     acc = box_sum(xi, pool)  # exact int box sum (the I_Acc plane)
     co = h - k + 1
@@ -209,8 +211,7 @@ def fused_conv_pool_int(
     if impl == "vectorized":
         from repro.core.kernels.intpath import conv_over_boxsum_int
 
-        # slice to the reference geometry (po x po, from the height)
-        out = np.ascontiguousarray(conv_over_boxsum_int(acc, wi, pool)[:, :po, :po])
+        out = conv_over_boxsum_int(acc, wi, pool)
     else:
         out = np.zeros((m, po, po), dtype=ACC_DTYPE)
         # stride-p integer convolution over the box-summed plane

@@ -74,8 +74,8 @@ def fused_conv_pool(
     ``pool_stride`` defaults to ``pool`` (non-overlapping pooling);
     ``pool_stride != pool`` executes the overlapping-pool identity —
     the convolution over the box-summed input runs at the pool stride
-    instead (:mod:`repro.core.kernels.strided`).  The conv stride must
-    be 1 (enforced by callers via ``ConvBlock.is_fusable``).
+    instead.  The conv stride must be 1 (enforced by callers via
+    ``ConvBlock.is_fusable``).
     """
     pool_stride = pool if pool_stride is None else pool_stride
     if pool_stride < 1:
@@ -138,24 +138,10 @@ def fused_conv_pool(
         acc_t._backward = _bw
 
     out = F.conv2d(acc_t, weight, bias=None, stride=pool_stride)
-    recorder = get_recorder()
-    if recorder.enabled:
-        # Measured from this execution's actual geometry: the fused conv
-        # touches each weight once per *pooled* output; a dense run would
-        # touch it once per conv output and pay one scaling mult per
-        # pooled output (a free shift here).
-        m, _, k, _ = weight.shape
-        _, _, oh, ow = out.shape
-        hp, wp = xd.shape[-2:]
-        conv_outs = (hp - k + 1) * (wp - k + 1)
-        mults = n * m * oh * ow * c * k * k
-        recorder.record(
-            mults=mults,
-            mults_eliminated=n * m * (c * k * k * (conv_outs - oh * ow) + oh * ow),
-        )
+    m, _, k, _ = weight.shape
+    _kernels.record_rme_counters(n, m, c, k, *out.shape[-2:], *xd.shape[-2:])
     out = out * (1.0 / (pool * pool))
     if bias is not None:
-        m = weight.shape[0]
         out = out + bias.reshape(1, m, 1, 1)
     if activation == "relu":
         return F.relu(out)
@@ -174,24 +160,20 @@ class FusedConvPool(Module):
     Shares the parameters of the original block (no copy), so a fused
     network stays in sync with the original weights.
 
-    ``impl`` selects the functional execution path ("vectorized" or the
-    golden "reference" composition).  After compilation the lowering
-    pass may additionally :meth:`attach_kernel` a plan-selected lowered
-    kernel from :mod:`repro.core.kernels`; it serves gradient-free
-    (inference) forwards, while training forwards keep the autograd
-    ``impl`` path on the shared parameters.
+    Forwards run the vectorized float64 :func:`fused_conv_pool`.  The
+    lowering pass may :meth:`attach_kernel` the fp32
+    :class:`~repro.core.kernels.nhwc.F32NHWCKernel`; it then serves
+    gradient-free (inference) forwards, while training forwards keep
+    the autograd path on the shared parameters.
 
-    A kernel with a ``fold`` method (the fp32 kernel) gets its weight
-    operand from a per-module cache, keyed on the identity and
-    ``_version`` of the weight and bias data: it is re-folded only after
-    a rebind of ``.data`` or an in-place write that called
-    :meth:`~repro.nn.tensor.Tensor.bump_version`.
+    The bound kernel gets its weight operand from a per-module cache,
+    keyed on the identity and ``_version`` of the weight and bias data:
+    it is re-folded only after a rebind of ``.data`` or an in-place
+    write that called :meth:`~repro.nn.tensor.Tensor.bump_version`.
     """
 
-    def __init__(self, conv_block, impl: str = "vectorized") -> None:
+    def __init__(self, conv_block) -> None:
         super().__init__()
-        if impl not in ("vectorized", "reference"):
-            raise ValueError(f"impl must be 'vectorized' or 'reference', got {impl!r}")
         if not conv_block.is_fusable(allow_overlap=True):
             raise ValueError(
                 "block is not fusable (needs pool_act order, average pooling, "
@@ -210,7 +192,6 @@ class FusedConvPool(Module):
         self.pool = conv_block.pool.kernel
         self.pool_stride = conv_block.pool.stride
         self.activation = conv_block.activation
-        self.impl = impl
         self._kernel = None  # lowered kernel bound by the compiler
         self._folded = None  # (weight data, version, bias data, version, wmat)
         # Share (not copy) parameters for counting and training.
@@ -256,16 +237,13 @@ class FusedConvPool(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self._kernel is not None and not is_grad_enabled():
-            extra = {}
-            if hasattr(self._kernel, "fold"):
-                extra["wmat"] = self._folded_weights()
             out = self._kernel.run_nchw(
                 x.data,
                 self.weight.data,
                 None if self.bias is None else self.bias.data,
                 padding=self.padding,
                 activation=self.activation,
-                **extra,
+                wmat=self._folded_weights(),
             )
             return Tensor(out)
         return fused_conv_pool(
@@ -276,7 +254,6 @@ class FusedConvPool(Module):
             pool_stride=self.pool_stride,
             padding=self.padding,
             activation=self.activation,
-            impl=self.impl,
         )
 
     def extra_repr(self) -> str:
@@ -334,12 +311,18 @@ def _report_kernel_counters(counter: OpCounter, mults_eliminated: int = 0) -> No
     )
 
 
+def _check_square(h: int, w: int) -> None:
+    """The counted loop nests size every plane from the height alone."""
+    if h != w:
+        raise ValueError(f"counted executors need a square input (H == W), got {h}x{w}")
+
+
 def dense_conv_pool_counted(
     x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None, pool: int = 2
 ) -> Tuple[np.ndarray, OpCounter]:
     """Reference dense execution (conv then average pool), fully counted.
 
-    Single image ``(C, H, W)`` and weights ``(M, C, K, K)``; the conv is
+    Single square image ``(C, H, H)`` and weights ``(M, C, K, K)``; the conv is
     stride 1, valid padding, followed by a p x p stride-p average pool
     and ReLU.  This is the baseline the paper's 16-mult example uses.
     """
@@ -347,6 +330,7 @@ def dense_conv_pool_counted(
     m, cw, k, _ = weight.shape
     if c != cw:
         raise ValueError(f"channel mismatch: input {c}, weight {cw}")
+    _check_square(h, w)
     counter = OpCounter()
     co = h - k + 1
     conv = np.zeros((m, co, co))
@@ -388,7 +372,7 @@ def fused_conv_pool_counted(
 ) -> Tuple[np.ndarray, OpCounter]:
     """Algorithm 1 with explicit reuse caches and exact op counting.
 
-    Single image ``(C, H, W)``; stride-1 valid conv + p x p stride-p
+    Single square image ``(C, H, H)``; stride-1 valid conv + p x p stride-p
     average pool + ReLU, executed as half additions (vertical runs of
     ``p``), full additions (horizontal runs of ``p`` half-additions),
     and per-output major accumulations.
@@ -411,6 +395,7 @@ def fused_conv_pool_counted(
     m, cw, k, _ = weight.shape
     if c != cw:
         raise ValueError(f"channel mismatch: input {c}, weight {cw}")
+    _check_square(h, w)
     counter = OpCounter()
     co = h - k + 1
     po = (co - pool) // pool + 1

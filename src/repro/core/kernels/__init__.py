@@ -7,35 +7,25 @@ reference), the kernels here define how it executes fast —
 
 * :mod:`~repro.core.kernels.boxsum` — the ``I_Acc`` box sum as a 2-D
   prefix sum (production) and as materialized windows (reference).
-* :mod:`~repro.core.kernels.fused` — generic float64 NCHW
-  forward/backward: box sum, pooled-patch gather, one GEMM.
-* :mod:`~repro.core.kernels.nhwc` — the fp32 channels-last
-  specialization with plan-time workspaces (the benchmark fast path).
-* :mod:`~repro.core.kernels.strided` — the overlapping-pool
-  (``stride != pool``) float64 lowering: cumsum + strided gather.
+* :mod:`~repro.core.kernels.fused` — float64 NCHW forward/backward for
+  any pool stride: box sum, pooled-patch gather, one GEMM.  Every
+  ``FusedConvPool`` runs it unless a kernel is bound.
+* :mod:`~repro.core.kernels.nhwc` — the fp32 channels-last kernel with
+  plan-time workspaces, the one kernel
+  :class:`repro.compiler.lower.LowerFusedKernelPass` binds.
 * :mod:`~repro.core.kernels.intpath` — exact int64 accumulation for
   the fixed-point path (bit-identical to the reference loop).
-* :mod:`~repro.core.kernels.registry` — shape-class registry the
-  :class:`repro.compiler.lower.LowerFusedKernelPass` selects from.
 """
 
 from repro.core.kernels.boxsum import box_sum_cumsum, box_sum_windows
 from repro.core.kernels.fused import (
     FusedResiduals,
-    GenericF64Kernel,
     fused_backward,
     fused_forward,
     record_rme_counters,
 )
 from repro.core.kernels.intpath import conv_over_boxsum_int
 from repro.core.kernels.nhwc import F32NHWCKernel
-from repro.core.kernels.registry import (
-    KERNEL_REGISTRY,
-    KernelRegistry,
-    KernelSpec,
-    ShapeClass,
-)
-from repro.core.kernels.strided import StridedF64Kernel
 
 __all__ = [
     "box_sum_cumsum",
@@ -44,12 +34,6 @@ __all__ = [
     "fused_forward",
     "fused_backward",
     "record_rme_counters",
-    "GenericF64Kernel",
     "F32NHWCKernel",
-    "StridedF64Kernel",
     "conv_over_boxsum_int",
-    "ShapeClass",
-    "KernelSpec",
-    "KernelRegistry",
-    "KERNEL_REGISTRY",
 ]

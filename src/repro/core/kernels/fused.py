@@ -1,4 +1,4 @@
-"""Vectorized fused conv-pool forward/backward (the generic lowering).
+"""Vectorized fused conv-pool forward/backward (the float64 path).
 
 The loop nest of Algorithm 1 lowers to three dense stages:
 
@@ -16,10 +16,11 @@ bundle; :func:`fused_backward` consumes it and reproduces the gradient
 of the unfused composition (box-sum scatter + stride-p convolution
 backward) without materializing the intermediate graph nodes.
 
-The measured :class:`~repro.obs.metrics.OpCounters` report (`mults`,
-`mults_eliminated`) uses the same closed-form geometry as the reference
-path in :mod:`repro.core.fusion`, so the within-1%-of-analytic
-cross-checks in ``tests/obs`` hold for the vectorized kernels too.
+:func:`record_rme_counters` is the one measured-counter formula
+(`mults`, `mults_eliminated`) for every float fused path: this one, the
+fp32 kernel and the reference composition in :mod:`repro.core.fusion`,
+so the within-1%-of-analytic cross-checks in ``tests/obs`` cover all
+three.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "fused_forward",
     "fused_backward",
     "record_rme_counters",
-    "GenericF64Kernel",
 ]
 
 
@@ -50,8 +50,7 @@ def record_rme_counters(
     Measured from the actual geometry: the fused conv touches each
     weight once per *pooled* output; a dense run would touch it once
     per conv output and pay one scaling mult per pooled output (a free
-    shift in the fused kernel).  Identical to the reference path's
-    accounting in :mod:`repro.core.fusion`.  The pooled-output count
+    shift in the fused kernel).  The pooled-output count
     ``po * qo`` already reflects the pool stride, so the same formula
     holds for overlapping (``stride != pool``) executions.
     """
@@ -202,45 +201,3 @@ def fused_backward(
     gx = gpad[:, :, padding : padding + h, padding : padding + w] if padding else gpad
     return gx, gweight, gbias
 
-
-class GenericF64Kernel:
-    """The fallback lowered kernel: float64, NCHW, any shape class.
-
-    Bit-identical to ``fused_conv_pool(..., impl="vectorized")`` — both
-    execute :func:`fused_forward` — so attaching it to a compiled
-    module never changes inference outputs.
-    """
-
-    name = "fused-generic-f64"
-    layout = "nchw"
-
-    def __init__(self, shape_class) -> None:
-        self.shape_class = shape_class
-
-    def __call__(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray] = None,
-        *,
-        padding: int = 0,
-        activation: str = "relu",
-        record: bool = True,
-    ) -> np.ndarray:
-        out, _ = fused_forward(
-            x,
-            weight,
-            bias,
-            pool=self.shape_class.pool,
-            padding=padding,
-            activation=activation,
-            record=record,
-            stride=self.shape_class.stride,
-        )
-        return out
-
-    #: NCHW entry point (native layout already NCHW)
-    run_nchw = __call__
-
-    def __repr__(self) -> str:
-        return f"<GenericF64Kernel {self.shape_class}>"

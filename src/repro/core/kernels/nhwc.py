@@ -1,18 +1,18 @@
 """The specialized fp32 NHWC fused kernel (the mlcnn-fp32 fast path).
 
-This is the shape-class-specialized kernel the lowering stage selects
-for ``bits=32`` — the software analogue of the accelerator's
-``mlcnn-fp32`` configuration.  It trades the generic kernel's float64
-exactness for single-precision GEMM throughput and a channels-last
-layout in which every memory stage is contiguous:
+This is the kernel the lowering stage binds for ``lower_bits=32`` to
+every fused layer whose pool stride equals its pool — the software
+analogue of the accelerator's ``mlcnn-fp32`` configuration.  It trades
+the float64 path's exactness for single-precision GEMM throughput and
+a channels-last layout in which every memory stage is contiguous:
 
 * **layout** — NHWC internally: the pooled-patch gather copies
   contiguous ``(kj, c)`` runs in both source and destination instead
   of strided per-channel elements.
-* **padding folded into the box sum** — for the common ``pool=2``
-  class the horizontal pairwise sum writes pad columns directly from
-  the input edges; no padded copy of the input is ever materialized
-  (general ``pool`` falls back to a zero-padded workspace).
+* **padding folded into the box sum** — for ``pool=2`` on inputs at
+  least 2 pixels high and wide the horizontal pairwise sum writes pad
+  columns directly from the input edges; no padded copy of the input
+  is ever materialized (every other case uses a zero-padded workspace).
 * **bias folded into the GEMM** — the patch matrix carries a constant
   ones column and the weight matrix a bias row, so bias addition costs
   nothing extra; the ``1/p^2`` scaling is folded into the weights.
@@ -32,7 +32,7 @@ Called without ``wmat``, the kernel folds on every call.
 Accuracy: outputs deviate from the float64 reference by single-
 precision round-off (measured max ~3e-5 on the benchmark workload;
 documented bound ~1e-3 for unit-variance inputs).  The lowering pass
-therefore declares ``preserves_semantics=False`` for this class.
+therefore declares ``preserves_semantics=False``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,9 @@ class _Plan:
             raise ValueError("input too small for one pooled output")
         self.ck = c * k * k
         f32 = np.float32
-        if pool == 2:
+        #: the pairwise box sum (pad folded in) serves this plan
+        self.pairwise = pool == 2 and h >= 2 and w >= 2
+        if self.pairwise:
             # pad folded into the horizontal sum: pad rows stay zero
             self.xpad = None
             self.tmp = np.zeros((n, hp, self.wa, c), dtype=f32)
@@ -80,8 +82,10 @@ class F32NHWCKernel:
     name = "fused-f32-nhwc"
     layout = "nhwc"
 
-    def __init__(self, shape_class) -> None:
-        self.shape_class = shape_class
+    def __init__(self, pool: int) -> None:
+        if pool < 1:
+            raise ValueError(f"pool must be >= 1, got {pool}")
+        self.pool = pool
         self._plans: Dict[Tuple, _Plan] = {}
 
     # -- planning -----------------------------------------------------------
@@ -91,7 +95,7 @@ class F32NHWCKernel:
         plan = self._plans.get(key)
         if plan is None:
             n, h, w, c = x_shape
-            plan = _Plan(n, h, w, c, k, self.shape_class.pool, pad)
+            plan = _Plan(n, h, w, c, k, self.pool, pad)
             self._plans[key] = plan
         return plan
 
@@ -111,7 +115,7 @@ class F32NHWCKernel:
         buf = np.empty((m, k, k, c), dtype=np.float32)
         np.copyto(buf, weight.transpose(0, 2, 3, 1))
         wmat = np.empty((ck + 1, m), dtype=np.float32)
-        inv = np.float32(1.0 / (self.shape_class.pool ** 2))
+        inv = np.float32(1.0 / (self.pool ** 2))
         np.multiply(buf.reshape(m, ck).T, inv, out=wmat[:ck])
         wmat[ck] = 0.0 if bias is None else bias
         return wmat
@@ -120,7 +124,7 @@ class F32NHWCKernel:
 
     def _box_sum(self, plan: _Plan, x: np.ndarray) -> None:
         p, pad, h, w = plan.pool, plan.pad, plan.h, plan.w
-        if p == 2 and h >= 2 and w >= 2:
+        if plan.pairwise:
             # horizontal pairwise sum with the zero padding folded in
             core = plan.tmp[:, pad : pad + h]
             np.add(x[:, :, :-1, :], x[:, :, 1:, :], out=core[:, :, pad : pad + w - 1, :])
@@ -218,4 +222,4 @@ class F32NHWCKernel:
         return np.ascontiguousarray(np.moveaxis(out, -1, 1))
 
     def __repr__(self) -> str:
-        return f"<F32NHWCKernel {self.shape_class}, {len(self._plans)} plan(s)>"
+        return f"<F32NHWCKernel pool={self.pool}, {len(self._plans)} plan(s)>"

@@ -58,8 +58,8 @@ def fuse_network(
     pipelines compose over models with no fusable stages (e.g.
     DenseNet-style 1x1-output stages) without try/except glue.
     ``overlap=True`` additionally fuses overlapping average pools
-    (``stride != kernel``) — those layers lower to the strided kernel
-    class (:mod:`repro.core.kernels.strided`).
+    (``stride != kernel``) — those layers run the float64 fused path
+    (:func:`repro.core.kernels.fused.fused_forward` at the pool stride).
     """
     replaced: List[Tuple[str, FusedConvPool]] = []
     _replace_children(model, replaced, "", overlap)

@@ -167,12 +167,6 @@ def _compile_pipeline(model_name: str, bits: int, show_report: bool) -> int:
         f"{1e3 * report.total_time_s:.1f} ms"
         + (" (plan-cache hit)" if report.cached else "")
     )
-    plan = ctx.state.get("kernel_plan")
-    if plan and plan["kernels"]:
-        src = "replayed from plan cache" if plan["from_cache"] else "freshly selected"
-        print(f"kernel plan ({src}, impl={plan['impl']}, bits={plan['bits']}):")
-        for path, kernel in sorted(plan["kernels"].items()):
-            print(f"  {path}: {kernel}")
     if obs.get_tracer().enabled:
         _trace_model_extras(model_name, model, ctx)
     return 0

@@ -3,12 +3,12 @@
 :func:`diff_runs` compares two traces (``--obs`` run directories,
 JSONL trace files, live tracers, or pre-built
 :class:`~repro.obs.attrib.AttributionReport`\\ s).  Every span
-identity (layer, compiler pass, kernel shape-class, simulated layer)
-becomes one diff entry with its wall time delta; entries are ranked by
-absolute delta so the top entry *is* the localized regression.  Kernel
-selection changes (a layer lowered to a different shape-class kernel)
-and ops/bytes drift are annotated on the entry — the usual root causes
-travel with the ranking.  The comparison of benchmark metrics against
+identity (layer, compiler pass, simulated layer) becomes one diff
+entry with its wall time delta; entries are ranked by absolute delta so
+the top entry *is* the localized regression.  Kernel changes (a layer
+lowered to a different kernel, or no longer lowered) and ops/bytes
+drift are annotated on the entry — the usual root causes travel with
+the ranking.  The comparison of benchmark metrics against
 the committed baselines is the regression gate's job
 (:mod:`repro.obs.regress`).
 """

@@ -26,7 +26,7 @@ are attached to the span as a ``counters`` attr, alongside a
 ``bytes_io`` estimate (input + parameter + output array bytes — the
 compulsory-traffic lower bound) and, for plain Conv2d/Linear layers
 that record no counters, an analytic ``flops`` count.  Kernel-lowered
-modules also report which shape-class kernel executed (``kernel``
+modules also report which lowered kernel executed (``kernel``
 attr), so a trace localizes regressions to kernel selections.
 
 The wrappers check ``tracer.enabled`` (and ``numerics.enabled``) first

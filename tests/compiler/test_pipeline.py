@@ -56,7 +56,7 @@ class TestReportInstrumentation:
         model = build_model("lenet5")
         _, report = mlcnn_pipeline(bits=8).run(model, CompileContext(quant_bits=8))
         ran = [r for r in report.records if r.ran]
-        assert [r.name for r in ran] == ["set-pooling", "reorder", "fuse", "quantize", "lower"]
+        assert [r.name for r in ran] == ["set-pooling", "reorder", "fuse", "quantize"]
         for r in ran:
             assert r.wall_time_s >= 0.0
             assert r.rewrites >= 0

@@ -15,7 +15,7 @@ import pytest
 
 from repro import build_model, mlcnn_pipeline, reorder_activation_pooling, set_pooling
 from repro.core.fusion import FusedConvPool
-from repro.core.kernels import F32NHWCKernel, ShapeClass
+from repro.core.kernels import F32NHWCKernel
 from repro.core.prune import capture_masks, magnitude_prune, restore_masks
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor, no_grad
@@ -52,7 +52,7 @@ class TestFold:
         rng = np.random.default_rng(m * 100 + c * 10 + k)
         w = rng.standard_normal((m, c, k, k)).astype(dtype)
         b = rng.standard_normal(m).astype(dtype) if with_bias else None
-        got = F32NHWCKernel(ShapeClass(k, pool, pool, 32)).fold(w, b)
+        got = F32NHWCKernel(pool).fold(w, b)
         assert got.dtype == np.float32 and got.shape == (c * k * k + 1, m)
         np.testing.assert_array_equal(got, _formula_fold(w, b, pool))
 
@@ -61,7 +61,7 @@ class TestFold:
         x = rng.standard_normal((2, 3, 12, 12))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        kern = F32NHWCKernel(ShapeClass(3, 2, 2, 32))
+        kern = F32NHWCKernel(2)
         folded = kern.run_nchw(x, w, b, padding=1, wmat=kern.fold(w, b))
         np.testing.assert_array_equal(folded, kern.run_nchw(x, w, b, padding=1))
 
@@ -69,7 +69,7 @@ class TestFold:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 3, 10, 10))
         w = rng.standard_normal((4, 3, 3, 3))
-        kern = F32NHWCKernel(ShapeClass(3, 2, 2, 32))
+        kern = F32NHWCKernel(2)
         with pytest.raises(ValueError, match="folded weights"):
             kern.run_nchw(x, w, wmat=kern.fold(w[:2]))
         with pytest.raises(ValueError, match="folded weights"):
@@ -202,7 +202,7 @@ class TestNoStaleWeights:
 
     def test_attaching_a_kernel_drops_the_cache(self, model):
         for f in _fused(model):
-            f.attach_kernel(F32NHWCKernel(f.kernel.shape_class))
+            f.attach_kernel(F32NHWCKernel(f.pool))
             assert f._folded is None
         _assert_current(model)
 

@@ -1,5 +1,5 @@
 """The lowering kernels: box-sum formulations, vectorized-vs-reference
-equivalence across shape classes, int-path bit-exactness, registry.
+equivalence across shape classes, int-path bit-exactness.
 
 Satellite coverage for the lowering backend:
 
@@ -9,22 +9,22 @@ Satellite coverage for the lowering backend:
   agree to 1e-6 (float64) and bit-exactly (int path, counters
   included) across a randomized grid of ``(k, p, stride, bits,
   channels)``;
-* deterministic shape-class selection in the kernel registry.
+* the square-only executors reject non-square inputs.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.fixedpoint import IntPathStats, fused_conv_pool_int, quantize_tensor
-from repro.core.fusion import box_sum, fused_conv_pool
+from repro.core.fusion import (
+    box_sum,
+    dense_conv_pool_counted,
+    fused_conv_pool,
+    fused_conv_pool_counted,
+)
 from repro.core.kernels import (
-    KERNEL_REGISTRY,
     F32NHWCKernel,
-    GenericF64Kernel,
-    KernelRegistry,
-    KernelSpec,
-    ShapeClass,
     box_sum_cumsum,
     box_sum_windows,
     fused_backward,
@@ -142,22 +142,27 @@ class TestFloatEquivalenceGrid:
     @given(
         k=st.integers(1, 3),
         p=st.sampled_from([2, 3]),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        extra_pad=st.integers(0, 1),
         cin=st.integers(1, 3),
         cout=st.integers(1, 3),
         seed=st.integers(0, 2**16),
     )
-    def test_f32_nhwc_within_single_precision(self, k, p, cin, cout, seed):
+    @example(k=1, p=2, h=1, w=6, extra_pad=0, cin=1, cout=4, seed=0)
+    def test_f32_nhwc_within_single_precision(self, k, p, h, w, extra_pad, cin, cout, seed):
         """The fp32 specialization tracks the f64 reference within its
         documented single-precision bound (not 1e-6 — that is why the
-        lowering pass declares it non-semantics-preserving)."""
+        lowering pass declares it non-semantics-preserving), on
+        non-square inputs down to 1 pixel padded to at least one
+        pooled output."""
         g = np.random.default_rng(seed)
-        h = k + 2 * p + 2
-        x = g.normal(size=(2, cin, h, h))
-        w = g.normal(size=(cout, cin, k, k))
+        pad = max(0, -(-(k + p - 1 - min(h, w)) // 2)) + extra_pad
+        x = g.normal(size=(2, cin, h, w))
+        wt = g.normal(size=(cout, cin, k, k))
         b = g.normal(size=cout)
-        kern = F32NHWCKernel(ShapeClass(k, p, p, 32))
-        out = kern.run_nchw(x, w, b, padding=1)
-        np.testing.assert_allclose(out, _reference_out(x, w, b, p, 1), atol=1e-3)
+        out = F32NHWCKernel(p).run_nchw(x, wt, b, padding=pad)
+        np.testing.assert_allclose(out, _reference_out(x, wt, b, p, pad), atol=1e-3)
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "none"])
     def test_activations_match_reference(self, rng, activation):
@@ -167,7 +172,7 @@ class TestFloatEquivalenceGrid:
         out, _ = fused_forward(x, w, b, pool=2, padding=1, activation=activation)
         ref = _reference_out(x, w, b, 2, 1, activation)
         np.testing.assert_allclose(out, ref, atol=1e-10)
-        kern = F32NHWCKernel(ShapeClass(3, 2, 2, 32))
+        kern = F32NHWCKernel(2)
         out32 = kern.run_nchw(x, w, b, padding=1, activation=activation)
         np.testing.assert_allclose(out32, ref, atol=1e-3)
 
@@ -175,7 +180,7 @@ class TestFloatEquivalenceGrid:
         """Repeated calls through the cached plan stay bit-identical."""
         x = rng.normal(size=(2, 3, 10, 10))
         w = rng.normal(size=(4, 3, 3, 3))
-        kern = F32NHWCKernel(ShapeClass(3, 2, 2, 32))
+        kern = F32NHWCKernel(2)
         first = kern.run_nchw(x, w, None, padding=1)
         second = kern.run_nchw(x, w, None, padding=1)
         assert len(kern._plans) == 1
@@ -185,7 +190,7 @@ class TestFloatEquivalenceGrid:
         x = rng.normal(size=(1, 2, 15, 15))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        kern = F32NHWCKernel(ShapeClass(3, 3, 3, 32))
+        kern = F32NHWCKernel(3)
         out = kern.run_nchw(x, w, b, padding=2)
         np.testing.assert_allclose(out, _reference_out(x, w, b, 3, 2), atol=1e-3)
 
@@ -219,19 +224,15 @@ class TestBackwardEquivalence:
 
 class TestVectorizedCounters:
     def test_f32_kernel_reports_rme(self, rng):
-        """Both lowered kernels report the analytic RME tallies."""
+        """The fp32 kernel reports the analytic RME tallies."""
         spec = LayerSpec("v", in_channels=3, out_channels=4, input_size=12, kernel=3, pool=2)
         x = rng.normal(size=(2, 3, 12, 12))
         w = rng.normal(size=(4, 3, 3, 3))
         ml, dc = mlcnn_layer_ops(spec), dcnn_layer_ops(spec)
-        for kern in (
-            GenericF64Kernel(ShapeClass(3, 2, 2, 64)),
-            F32NHWCKernel(ShapeClass(3, 2, 2, 32)),
-        ):
-            with collect_counters() as oc:
-                kern.run_nchw(x, w, None)
-            assert oc.mults == 2 * ml.multiplications
-            assert oc.mults_eliminated == 2 * (dc.multiplications - ml.multiplications)
+        with collect_counters() as oc:
+            F32NHWCKernel(2).run_nchw(x, w, None)
+        assert oc.mults == 2 * ml.multiplications
+        assert oc.mults_eliminated == 2 * (dc.multiplications - ml.multiplications)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +281,6 @@ class TestIntPathBitExact:
             b_.requant_clipped, b_.requant_total
         )
 
-    def test_registry_int_kernel_is_the_vectorized_path(self, rng):
-        xq = quantize_tensor(rng.normal(size=(3, 12, 12)), 8)
-        wq = quantize_tensor(rng.normal(size=(4, 3, 3, 3)), 8)
-        kern = KERNEL_REGISTRY.make(ShapeClass(3, 2, 2, 8, kind="int"))
-        out = kern(xq, wq, None, apply_relu=True)
-        ref = fused_conv_pool_int(xq, wq, None, pool=2, impl="reference")
-        assert np.array_equal(out, ref)
-
     def test_bad_impl_rejected(self, rng):
         xq = quantize_tensor(rng.normal(size=(1, 8, 8)), 8)
         wq = quantize_tensor(rng.normal(size=(1, 1, 3, 3)), 8)
@@ -296,54 +289,28 @@ class TestIntPathBitExact:
 
 
 # ---------------------------------------------------------------------------
-# registry selection
+# square-only executors
 # ---------------------------------------------------------------------------
 
 
-class TestKernelRegistry:
-    def test_builtin_selection_by_bits(self):
-        assert KERNEL_REGISTRY.select(ShapeClass(3, 2, 2, 64)).name == "fused-generic-f64"
-        assert KERNEL_REGISTRY.select(ShapeClass(3, 2, 2, 32)).name == "fused-f32-nhwc"
-        assert KERNEL_REGISTRY.select(ShapeClass(5, 2, 2, 8, kind="int")).name == "fused-int64-acc"
+def _int_path(x, w):
+    return fused_conv_pool_int(quantize_tensor(x, 8), quantize_tensor(w, 8))
 
-    def test_selection_is_deterministic(self):
-        sc = ShapeClass(3, 2, 2, 32)
-        names = {KERNEL_REGISTRY.select(sc).name for _ in range(5)}
-        assert names == {"fused-f32-nhwc"}
 
-    def test_overlapping_pool_selects_strided_kernel(self):
-        spec = KERNEL_REGISTRY.select(ShapeClass(3, 3, 2, 64))
-        assert spec.name == "fused-strided-f64"
+def _int_path_reference(x, w):
+    return fused_conv_pool_int(quantize_tensor(x, 8), quantize_tensor(w, 8), impl="reference")
 
-    def test_unregistered_shape_class_error_names_shape_class(self):
-        reg = KernelRegistry()
-        sc = ShapeClass(3, 3, 2, 64)
-        with pytest.raises(LookupError, match=r"ShapeClass\("):
-            reg.select(sc)
-        try:
-            reg.select(sc)
-        except LookupError as exc:
-            assert repr(sc) in str(exc)
 
-    def test_duplicate_registration_rejected(self):
-        reg = KernelRegistry()
-        spec = KernelSpec("k", 0, lambda sc: None, lambda sc: True)
-        reg.register(spec)
-        with pytest.raises(ValueError):
-            reg.register(spec)
-
-    def test_priority_then_name_ordering(self):
-        reg = KernelRegistry()
-        reg.register(KernelSpec("b-low", 0, lambda sc: "b", lambda sc: True))
-        reg.register(KernelSpec("a-high", 5, lambda sc: "a", lambda sc: True))
-        reg.register(KernelSpec("c-high", 5, lambda sc: "c", lambda sc: True))
-        assert reg.select(ShapeClass(3, 2, 2)).name == "a-high"
-
-    def test_shape_class_validation(self):
-        with pytest.raises(ValueError):
-            ShapeClass(0, 2, 2)
-        with pytest.raises(ValueError):
-            ShapeClass(3, 2, 2, bits=12)
-        with pytest.raises(ValueError):
-            ShapeClass(3, 2, 2, kind="complex")
-        assert ShapeClass(3, 2, 2, 32).describe() == "k3p2s2-float32"
+@pytest.mark.parametrize("shape", [(2, 8, 12), (2, 12, 8)], ids=["wide", "tall"])
+@pytest.mark.parametrize(
+    "executor",
+    [_int_path, _int_path_reference, fused_conv_pool_counted, dense_conv_pool_counted],
+    ids=["int-vectorized", "int-reference", "fused-counted", "dense-counted"],
+)
+def test_square_only_executors_reject_non_square_input(rng, executor, shape):
+    """These size their output from H alone: a wide input would lose
+    columns, a tall one would fail deep in the loop."""
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(3, 2, 3, 3))
+    with pytest.raises(ValueError, match=r"square input \(H == W\)"):
+        executor(x, w)

@@ -103,7 +103,7 @@ class TestPruneAfterFusion:
         from repro.compiler import CompileContext, mlcnn_pipeline
         from repro.core.fusion import FusedConvPool
 
-        model, report = mlcnn_pipeline(sparsity=0.5, lower=False).run(
+        model, report = mlcnn_pipeline(sparsity=0.5).run(
             build_model("lenet5", seed=1), CompileContext(seed=0)
         )
         fused = [m for _, m in model.named_modules() if isinstance(m, FusedConvPool)]

@@ -100,18 +100,20 @@ class TestFusedKernelVsAnalytic:
 
 
 def test_vectorized_kernel_records_rme():
-    """The production (vectorized) fused kernel reports the same RME
-    multiplication counts as the analytic model, scaled by batch."""
+    """The production (vectorized) fused kernel and the reference
+    composition report the same RME multiplication counts as the
+    analytic model, scaled by batch."""
     spec = LayerSpec("v", in_channels=3, out_channels=4, input_size=12, kernel=3, pool=2)
     batch = 2
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(batch, 3, 12, 12)))
     w = Tensor(rng.normal(size=(4, 3, 3, 3)))
-    with no_grad(), collect_counters() as oc:
-        fused_conv_pool(x, w, pool=2)
     ml, dc = mlcnn_layer_ops(spec), dcnn_layer_ops(spec)
-    assert oc.mults == batch * ml.multiplications
-    assert oc.mults_eliminated == batch * (dc.multiplications - ml.multiplications)
+    for impl in ("vectorized", "reference"):
+        with no_grad(), collect_counters() as oc:
+            fused_conv_pool(x, w, pool=2, impl=impl)
+        assert oc.mults == batch * ml.multiplications, impl
+        assert oc.mults_eliminated == batch * (dc.multiplications - ml.multiplications), impl
 
 
 def test_simulator_memory_counters_match_results():
