@@ -78,8 +78,10 @@ def probe_forward(model: Module, x: np.ndarray):
     the box-summed input at *pooled* resolution and is therefore
     counted at the RME-reduced cost, and a
     :class:`~repro.core.quantize.QuantizedConvBlock` (which bypasses
-    ``Conv2d.forward``) is counted at all.  The compiler pipeline uses
-    this for its per-pass FLOP-delta instrumentation.
+    ``Conv2d.forward``) is counted at all.  A ``Conv2d`` with a lowered
+    kernel bound runs the kernel instead of ``conv2d`` and is counted
+    there, so lowering leaves the count unchanged.  The compiler pipeline
+    uses this for its per-pass FLOP-delta instrumentation.
     """
     from repro.nn import functional as F
     from repro.nn.tensor import Tensor, no_grad
@@ -88,12 +90,23 @@ def probe_forward(model: Module, x: np.ndarray):
     original_conv = F.conv2d
     original_linear = F.linear
 
+    def count_conv(out_shape, weight_shape):
+        n, m, ho, wo = out_shape
+        _, cin, kh, kw = weight_shape
+        macs["total"] += n * m * ho * wo * cin * kh * kw
+
     def conv2d(x, weight, bias=None, stride=1, padding=0, save_memory=None):
         out = original_conv(x, weight, bias, stride, padding, save_memory)
-        n, m, ho, wo = out.shape
-        _, cin, kh, kw = weight.shape
-        macs["total"] += n * m * ho * wo * cin * kh * kw
+        count_conv(out.shape, weight.shape)
         return out
+
+    def counted_kernel(run):
+        def run_nchw(x, weight, *args, **kwargs):
+            out = run(x, weight, *args, **kwargs)
+            count_conv(out.shape, weight.shape)
+            return out
+
+        return run_nchw
 
     def linear(x, weight, bias=None):
         out = original_linear(x, weight, bias)
@@ -101,14 +114,23 @@ def probe_forward(model: Module, x: np.ndarray):
         macs["total"] += x.shape[0] * fan_in * fan_out
         return out
 
+    kernels = {
+        id(mod.kernel): mod.kernel
+        for _, mod in model.named_modules()
+        if isinstance(mod, Conv2d) and mod.kernel is not None
+    }
     F.conv2d = conv2d
     F.linear = linear
+    for kernel in kernels.values():
+        kernel.run_nchw = counted_kernel(kernel.run_nchw)
     try:
         with no_grad():
             out = model(Tensor(np.asarray(x)))
     finally:
         F.conv2d = original_conv
         F.linear = original_linear
+        for kernel in kernels.values():
+            del kernel.run_nchw
     return out.data, macs["total"]
 
 

@@ -166,10 +166,11 @@ class FusedConvPool(Module):
     gradient-free (inference) forwards, while training forwards keep
     the autograd path on the shared parameters.
 
-    The bound kernel gets its weight operand from a per-module cache,
-    keyed on the identity and ``_version`` of the weight and bias data:
-    it is re-folded only after a rebind of ``.data`` or an in-place
-    write that called :meth:`~repro.nn.tensor.Tensor.bump_version`.
+    The bound kernel gets its weight operand from its own
+    :meth:`~repro.core.kernels.nhwc.F32NHWCKernel.folded` cache, keyed
+    on the identity and ``_version`` of the weight and bias data: it is
+    re-folded only after a rebind of ``.data`` or an in-place write that
+    called :meth:`~repro.nn.tensor.Tensor.bump_version`.
     """
 
     def __init__(self, conv_block) -> None:
@@ -193,7 +194,6 @@ class FusedConvPool(Module):
         self.pool_stride = conv_block.pool.stride
         self.activation = conv_block.activation
         self._kernel = None  # lowered kernel bound by the compiler
-        self._folded = None  # (weight data, version, bias data, version, wmat)
         # Share (not copy) parameters for counting and training.
         self.register_parameter("weight", conv_block.conv.weight)
         if conv_block.conv.bias is not None:
@@ -201,49 +201,38 @@ class FusedConvPool(Module):
         else:
             self.bias = None
 
+    @property
+    def lowering_pool(self) -> Optional[int]:
+        """Pool of the lowered kernel that computes this layer, or ``None``.
+
+        The lowered kernel gathers one patch per pool-size step, so it
+        computes only non-overlapping pools (pool stride == pool).
+        """
+        return self.pool if self.pool_stride == self.pool else None
+
     def attach_kernel(self, kernel) -> None:
         """Bind (or with ``None``, unbind) a lowered inference kernel."""
+        if kernel is not None and kernel.pool != self.lowering_pool:
+            raise ValueError(
+                "a lowered kernel computes only a non-overlapping pool of its own "
+                f"size (kernel pool == pool == pool stride); got kernel pool "
+                f"{kernel.pool}, pool {self.pool}, pool stride {self.pool_stride}"
+            )
         self._kernel = kernel
-        self._folded = None
 
     @property
     def kernel(self):
         """The bound lowered kernel, or ``None`` before lowering."""
         return self._kernel
 
-    def __getstate__(self):
-        # the folded operand is derived from the parameters: pickles and
-        # deep copies rebuild it on first use
-        state = self.__dict__.copy()
-        state["_folded"] = None
-        return state
-
-    def _folded_weights(self):
-        """The bound kernel's folded operand, re-folded only on a change."""
-        w, b = self.weight, self.bias
-        bdata, bver = (None, 0) if b is None else (b.data, b._version)
-        cached = self._folded
-        if (
-            cached is None
-            or cached[0] is not w.data
-            or cached[1] != w._version
-            or cached[2] is not bdata
-            or cached[3] != bver
-        ):
-            wmat = self._kernel.fold(w.data, bdata)
-            # holding the arrays (not their ids) keeps an id from being reused
-            cached = self._folded = (w.data, w._version, bdata, bver, wmat)
-        return cached[4]
-
     def forward(self, x: Tensor) -> Tensor:
         if self._kernel is not None and not is_grad_enabled():
             out = self._kernel.run_nchw(
                 x.data,
                 self.weight.data,
-                None if self.bias is None else self.bias.data,
                 padding=self.padding,
                 activation=self.activation,
-                wmat=self._folded_weights(),
+                wmat=self._kernel.folded(self.weight, self.bias),
             )
             return Tensor(out)
         return fused_conv_pool(

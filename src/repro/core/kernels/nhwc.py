@@ -1,10 +1,12 @@
 """The specialized fp32 NHWC fused kernel (the mlcnn-fp32 fast path).
 
 This is the kernel the lowering stage binds for ``lower_bits=32`` to
-every fused layer whose pool stride equals its pool — the software
-analogue of the accelerator's ``mlcnn-fp32`` configuration.  It trades
-the float64 path's exactness for single-precision GEMM throughput and
-a channels-last layout in which every memory stage is contiguous:
+every fused layer whose pool stride equals its pool, and, as its pool-1
+case, to every stride-1 convolution with a square kernel and padding —
+the software analogue of the accelerator's ``mlcnn-fp32`` configuration,
+which runs plain and fused layers on one MAC datapath.  It trades the
+float64 path's exactness for single-precision GEMM throughput and a
+channels-last layout in which every memory stage is contiguous:
 
 * **layout** — NHWC internally: the pooled-patch gather copies
   contiguous ``(kj, c)`` runs in both source and destination instead
@@ -13,6 +15,9 @@ a channels-last layout in which every memory stage is contiguous:
   least 2 pixels high and wide the horizontal pairwise sum writes pad
   columns directly from the input edges; no padded copy of the input
   is ever materialized (every other case uses a zero-padded workspace).
+* **no box sum at pool 1** — the ``I_Acc`` plane of a 1x1 pool is the
+  input itself, so patches are gathered straight from the input, or
+  from the zero-padded workspace when there is padding.
 * **bias folded into the GEMM** — the patch matrix carries a constant
   ones column and the weight matrix a bias row, so bias addition costs
   nothing extra; the ``1/p^2`` scaling is folded into the weights.
@@ -25,9 +30,11 @@ append the bias row — is a separate step, :meth:`F32NHWCKernel.fold`.
 It moves the whole (M, C, K, K) tensor (about 13 ms for a 512x512x3x3
 layer on a 2-core x86 VM, against about a millisecond for its batch-1
 GEMM), so callers that run the same weights repeatedly fold once and pass the
-result as ``wmat=``.  :class:`repro.core.fusion.FusedConvPool` does this,
-re-folding only when a parameter's data object or version changes.
-Called without ``wmat``, the kernel folds on every call.
+result as ``wmat=``.  :meth:`F32NHWCKernel.folded` is that cache for the
+module the kernel is bound to (one kernel per module): it re-folds only
+when a parameter's data object or version changes, and pickles and
+copies of the kernel drop it.  Called without ``wmat``, the kernel folds
+on every call.
 
 Accuracy: outputs deviate from the float64 reference by single-
 precision round-off (measured max ~3e-5 on the benchmark workload;
@@ -63,23 +70,31 @@ class _Plan:
         f32 = np.float32
         #: the pairwise box sum (pad folded in) serves this plan
         self.pairwise = pool == 2 and h >= 2 and w >= 2
-        if self.pairwise:
-            # pad folded into the horizontal sum: pad rows stay zero
-            self.xpad = None
-            self.tmp = np.zeros((n, hp, self.wa, c), dtype=f32)
+        self.xpad = self.tmp = self.acc = None
+        if pool == 1:
+            # I_Acc is the input: only padding needs a workspace
+            if pad:
+                self.xpad = np.zeros((n, hp, wp, c), dtype=f32)
         else:
-            self.xpad = np.zeros((n, hp, wp, c), dtype=f32)
-            self.tmp = np.empty((n, hp, self.wa, c), dtype=f32)
-        self.acc = np.empty((n, self.ha, self.wa, c), dtype=f32)
+            if self.pairwise:
+                # pad folded into the horizontal sum: pad rows stay zero
+                self.tmp = np.zeros((n, hp, self.wa, c), dtype=f32)
+            else:
+                self.xpad = np.zeros((n, hp, wp, c), dtype=f32)
+                self.tmp = np.empty((n, hp, self.wa, c), dtype=f32)
+            self.acc = np.empty((n, self.ha, self.wa, c), dtype=f32)
         # patch matrix with a trailing ones column (bias folded into GEMM)
         self.cols = np.empty((n, self.po, self.qo, self.ck + 1), dtype=f32)
         self.cols[..., self.ck] = 1.0
 
 
 class F32NHWCKernel:
-    """Plan-specialized fused conv-pool: fp32 arithmetic, NHWC layout."""
+    """Plan-specialized fused conv-pool: fp32 arithmetic, NHWC layout.
 
-    name = "fused-f32-nhwc"
+    ``pool=1`` is a plain stride-1 convolution: RME eliminates
+    ``1 - 1/p^2`` of the multiplications, none at ``p = 1``.
+    """
+
     layout = "nhwc"
 
     def __init__(self, pool: int) -> None:
@@ -87,6 +102,19 @@ class F32NHWCKernel:
             raise ValueError(f"pool must be >= 1, got {pool}")
         self.pool = pool
         self._plans: Dict[Tuple, _Plan] = {}
+        self._folded = None  # (weight data, version, bias data, version, wmat)
+
+    @property
+    def name(self) -> str:
+        """``conv-f32-nhwc`` for the pool-1 case, else ``fused-f32-nhwc``."""
+        return "conv-f32-nhwc" if self.pool == 1 else "fused-f32-nhwc"
+
+    def __getstate__(self):
+        # the folded operand is derived from the parameters: pickles and
+        # deep copies rebuild it on first use
+        state = self.__dict__.copy()
+        state["_folded"] = None
+        return state
 
     # -- planning -----------------------------------------------------------
 
@@ -120,9 +148,32 @@ class F32NHWCKernel:
         wmat[ck] = 0.0 if bias is None else bias
         return wmat
 
-    # -- the box sum (I_Acc), written into plan.acc -------------------------
+    def folded(self, weight, bias=None) -> np.ndarray:
+        """:meth:`fold` of parameter tensors, cached per parameter version.
 
-    def _box_sum(self, plan: _Plan, x: np.ndarray) -> None:
+        ``weight`` and ``bias`` are the bound module's parameters (any
+        objects with ``.data`` and ``._version``).  The cache is keyed on
+        the identity and version of their data, so it re-folds only after
+        a rebind of ``.data`` or an in-place write that bumped the version.
+        """
+        bdata, bver = (None, 0) if bias is None else (bias.data, bias._version)
+        cached = self._folded
+        if (
+            cached is None
+            or cached[0] is not weight.data
+            or cached[1] != weight._version
+            or cached[2] is not bdata
+            or cached[3] != bver
+        ):
+            wmat = self.fold(weight.data, bdata)
+            # holding the arrays (not their ids) keeps an id from being reused
+            cached = self._folded = (weight.data, weight._version, bdata, bver, wmat)
+        return cached[4]
+
+    # -- the box sum (I_Acc) --------------------------------------------------
+
+    def _box_sum(self, plan: _Plan, x: np.ndarray) -> np.ndarray:
+        """The padded ``I_Acc`` plane of ``x``: a plan workspace, or ``x``."""
         p, pad, h, w = plan.pool, plan.pad, plan.h, plan.w
         if plan.pairwise:
             # horizontal pairwise sum with the zero padding folded in
@@ -133,15 +184,20 @@ class F32NHWCKernel:
                 core[:, :, pad + w - 1, :] = x[:, :, w - 1, :]
             # vertical pairwise sum (pad rows are zero by construction)
             np.add(plan.tmp[:, :-1], plan.tmp[:, 1:], out=plan.acc)
-            return
+            return plan.acc
         xp = plan.xpad
+        if xp is None:  # pool 1 without padding
+            return x
         xp[:, pad : pad + h, pad : pad + w, :] = x
+        if p == 1:
+            return xp
         plan.tmp[:] = xp[:, :, : plan.wa, :]
         for d in range(1, p):
             plan.tmp += xp[:, :, d : d + plan.wa, :]
         plan.acc[:] = plan.tmp[:, : plan.ha]
         for d in range(1, p):
             plan.acc += plan.tmp[:, d : d + plan.ha]
+        return plan.acc
 
     # -- execution ----------------------------------------------------------
 
@@ -177,9 +233,9 @@ class F32NHWCKernel:
             raise ValueError(
                 f"folded weights must be float32 {(ck + 1, m)}, got {wmat.dtype} {wmat.shape}"
             )
-        self._box_sum(plan, x)
+        acc = self._box_sum(plan, x)
         # gather: contiguous (kj, c) runs in both source and destination
-        win = sliding_window_view(plan.acc, (k, k), axis=(1, 2))[:, ::p, ::p]
+        win = sliding_window_view(acc, (k, k), axis=(1, 2))[:, ::p, ::p]
         win = win[:, :po, :qo]
         np.copyto(
             plan.cols[..., :ck].reshape(plan.n, po, qo, k, k, plan.c),

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -208,7 +208,14 @@ class ModuleList(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution layer (cross-correlation)."""
+    """2-D convolution layer (cross-correlation).
+
+    The lowering pass may :meth:`attach_kernel` a lowered inference
+    kernel: a fused conv-pool kernel with a 1x1 pool, which is a plain
+    stride-1 convolution.  It then serves gradient-free forwards, taking
+    its weight operand from the kernel's ``folded`` cache; training
+    forwards keep :func:`repro.nn.functional.conv2d`.
+    """
 
     def __init__(
         self,
@@ -235,8 +242,45 @@ class Conv2d(Module):
             self.register_parameter("bias", Tensor(np.zeros(out_channels)))
         else:
             self.bias = None
+        self._kernel = None  # lowered kernel bound by the compiler
+
+    @property
+    def lowering_pool(self) -> Optional[int]:
+        """1 when a lowered fused kernel computes this conv, else ``None``.
+
+        The kernel runs a stride-1 convolution with a square window and
+        square padding as its pool-1 case.
+        """
+        (kh, kw), (ph, pw) = self.kernel_size, self.padding
+        return 1 if self.stride == (1, 1) and kh == kw and ph == pw else None
+
+    def attach_kernel(self, kernel) -> None:
+        """Bind (or with ``None``, unbind) a lowered inference kernel."""
+        if kernel is not None and kernel.pool != self.lowering_pool:
+            raise ValueError(
+                "a lowered conv kernel needs pool 1, stride 1, a square kernel and "
+                f"square padding; got kernel pool {kernel.pool}, stride {self.stride}, "
+                f"kernel_size {self.kernel_size}, padding {self.padding}"
+            )
+        self._kernel = kernel
+
+    @property
+    def kernel(self):
+        """The bound lowered kernel, or ``None`` before lowering."""
+        return self._kernel
 
     def forward(self, x: Tensor) -> Tensor:
+        if self._kernel is not None and not is_grad_enabled():
+            out = self._kernel.run_nchw(
+                x.data,
+                self.weight.data,
+                padding=self.padding[0],
+                activation="none",
+                # RME eliminates nothing at pool 1: report no fused counters
+                record=False,
+                wmat=self._kernel.folded(self.weight, self.bias),
+            )
+            return Tensor(out)
         return F.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
     def extra_repr(self) -> str:

@@ -32,7 +32,7 @@ import sys
 import threading
 import time
 from collections import Counter as _TallyCounter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["SamplingProfiler"]
 
@@ -84,23 +84,40 @@ class SamplingProfiler:
         self.elapsed_s = 0.0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        #: id(code) -> (rendered frame name or "" for a skipped frame, the
+        #: code object); holding the code keeps its id from being reused.
+        #: Keyed by id because hashing a code object hashes its constants.
+        self._frame_names: Dict[int, Tuple[str, object]] = {}
+        #: thread idents at the last read of the thread names, and those
+        #: among them that belong to the observability machinery
+        self._known_threads: Set[int] = set()
+        self._own_threads: Set[int] = set()
 
     # -- sampling ------------------------------------------------------------
     def _sample_once(self) -> None:
         t0 = time.perf_counter()
         frames = sys._current_frames()
-        own = {
-            t.ident for t in threading.enumerate() if t.name.startswith(_OWN_THREAD_PREFIX)
-        }
+        if frames.keys() != self._known_threads:
+            # a thread started or exited: read the thread names again
+            threads = threading.enumerate()
+            self._known_threads = {t.ident for t in threads}
+            self._own_threads = {
+                t.ident for t in threads if t.name.startswith(_OWN_THREAD_PREFIX)
+            }
+        names = self._frame_names
         for tid, top in frames.items():
-            if tid in own:
+            if tid in self._own_threads:
                 continue
             stack: List[str] = []
             frame = top
             while frame is not None:
-                name = frame.f_code.co_name
-                if name not in _SKIP_NAMES:
-                    stack.append(_frame_name(frame))
+                code = frame.f_code
+                entry = names.get(id(code))
+                if entry is None:
+                    name = "" if code.co_name in _SKIP_NAMES else _frame_name(frame)
+                    entry = names[id(code)] = (name, code)
+                if entry[0]:
+                    stack.append(entry[0])
                 frame = frame.f_back
             if stack:
                 stack.reverse()

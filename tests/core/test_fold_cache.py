@@ -1,20 +1,22 @@
 """Folded fp32 weights: computed once per parameter version, never stale.
 
-``FusedConvPool`` caches the fp32 kernel's folded weight operand keyed on
-the identity and ``_version`` of the weight and bias data.  These tests
-check the fold itself against the original one-expression formula, and
-that every in-repo writer of parameter data invalidates the cache: after
-each write the compiled model's gradient-free output must still match the
-uncompiled float64 model carrying the same weights.
+The fp32 kernel bound to each lowered layer (``FusedConvPool`` and
+``Conv2d`` alike) caches its folded weight operand keyed on the identity
+and ``_version`` of the weight and bias data.  These tests check the fold
+itself against the original one-expression formula, and that every
+in-repo writer of parameter data invalidates the cache of every lowered
+layer: after each write the compiled model's gradient-free output must
+still match the uncompiled float64 model carrying the same weights.
 """
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from repro import build_model, mlcnn_pipeline, reorder_activation_pooling, set_pooling
-from repro.core.fusion import FusedConvPool
+from repro.compiler import lowered_kernels
 from repro.core.kernels import F32NHWCKernel
 from repro.core.prune import capture_masks, magnitude_prune, restore_masks
 from repro.nn.optim import SGD, Adam
@@ -45,6 +47,7 @@ class TestFold:
             (5, 1, 2, 3, False),  # C = 1, pool = 3, no bias
             (64, 32, 3, 2, False),
             (2, 7, 1, 2, True),  # 1x1 kernel
+            (4, 3, 3, 1, True),  # pool = 1: a plain conv, unit scale
         ],
     )
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -77,7 +80,7 @@ class TestFold:
 
 
 # ---------------------------------------------------------------------------
-# the per-module cache on a compiled lenet5
+# the per-kernel cache of every lowered layer of a compiled lenet5
 # ---------------------------------------------------------------------------
 
 
@@ -86,8 +89,10 @@ def _compiled():
     return model.eval()
 
 
-def _fused(model):
-    return [m for _, m in model.named_modules() if isinstance(m, FusedConvPool)]
+def _bound(model):
+    """Every lowered layer: the two fused conv-pools and the C5 conv."""
+    modules = dict(model.named_modules())
+    return [modules[path] for path, _ in lowered_kernels(model)]
 
 
 def _reference_like(model):
@@ -125,8 +130,9 @@ def _changed(before, after):
 @pytest.fixture
 def model():
     m = _compiled()
-    assert all(isinstance(f.kernel, F32NHWCKernel) for f in _fused(m))
-    _assert_current(m)  # populates every fused layer's cache
+    assert len(_bound(m)) == 3
+    assert all(isinstance(f.kernel, F32NHWCKernel) for f in _bound(m))
+    _assert_current(m)  # populates every lowered layer's cache
     return m
 
 
@@ -157,29 +163,28 @@ class TestNoStaleWeights:
     def test_to_dtype_float32(self, model):
         model.to_dtype(np.float32)
         _assert_current(model)
-        assert all(f._folded[0] is f.weight.data for f in _fused(model))
+        assert all(f.kernel._folded[0] is f.weight.data for f in _bound(model))
 
     def test_prune_then_restore_masks(self, model):
-        fused = _fused(model)
         before = _infer(model)
-        masks = {}
-        for f in fused:
-            magnitude_prune(f.source, 0.5)
-            masks[f] = capture_masks(f.source)
+        report = magnitude_prune(model, 0.5)
+        # pruning reaches every lowered layer, fused or plain
+        assert len(report.per_layer) == len(_bound(model))
+        assert all(frac > 0 for frac in report.per_layer.values())
+        masks = capture_masks(model)
         pruned = _assert_current(model)
         assert _changed(before, pruned)
         # an optimizer step regrows the pruned weights ...
         _train_step(model, SGD(model.parameters(), lr=1e-3))
         _assert_current(model)
         # ... and restoring the masks zeroes them again
-        for f in fused:
-            assert restore_masks(f.source, masks[f]) > 0
+        assert restore_masks(model, masks) > 0
         _assert_current(model)
 
     @pytest.mark.parametrize("name", ["weight", "bias"])
     def test_in_place_write_with_bump_version(self, model, name):
         before = _infer(model)
-        for f in _fused(model):
+        for f in _bound(model):
             param = getattr(f, name)
             param.data[...] = param.data * 2.0 - 1.0
             param.bump_version()
@@ -188,28 +193,28 @@ class TestNoStaleWeights:
     def test_in_place_write_without_bump_serves_the_cached_fold(self, model):
         """The contract the bump enforces: an unannounced write goes unseen."""
         before = _infer(model)
-        for f in _fused(model):
+        for f in _bound(model):
             f.weight.data[...] *= -1.0
         np.testing.assert_array_equal(_infer(model), before)
 
     @pytest.mark.parametrize("name", ["weight", "bias"])
     def test_data_rebind(self, model, name):
         before = _infer(model)
-        for f in _fused(model):
+        for f in _bound(model):
             param = getattr(f, name)
             param.data = param.data * 2.0 - 1.0
         assert _changed(before, _assert_current(model))
 
     def test_attaching_a_kernel_drops_the_cache(self, model):
-        for f in _fused(model):
-            f.attach_kernel(F32NHWCKernel(f.pool))
-            assert f._folded is None
+        for f in _bound(model):
+            f.attach_kernel(F32NHWCKernel(f.lowering_pool))
+            assert f.kernel._folded is None
         _assert_current(model)
 
     def test_copies_drop_the_cache_and_refold(self, model):
-        clone = copy.deepcopy(model)
-        assert all(f._folded is None for f in _fused(clone))
-        np.testing.assert_array_equal(_infer(clone), _infer(model))
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert all(f.kernel._folded is None for f in _bound(clone))
+            np.testing.assert_array_equal(_infer(clone), _infer(model))
 
 
 def test_fifty_calls_over_all_batch_sizes_fold_each_layer_once(monkeypatch):
@@ -226,6 +231,6 @@ def test_fifty_calls_over_all_batch_sizes_fold_each_layer_once(monkeypatch):
     with no_grad():
         for i in range(50):
             model(Tensor(rng.standard_normal((i % 16 + 1, 3, 32, 32))))
-    weights = [f.weight.data for f in _fused(model)]
-    assert len(weights) == 2
+    weights = [f.weight.data for f in _bound(model)]
+    assert len(weights) == 3
     assert sorted(map(id, folded)) == sorted(map(id, weights))

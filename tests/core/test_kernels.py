@@ -141,7 +141,7 @@ class TestFloatEquivalenceGrid:
     @settings(max_examples=15, deadline=None)
     @given(
         k=st.integers(1, 3),
-        p=st.sampled_from([2, 3]),
+        p=st.sampled_from([1, 2, 3]),
         h=st.integers(1, 9),
         w=st.integers(1, 9),
         extra_pad=st.integers(0, 1),
@@ -150,12 +150,15 @@ class TestFloatEquivalenceGrid:
         seed=st.integers(0, 2**16),
     )
     @example(k=1, p=2, h=1, w=6, extra_pad=0, cin=1, cout=4, seed=0)
+    @example(k=3, p=1, h=6, w=4, extra_pad=0, cin=3, cout=2, seed=1)  # pool 1, no padding
+    @example(k=3, p=1, h=2, w=5, extra_pad=1, cin=2, cout=3, seed=2)  # pool 1, padding 2
     def test_f32_nhwc_within_single_precision(self, k, p, h, w, extra_pad, cin, cout, seed):
         """The fp32 specialization tracks the f64 reference within its
         documented single-precision bound (not 1e-6 — that is why the
         lowering pass declares it non-semantics-preserving), on
         non-square inputs down to 1 pixel padded to at least one
-        pooled output."""
+        pooled output.  ``p = 1`` is the plain stride-1 convolution,
+        gathered straight from the input when unpadded."""
         g = np.random.default_rng(seed)
         pad = max(0, -(-(k + p - 1 - min(h, w)) // 2)) + extra_pad
         x = g.normal(size=(2, cin, h, w))
