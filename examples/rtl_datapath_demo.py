@@ -57,10 +57,10 @@ def main() -> None:
     # Compare against the demand-driven instrumented kernel.
     _, counter = fused_conv_pool_counted(image[None], weights[None, None], np.array([bias]))
     print(f"\ninstrumented-kernel reference (LAR+GAR): "
-          f"{counter.multiplications} mults, {counter.additions} adds, "
+          f"{counter.mults} mults, {counter.additions} adds, "
           f"{counter.reuse_hits} additions avoided by reuse")
 
-    dense_mults = counter.multiplications * 4  # RME removes 3 of every 4
+    dense_mults = counter.mults * 4  # RME removes 3 of every 4
     print(f"RME check: dense conv would need {dense_mults} multiplications; "
           f"the datapath performed {report.mac_stats.multiplications} "
           f"({1 - report.mac_stats.multiplications / dense_mults:.0%} removed)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence
 
-from repro.obs.metrics import get_recorder
+from repro.nn.counters import get_recorder
 
 
 @dataclass

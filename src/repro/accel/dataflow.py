@@ -24,7 +24,7 @@ from typing import Iterator, List, Literal, Optional, Sequence, Tuple
 
 from repro.accel.tiling import TilingPlan
 from repro.models.specs import LayerSpec
-from repro.obs.metrics import get_recorder
+from repro.nn.counters import get_recorder
 
 StepKind = Literal["load_weights", "load_input", "compute", "store_output"]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import get_recorder
+from repro.nn.counters import get_recorder
 
 
 @dataclass

@@ -31,7 +31,7 @@ from repro.accel.energy import ENERGY_45NM, EnergyBreakdown, dynamic_energy, sta
 from repro.accel.tiling import TilingPlan, dram_traffic, plan_tiling
 from repro.core.opcount import LayerOps, dcnn_layer_ops, mlcnn_layer_ops
 from repro.models.specs import LayerSpec
-from repro.obs.metrics import get_recorder
+from repro.nn.counters import get_recorder
 from repro.obs.tracer import get_tracer
 
 

@@ -3,7 +3,6 @@
 from repro.analysis.flops import (
     model_flops,
     count_model_macs,
-    count_transformed_macs,
     probe_forward,
     layer_table,
 )
@@ -21,7 +20,6 @@ from repro.analysis.sweep import (
 __all__ = [
     "model_flops",
     "count_model_macs",
-    "count_transformed_macs",
     "probe_forward",
     "layer_table",
     "format_table",

@@ -38,7 +38,6 @@ from repro.core.fusion import (
     box_sum,
     fused_conv_pool,
     FusedConvPool,
-    OpCounter,
     fused_conv_pool_counted,
     dense_conv_pool_counted,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "box_sum",
     "fused_conv_pool",
     "FusedConvPool",
-    "OpCounter",
     "fused_conv_pool_counted",
     "dense_conv_pool_counted",
     "kernels",

@@ -269,16 +269,19 @@ def fused_conv_pool_fp16(
     Operands are cast to ``float16``; products and the box sum are
     accumulated in ``float32`` (the hardware accumulates wider than it
     multiplies), then the epilogue runs in float32.  Returns float64
-    for comparison convenience.
+    for comparison convenience.  ``x`` must be a square ``(C, H, H)``
+    plane: the output is sized from H alone.
     """
     x16 = np.asarray(x, dtype=np.float16).astype(np.float32)
     w16 = np.asarray(w, dtype=np.float16).astype(np.float32)
     if x16.ndim != 3 or w16.ndim != 4:
         raise ValueError("expected (C,H,W) activations and (M,C,K,K) weights")
-    c, h, _ = x16.shape
+    c, h, wdt = x16.shape
     m, cw, k, _ = w16.shape
     if c != cw:
         raise ValueError(f"channel mismatch: {c} vs {cw}")
+    if h != wdt:
+        raise ValueError(f"the fp16 path needs a square input (H == W), got {h}x{wdt}")
     acc = box_sum(x16, pool)
     co = h - k + 1
     po = (co - pool) // pool + 1

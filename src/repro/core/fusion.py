@@ -17,14 +17,14 @@ Two implementations live here:
 * :func:`fused_conv_pool_counted` — an instrumented reference executor
   (explicit loops, small inputs only) that performs the half-addition /
   full-addition / major-accumulation schedule of Algorithm 1 with
-  configurable reuse caches, counting every scalar operation.  This is
-  the ground truth for the analytical models in
+  configurable reuse caches, counting every scalar operation into the
+  :class:`~repro.nn.counters.OpCounters` it returns and records.  This
+  is the ground truth for the analytical models in
   :mod:`repro.core.opcount` and for the RTL micro-simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,9 +32,9 @@ import numpy as np
 from repro.core.kernels import boxsum as _boxsum
 from repro.core.kernels import fused as _kernels
 from repro.nn import functional as F
+from repro.nn.counters import OpCounters, get_recorder
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, is_grad_enabled, make_node, send_grad
-from repro.obs.metrics import get_recorder
 
 
 def box_sum(x: np.ndarray, p: int) -> np.ndarray:
@@ -70,6 +70,8 @@ def fused_conv_pool(
     with a closed-form backward; ``impl="reference"`` keeps the
     original composition (box sum node + ``F.conv2d`` + epilogue ops)
     as the golden reference the equivalence suite compares against.
+    Either way the multiplications performed and eliminated are
+    recorded once into the measured counters.
 
     ``pool_stride`` defaults to ``pool`` (non-overlapping pooling);
     ``pool_stride != pool`` executes the overlapping-pool identity —
@@ -139,7 +141,9 @@ def fused_conv_pool(
 
     out = F.conv2d(acc_t, weight, bias=None, stride=pool_stride)
     m, _, k, _ = weight.shape
-    _kernels.record_rme_counters(n, m, c, k, *out.shape[-2:], *xd.shape[-2:])
+    _kernels.record_rme_counters(
+        n, m, c, k, pool, *out.shape[-2:], *xd.shape[-2:], eliminated_only=True
+    )
     out = out * (1.0 / (pool * pool))
     if bias is not None:
         out = out + bias.reshape(1, m, 1, 1)
@@ -256,50 +260,6 @@ class FusedConvPool(Module):
 # Instrumented reference executor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OpCounter:
-    """Scalar-operation tally of an instrumented kernel execution."""
-
-    multiplications: int = 0
-    additions: int = 0
-    #: additions spent in half/full (small) accumulations
-    half_additions: int = 0
-    full_additions: int = 0
-    major_additions: int = 0
-    bias_additions: int = 0
-    #: cache hits, i.e. additions *avoided* by LAR/GAR reuse
-    reuse_hits: int = 0
-    #: reuse_hits split by mechanism (LAR half-addition cache vs GAR
-    #: box-sum cache); lar_hits + gar_hits == reuse_hits
-    lar_hits: int = 0
-    gar_hits: int = 0
-
-    def add(self, kind: str, n: int = 1) -> None:
-        self.additions += n
-        setattr(self, kind, getattr(self, kind) + n)
-
-    @property
-    def total(self) -> int:
-        return self.multiplications + self.additions
-
-
-def _report_kernel_counters(counter: OpCounter, mults_eliminated: int = 0) -> None:
-    """Publish a counted execution into the measured-counter recorder."""
-    recorder = get_recorder()
-    if not recorder.enabled:
-        return
-    recorder.record(
-        mults=counter.multiplications,
-        mults_eliminated=mults_eliminated,
-        half_additions=counter.half_additions,
-        full_additions=counter.full_additions,
-        major_additions=counter.major_additions,
-        bias_additions=counter.bias_additions,
-        lar_reuse_hits=counter.lar_hits,
-        gar_reuse_hits=counter.gar_hits,
-    )
-
-
 def _check_square(h: int, w: int) -> None:
     """The counted loop nests size every plane from the height alone."""
     if h != w:
@@ -308,19 +268,21 @@ def _check_square(h: int, w: int) -> None:
 
 def dense_conv_pool_counted(
     x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None, pool: int = 2
-) -> Tuple[np.ndarray, OpCounter]:
+) -> Tuple[np.ndarray, OpCounters]:
     """Reference dense execution (conv then average pool), fully counted.
 
     Single square image ``(C, H, H)`` and weights ``(M, C, K, K)``; the conv is
     stride 1, valid padding, followed by a p x p stride-p average pool
     and ReLU.  This is the baseline the paper's 16-mult example uses.
+    Returns the output and the operation tally, which it also records
+    (a dense run eliminates nothing).
     """
     c, h, w = x.shape
     m, cw, k, _ = weight.shape
     if c != cw:
         raise ValueError(f"channel mismatch: input {c}, weight {cw}")
     _check_square(h, w)
-    counter = OpCounter()
+    counter = OpCounters()
     co = h - k + 1
     conv = np.zeros((m, co, co))
     for to in range(m):
@@ -331,11 +293,11 @@ def dense_conv_pool_counted(
                     for ki in range(k):
                         for kj in range(k):
                             acc += x[ti, i + ki, j + kj] * weight[to, ti, ki, kj]
-                counter.multiplications += c * k * k
-                counter.add("major_additions", c * k * k - 1)
+                counter.mults += c * k * k
+                counter.major_additions += c * k * k - 1
                 if bias is not None:
                     acc += bias[to]
-                    counter.add("bias_additions", 1)
+                    counter.bias_additions += 1
                 conv[to, i, j] = acc
     po = (co - pool) // pool + 1
     out = np.zeros((m, po, po))
@@ -343,10 +305,10 @@ def dense_conv_pool_counted(
         for i in range(po):
             for j in range(po):
                 s = conv[to, i * pool : i * pool + pool, j * pool : j * pool + pool].sum()
-                counter.add("major_additions", pool * pool - 1)
-                counter.multiplications += 1  # scaling by 1/p^2
+                counter.major_additions += pool * pool - 1
+                counter.mults += 1  # scaling by 1/p^2
                 out[to, i, j] = max(s / (pool * pool), 0.0)
-    _report_kernel_counters(counter)
+    get_recorder().record(**counter.as_dict(include_derived=False))
     return out, counter
 
 
@@ -358,7 +320,7 @@ def fused_conv_pool_counted(
     use_lar: bool = True,
     use_gar_row: bool = True,
     use_gar_col: bool = True,
-) -> Tuple[np.ndarray, OpCounter]:
+) -> Tuple[np.ndarray, OpCounters]:
     """Algorithm 1 with explicit reuse caches and exact op counting.
 
     Single square image ``(C, H, H)``; stride-1 valid conv + p x p stride-p
@@ -376,16 +338,17 @@ def fused_conv_pool_counted(
     * ``use_gar_col`` — they persist across output rows too (and across
       output channels, since ``I_Acc`` is input-only).
 
-    Returns the output feature map and the operation tally.  The output
-    is bit-identical in value to :func:`fused_conv_pool` up to fp
-    association order.
+    Returns the output feature map and the operation tally, which it
+    also records; ``mults_eliminated`` is measured against a dense run
+    of the same geometry.  The output is bit-identical in value to
+    :func:`fused_conv_pool` up to fp association order.
     """
     c, h, w = x.shape
     m, cw, k, _ = weight.shape
     if c != cw:
         raise ValueError(f"channel mismatch: input {c}, weight {cw}")
     _check_square(h, w)
-    counter = OpCounter()
+    counter = OpCounters()
     co = h - k + 1
     po = (co - pool) // pool + 1
 
@@ -403,13 +366,12 @@ def fused_conv_pool_counted(
         """Vertical run I[i..i+p-1, j] (p-1 additions, LAR-cached)."""
         key = (ti, i, j)
         if use_lar and key in ha_cache:
-            counter.reuse_hits += pool - 1
-            counter.lar_hits += pool - 1
+            counter.lar_reuse_hits += pool - 1
             return ha_cache[key]
         val = float(x[ti, i, j])
         for d in range(1, pool):
             val += float(x[ti, i + d, j])
-        counter.add("half_additions", pool - 1)
+        counter.half_additions += pool - 1
         if use_lar:
             ha_cache[key] = val
         return val
@@ -425,17 +387,16 @@ def fused_conv_pool_counted(
             # A cached I_Acc avoids the full p^2-1 additions a no-reuse
             # execution would spend (its constituent HA hits are not
             # separately counted), keeping additions+reuse_hits invariant.
-            counter.reuse_hits += pool * pool - 1
-            counter.gar_hits += pool * pool - 1
+            counter.gar_reuse_hits += pool * pool - 1
             return fa_cache[key]
         if use_lar:
             val = half_add(ti, i, j)
             for d in range(1, pool):
                 val = val + half_add(ti, i, j + d)
-            counter.add("full_additions", pool - 1)
+            counter.full_additions += pool - 1
         else:
             val = float(x[ti, i : i + pool, j : j + pool].sum())
-            counter.add("full_additions", pool * pool - 1)
+            counter.full_additions += pool * pool - 1
         if use_gar_row or use_gar_col:
             fa_cache[key] = val
         return val
@@ -465,20 +426,21 @@ def fused_conv_pool_counted(
                             v = weight[to, ti, ki, kj] * small_acc(
                                 ti, r * pool + ki, q * pool + kj
                             )
-                            counter.multiplications += 1
+                            counter.mults += 1
                             if first:
                                 acc = v
                                 first = False
                             else:
                                 acc += v
-                                counter.add("major_additions", 1)
+                                counter.major_additions += 1
                 val = acc * scale  # shift in hardware: not counted
                 if bias is not None:
                     val += bias[to]
-                    counter.add("bias_additions", 1)
+                    counter.bias_additions += 1
                 out[to, r, q] = max(val, 0.0)
     # RME elimination measured against a dense run of the same geometry:
     # c*k*k mults per conv output plus one scaling mult per pooled output.
     dense_mults = m * (co * co * c * k * k + po * po)
-    _report_kernel_counters(counter, mults_eliminated=dense_mults - counter.multiplications)
+    counter.mults_eliminated = dense_mults - counter.mults
+    get_recorder().record(**counter.as_dict(include_derived=False))
     return out, counter

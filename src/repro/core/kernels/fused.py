@@ -17,10 +17,14 @@ of the unfused composition (box-sum scatter + stride-p convolution
 backward) without materializing the intermediate graph nodes.
 
 :func:`record_rme_counters` is the one measured-counter formula
-(`mults`, `mults_eliminated`) for every float fused path: this one, the
-fp32 kernel and the reference composition in :mod:`repro.core.fusion`,
-so the within-1%-of-analytic cross-checks in ``tests/obs`` cover all
-three.
+(``mults``, ``mults_eliminated``) for every float fused path: this one,
+the fp32 kernel (including its pool-1 case, a plain convolution that
+eliminates nothing) and the reference composition in
+:mod:`repro.core.fusion`, so the within-1%-of-analytic cross-checks in
+``tests/obs`` cover all three.  Each records when it runs; the
+reference composition records only the elimination, because its inner
+:func:`repro.nn.functional.conv2d` records the multiplications it
+performs.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.kernels.boxsum import box_sum_cumsum
-from repro.obs.metrics import get_recorder
+from repro.nn.counters import get_recorder
 
 __all__ = [
     "FusedResiduals",
@@ -43,25 +47,43 @@ __all__ = [
 
 
 def record_rme_counters(
-    n: int, m: int, c: int, k: int, po: int, qo: int, hp: int, wp: int
+    n: int,
+    m: int,
+    c: int,
+    k: int,
+    pool: int,
+    po: int,
+    qo: int,
+    hp: int,
+    wp: int,
+    *,
+    eliminated_only: bool = False,
 ) -> None:
-    """Report the RME multiplication tally of one fused execution.
+    """Record the RME multiplication tally of one fused execution.
 
-    Measured from the actual geometry: the fused conv touches each
-    weight once per *pooled* output; a dense run would touch it once
-    per conv output and pay one scaling mult per pooled output (a free
-    shift in the fused kernel).  The pooled-output count
-    ``po * qo`` already reflects the pool stride, so the same formula
-    holds for overlapping (``stride != pool``) executions.
+    Measured from the actual geometry of the padded ``hp x wp`` input:
+    the fused conv touches each weight once per *pooled* output
+    (``mults``); a dense run would touch it once per conv output and pay
+    one scaling mult per pooled output (a free shift in the fused
+    kernel), and ``mults_eliminated`` is the difference.  The
+    pooled-output count ``po * qo`` already reflects the pool stride, so
+    the same formula holds for overlapping (``stride != pool``)
+    executions.  At ``pool == 1`` the kernel is a plain convolution with
+    no pooled output to rescale: it eliminates nothing.
+
+    ``eliminated_only`` records just ``mults_eliminated``, for a caller
+    whose inner convolution already recorded the multiplications.
     """
     recorder = get_recorder()
     if not recorder.enabled:
         return
-    conv_outs = (hp - k + 1) * (wp - k + 1)
-    recorder.record(
-        mults=n * m * po * qo * c * k * k,
-        mults_eliminated=n * m * (c * k * k * (conv_outs - po * qo) + po * qo),
-    )
+    pooled = po * qo
+    rescales = pooled if pool > 1 else 0
+    eliminated = n * m * (c * k * k * ((hp - k + 1) * (wp - k + 1) - pooled) + rescales)
+    if eliminated_only:
+        recorder.record(mults_eliminated=eliminated)
+    else:
+        recorder.record(mults=n * m * pooled * c * k * k, mults_eliminated=eliminated)
 
 
 @dataclass
@@ -91,7 +113,6 @@ def fused_forward(
     pool: int = 2,
     padding: int = 0,
     activation: str = "relu",
-    record: bool = True,
     stride: Optional[int] = None,
 ) -> Tuple[np.ndarray, FusedResiduals]:
     """Vectorized ``activation(AvgPool_p(Conv_K(x)))`` on raw arrays.
@@ -140,8 +161,7 @@ def fused_forward(
         out = np.ascontiguousarray(pre)
     else:
         raise ValueError(f"unknown activation {activation!r}")
-    if record:
-        record_rme_counters(n, m, c, k, po, qo, xp.shape[-2], xp.shape[-1])
+    record_rme_counters(n, m, c, k, pool, po, qo, *xp.shape[-2:])
     res = FusedResiduals(
         cols=cols,
         wmat=wmat,

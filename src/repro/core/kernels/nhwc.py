@@ -92,7 +92,9 @@ class F32NHWCKernel:
     """Plan-specialized fused conv-pool: fp32 arithmetic, NHWC layout.
 
     ``pool=1`` is a plain stride-1 convolution: RME eliminates
-    ``1 - 1/p^2`` of the multiplications, none at ``p = 1``.
+    ``1 - 1/p^2`` of the multiplications, none at ``p = 1``.  Every
+    call records its multiplications through
+    :func:`~repro.core.kernels.fused.record_rme_counters`.
     """
 
     layout = "nhwc"
@@ -209,7 +211,6 @@ class F32NHWCKernel:
         *,
         padding: int = 0,
         activation: str = "relu",
-        record: bool = True,
         wmat: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Run on an NHWC float32 batch ``(N, H, W, C)``; returns NHWC.
@@ -253,10 +254,9 @@ class F32NHWCKernel:
             np.tanh(out, out=out)
         elif activation != "none":
             raise ValueError(f"unknown activation {activation!r}")
-        if record:
-            record_rme_counters(
-                plan.n, m, plan.c, k, po, qo, plan.h + 2 * padding, plan.w + 2 * padding
-            )
+        record_rme_counters(
+            plan.n, m, plan.c, k, p, po, qo, plan.h + 2 * padding, plan.w + 2 * padding
+        )
         return out.reshape(plan.n, po, qo, m)
 
     def run_nchw(
@@ -267,14 +267,11 @@ class F32NHWCKernel:
         *,
         padding: int = 0,
         activation: str = "relu",
-        record: bool = True,
         wmat: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """NCHW convenience wrapper (layout conversion both ways)."""
         xh = np.ascontiguousarray(np.moveaxis(x, 1, -1), dtype=np.float32)
-        out = self(
-            xh, weight, bias, padding=padding, activation=activation, record=record, wmat=wmat
-        )
+        out = self(xh, weight, bias, padding=padding, activation=activation, wmat=wmat)
         return np.ascontiguousarray(np.moveaxis(out, -1, 1))
 
     def __repr__(self) -> str:

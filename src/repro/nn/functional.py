@@ -7,7 +7,9 @@ vectorizing loops and avoiding unnecessary copies.
 
 Every function accepts :class:`repro.nn.tensor.Tensor` inputs and
 returns a graph node; plain ``numpy`` arrays are accepted and treated as
-constants.
+constants.  :func:`conv2d` and :func:`linear` record the
+multiply-accumulates of each forward into the measured op counters
+(:mod:`repro.nn.counters`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.nn.counters import get_recorder
 from repro.nn.tensor import Tensor, _as_tensor, make_node, send_grad
 
 IntPair = Union[int, Tuple[int, int]]
@@ -103,24 +106,16 @@ def col2im_add(
     return padded
 
 
-#: when True, conv2d recomputes its im2col patches during backward
-#: instead of keeping the (large) patch matrix alive in the closure —
-#: ~40% lower training memory for ~15% more backward compute.
-CONV_SAVE_MEMORY = False
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor] = None,
     stride: IntPair = 1,
     padding: IntPair = 0,
-    save_memory: Optional[bool] = None,
 ) -> Tensor:
     """2-D cross-correlation (the CNN "convolution").
 
     ``x``: (N, C, H, W); ``weight``: (M, C, kh, kw); ``bias``: (M,).
-    ``save_memory`` overrides the module default ``CONV_SAVE_MEMORY``.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -129,12 +124,12 @@ def conv2d(
     if c != cw:
         raise ValueError(f"input channels {c} != weight channels {cw}")
     ho, wo = conv2d_output_shape(h, w, (kh, kw), stride, padding)
-    recompute = CONV_SAVE_MEMORY if save_memory is None else save_memory
 
     cols = im2col(x.data, (kh, kw), stride, padding)  # (N,Ho,Wo,C,kh,kw)
     cols2d = np.ascontiguousarray(cols).reshape(n * ho * wo, c * kh * kw)
     wmat = weight.data.reshape(m, c * kh * kw)
     out = cols2d @ wmat.T  # (N*Ho*Wo, M)
+    get_recorder().record(mults=cols2d.size * m)
     out = out.reshape(n, ho, wo, m).transpose(0, 3, 1, 2)
     if bias is not None:
         out = out + bias.data.reshape(1, m, 1, 1)
@@ -142,18 +137,11 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
     node = make_node(out, parents)
     if node.requires_grad:
-        saved_cols = None if recompute else cols2d
 
         def _bw(g: np.ndarray) -> None:
             gm = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, m)
-            if saved_cols is None:
-                rebuilt = np.ascontiguousarray(
-                    im2col(x.data, (kh, kw), stride, padding)
-                ).reshape(n * ho * wo, c * kh * kw)
-            else:
-                rebuilt = saved_cols
             # dW = g^T @ cols
-            gw = (gm.T @ rebuilt).reshape(m, c, kh, kw)
+            gw = (gm.T @ cols2d).reshape(m, c, kh, kw)
             send_grad(weight, gw)
             # dX = scatter(g @ W)
             gcols = (gm @ wmat).reshape(n, ho, wo, c, kh, kw)
@@ -277,7 +265,9 @@ def tanh(x: Tensor) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ W.T + b``; ``weight``: (out, in)."""
-    out = _as_tensor(x) @ _as_tensor(weight).T
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    out = x @ weight.T
+    get_recorder().record(mults=x.data.size * weight.shape[0])
     if bias is not None:
         out = out + bias
     return out

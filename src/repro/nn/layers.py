@@ -276,8 +276,6 @@ class Conv2d(Module):
                 self.weight.data,
                 padding=self.padding[0],
                 activation="none",
-                # RME eliminates nothing at pool 1: report no fused counters
-                record=False,
                 wmat=self._kernel.folded(self.weight, self.bias),
             )
             return Tensor(out)

@@ -4,7 +4,9 @@ Three instruments check the paper's claims: spans (where time goes —
 the process-wide :class:`Tracer` that the compiler pipeline, the
 :class:`~repro.train.Trainer`, the accelerator simulator and
 instrumented ``Module`` trees report into), measured op counters
-(:class:`OpCounters`: RME/LAR/GAR events), and the accelerator model.
+(:class:`OpCounters`, recorded by every kernel as it runs; defined in
+:mod:`repro.nn.counters` so the kernels need not import this package),
+and the accelerator model.
 Scalar series (batch latency, loss, top-1) live in the telemetry
 registry (:func:`get_telemetry`).  All are disabled by default and
 near-free while off.
@@ -37,6 +39,7 @@ against the committed baselines)::
     python -m repro.experiments --diff-trace run_a run_b
 """
 
+from repro.nn.counters import OpCounters, collect_counters, get_recorder
 from repro.obs.attrib import (
     AttributionReport,
     attribute_model_run,
@@ -62,14 +65,7 @@ from repro.obs.numerics import (
     record_quant_event,
     reorder_divergence,
 )
-from repro.obs.metrics import (
-    MetricRegistry,
-    OpCounters,
-    RunRecord,
-    collect_counters,
-    get_recorder,
-    provenance,
-)
+from repro.obs.metrics import MetricRegistry, RunRecord, provenance
 from repro.obs.regress import (
     RegressionReport,
     TolerancePolicy,

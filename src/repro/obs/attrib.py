@@ -1,7 +1,7 @@
 """Roofline attribution: join spans + counters + the accel model.
 
 The repo *collects* everything — tracer spans (measured wall time),
-measured :class:`~repro.obs.metrics.OpCounters` (ops and bytes), the
+measured :class:`~repro.nn.counters.OpCounters` (ops and bytes), the
 accelerator simulator's per-layer cycle/energy events — but none of it
 is joined.  This module is the join: one
 :class:`AttributionReport` per run, with a per-layer/per-kernel table
@@ -10,7 +10,8 @@ of
 * **measured wall time** (total and self time),
 * **ops and bytes** (measured counters attached to leaf spans by
   :func:`~repro.obs.instrument.instrument_model` with
-  ``counters=True``, or the analytic fallback for plain dense layers),
+  ``counters=True``; every kernel records what it performs, so there
+  is no analytic fallback),
 * **arithmetic intensity** (FLOPs/byte) and **attained vs attainable
   FLOP/s** against the host's measured roofline
   (:mod:`repro.obs.roofline`), classifying each row compute- or
@@ -69,9 +70,10 @@ def _counters_ops(counters: Mapping[str, float]) -> float:
     """Executed FLOPs implied by one measured counter set.
 
     Counted executors report multiplications and additions separately;
-    the vectorized kernels report only their RME multiplication tally
-    (the paired GEMM accumulate-adds are implicit), so a mult-only set
-    counts 2 FLOPs per multiplication.
+    the GEMM kernels (``conv2d``, ``linear`` and the fused float kernels)
+    report only the multiplications they perform (the paired
+    accumulate-adds are implicit), so a mult-only set counts 2 FLOPs per
+    multiplication.
     """
     mults = float(counters.get("mults", 0))
     adds = float(
@@ -222,7 +224,7 @@ class AttribRow:
     wall_us: float = 0.0
     #: wall time not inside child spans (the row's own work)
     self_us: float = 0.0
-    #: executed FLOPs (measured counters, or analytic for dense layers)
+    #: executed FLOPs (from measured counters)
     ops: Optional[float] = None
     #: bytes moved (leaf ``bytes_io`` estimate, or simulator DRAM bytes)
     bytes_moved: Optional[float] = None
@@ -287,13 +289,10 @@ def _accumulate(
     row.self_us += max(0.0, node.dur_us - sum(c.dur_us for c in node.children))
     attrs = row_doc.get("attrs") or {}
     counters = attrs.get("counters")
-    ops: Optional[float] = None
     if isinstance(counters, Mapping):
         ops = _counters_ops(counters)
-    elif attrs.get("flops") is not None:
-        ops = float(attrs["flops"])
-    if ops:
-        row.ops = (row.ops or 0.0) + ops
+        if ops:
+            row.ops = (row.ops or 0.0) + ops
     bytes_io = attrs.get("bytes_io")
     if isinstance(counters, Mapping) and counters.get("dram_bytes"):
         bytes_io = counters["dram_bytes"]

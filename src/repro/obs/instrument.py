@@ -20,14 +20,16 @@ inside a layer's forward get attributed to it.
 
 Passing ``counters=True`` arms the attribution join
 (:mod:`repro.obs.attrib`): while the tracer is enabled, each *leaf*
-forward runs under :func:`repro.obs.metrics.collect_counters` and the
-measured :class:`~repro.obs.metrics.OpCounters` (non-zero fields only)
+forward runs under :func:`repro.nn.counters.collect_counters` and the
+measured :class:`~repro.nn.counters.OpCounters` (non-zero fields only)
 are attached to the span as a ``counters`` attr, alongside a
 ``bytes_io`` estimate (input + parameter + output array bytes — the
-compulsory-traffic lower bound) and, for plain Conv2d/Linear layers
-that record no counters, an analytic ``flops`` count.  Kernel-lowered
-modules also report which lowered kernel executed (``kernel``
-attr), so a trace localizes regressions to kernel selections.
+compulsory-traffic lower bound).  Every kernel records the
+multiplications it performs, so every arithmetic leaf (``Conv2d``,
+``Linear``, fused and quantized blocks) carries measured counters.
+Kernel-lowered modules also report which lowered kernel executed
+(``kernel`` attr), so a trace localizes regressions to kernel
+selections.
 
 The wrappers check ``tracer.enabled`` (and ``numerics.enabled``) first
 and delegate straight to the original ``forward`` when both are off,
@@ -41,7 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.layers import Conv2d, Linear, Module
+from repro.nn.counters import collect_counters
+from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 from repro.obs.numerics import NumericsCollector
 from repro.obs.tracer import Tracer, get_tracer
@@ -58,25 +61,6 @@ def _tensor_nbytes(value) -> int:
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     return 0
-
-
-def _analytic_flops(mod: Module, out) -> Optional[float]:
-    """Closed-form FLOPs (mult + add) for plain dense layers.
-
-    Covers the layers whose execution records no measured counters;
-    counted paths (fused kernels, the simulator) take precedence in
-    the attribution join.
-    """
-    if not isinstance(out, Tensor):
-        return None
-    if isinstance(mod, Conv2d):
-        n, m, ho, wo = out.shape
-        kh, kw = mod.kernel_size
-        return 2.0 * n * m * ho * wo * mod.in_channels * kh * kw
-    if isinstance(mod, Linear):
-        batch = out.shape[0] if out.ndim else 1
-        return 2.0 * batch * mod.in_features * mod.out_features
-    return None
 
 
 def _wrap_backward(
@@ -121,8 +105,6 @@ def _wrap_forward(
             if tracer.enabled:
                 with tracer.span(label + ".forward", category="nn", cls=cls_name) as sp:
                     if counters and is_leaf:
-                        from repro.obs.metrics import collect_counters
-
                         with collect_counters() as oc:
                             out = orig(*args, **kwargs)
                         nonzero = {
@@ -132,10 +114,6 @@ def _wrap_forward(
                         }
                         if nonzero:
                             sp.set(counters=nonzero)
-                        else:
-                            flops = _analytic_flops(mod, out)
-                            if flops is not None:
-                                sp.set(flops=flops)
                         in_bytes = sum(_tensor_nbytes(a) for a in args)
                         sp.set(
                             bytes_io=in_bytes + param_bytes + _tensor_nbytes(out)
@@ -177,7 +155,7 @@ def instrument_model(
     outputs and backward gradients additionally feed its streaming
     per-layer statistics whenever the collector is enabled.  When
     ``counters=True``, leaf spans carry measured
-    :class:`~repro.obs.metrics.OpCounters`, a ``bytes_io`` traffic
+    :class:`~repro.nn.counters.OpCounters`, a ``bytes_io`` traffic
     estimate and the executing kernel name while the tracer is enabled
     — the inputs of the attribution/roofline join.  Idempotent:
     already-instrumented modules are left alone (so pass ``numerics``

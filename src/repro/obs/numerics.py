@@ -1,7 +1,7 @@
 """Per-layer numerics health monitoring (the third observability axis).
 
 The tracer (:mod:`repro.obs.tracer`) answers *where time goes*, the
-measured counters (:mod:`repro.obs.metrics`) answer *what work
+measured counters (:mod:`repro.nn.counters`) answer *what work
 happened*; this module answers *where numerical damage happens* — the
 evidence behind the paper's two accuracy claims (the
 ``Conv→ReLU→AvgPool`` → ``Conv→AvgPool→ReLU`` swap is benign, and INT8

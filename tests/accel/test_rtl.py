@@ -173,7 +173,7 @@ class TestRTLFusedConvPool:
         )
         assert report.ar_stats.half_additions == counter.half_additions
         assert report.ar_stats.full_additions == counter.full_additions
-        assert report.mac_stats.multiplications == counter.multiplications
+        assert report.mac_stats.multiplications == counter.mults
 
     def test_rtl_never_computes_fewer_small_adds(self, rng):
         """When the pooled grid leaves I_Acc rows unused, the streaming
@@ -185,7 +185,7 @@ class TestRTLFusedConvPool:
         _, counter = fused_conv_pool_counted(img[None], w[None, None], None)
         assert report.ar_stats.half_additions >= counter.half_additions
         assert report.ar_stats.full_additions >= counter.full_additions
-        assert report.mac_stats.multiplications == counter.multiplications
+        assert report.mac_stats.multiplications == counter.mults
 
     def test_fifo_within_declared_depth(self, rng):
         img = rng.normal(size=(12, 12))

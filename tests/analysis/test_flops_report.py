@@ -5,7 +5,9 @@ import pytest
 
 from repro.analysis.flops import count_model_macs, layer_table, model_flops
 from repro.analysis.report import ExperimentReport, format_percent, format_table
+from repro.compiler import mlcnn_pipeline
 from repro.models import build_model, specs
+from repro.obs import get_recorder
 
 
 class TestModelFlops:
@@ -33,20 +35,29 @@ class TestCountModelMacs:
         macs = count_model_macs(model, (2, 3, 2, 2))
         assert macs == 12 * 5 * 2
 
-    def test_restores_hooks_on_error(self):
-        from repro.nn import Conv2d, Linear
-
-        original_conv = Conv2d.forward
+    def test_stops_collecting_on_error(self):
         model = build_model("lenet5")
         with pytest.raises(Exception):
             count_model_macs(model, (1, 3, 7))  # bad shape triggers error
-        assert Conv2d.forward is original_conv
+        assert not get_recorder().enabled
 
     def test_scales_with_batch(self):
         model = build_model("lenet5")
         m1 = count_model_macs(model, (1, 3, 32, 32))
         m4 = count_model_macs(model, (4, 3, 32, 32))
         assert m4 == 4 * m1
+
+    def test_fused_count_is_rme_reduced_and_lowering_keeps_it(self):
+        """A compiled lenet5 performs the dense MACs minus 1 - 1/p^2 of
+        its fused convs' MACs, whichever kernel runs the layers."""
+        dense = count_model_macs(build_model("lenet5"), (1, 3, 32, 32))
+        assert dense == 651_720
+        fused_conv_macs = 592_800  # the two 2x2-pooled convs, dense
+        counts = {}
+        for bits in (32, 64):
+            model, _ = mlcnn_pipeline(lower_bits=bits).run(build_model("lenet5"))
+            counts[bits] = count_model_macs(model, (1, 3, 32, 32))
+        assert counts[32] == counts[64] == dense - fused_conv_macs * 3 // 4 == 207_120
 
 
 class TestLayerTable:

@@ -25,7 +25,7 @@ from repro.models import build_model
 from repro.models.blocks import ConvBlock, PoolSpec
 from repro.nn.layers import Conv2d, Flatten, Linear, Sequential
 from repro.nn.tensor import Tensor, no_grad
-from repro.obs.metrics import collect_counters
+from repro.obs import collect_counters
 
 #: the end-to-end inference bound: max |y - ref| <= RTOL * max |ref|
 RTOL = 1e-4

@@ -13,8 +13,10 @@ from repro.compiler import (
 )
 from repro.compiler.pass_base import Pass
 from repro.compiler.context import PassResult
+from repro.core.opcount import rme_multiplication_reduction
 from repro.core.transform import prepare_mlcnn
 from repro.models import build_model
+from repro.models.specs import get_specs
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -54,7 +56,8 @@ class TestMLCNNPipelineEquivalence:
 class TestReportInstrumentation:
     def test_records_for_every_ran_pass(self):
         model = build_model("lenet5")
-        _, report = mlcnn_pipeline(bits=8).run(model, CompileContext(quant_bits=8))
+        ctx = CompileContext(quant_bits=8)
+        _, report = mlcnn_pipeline(bits=8).run(model, ctx)
         ran = [r for r in report.records if r.ran]
         assert [r.name for r in ran] == ["set-pooling", "reorder", "fuse", "quantize"]
         for r in ran:
@@ -63,7 +66,15 @@ class TestReportInstrumentation:
             assert r.validated
             assert r.flop_delta is not None
         assert report.record_for("fuse").rewrites == 2
-        assert report.record_for("fuse").flop_delta < 0  # RME removes mults
+        # RME removes 1 - 1/p^2 of each fused conv's dense MACs on the probe
+        batch = ctx.probe_shape[0]
+        removed = sum(
+            batch * s.out_channels * s.conv_output_size ** 2 * s.in_channels * s.kernel ** 2
+            * rme_multiplication_reduction(s.pool)
+            for s in get_specs("lenet5")
+            if s.is_fusable
+        )
+        assert report.record_for("fuse").flop_delta == -removed == -889_200
         assert report.record_for("reorder").flop_delta == 0
         assert report.total_time_s > 0.0
 

@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.fixedpoint import IntPathStats, fused_conv_pool_int, quantize_tensor
+from repro.core.fixedpoint import (
+    IntPathStats,
+    fused_conv_pool_fp16,
+    fused_conv_pool_int,
+    quantize_tensor,
+)
 from repro.core.fusion import (
     box_sum,
     dense_conv_pool_counted,
@@ -33,7 +38,7 @@ from repro.core.kernels import (
 from repro.models.specs import LayerSpec
 from repro.core.opcount import dcnn_layer_ops, mlcnn_layer_ops
 from repro.nn.tensor import Tensor, no_grad
-from repro.obs.metrics import collect_counters
+from repro.obs import collect_counters
 
 
 @pytest.fixture
@@ -307,8 +312,14 @@ def _int_path_reference(x, w):
 @pytest.mark.parametrize("shape", [(2, 8, 12), (2, 12, 8)], ids=["wide", "tall"])
 @pytest.mark.parametrize(
     "executor",
-    [_int_path, _int_path_reference, fused_conv_pool_counted, dense_conv_pool_counted],
-    ids=["int-vectorized", "int-reference", "fused-counted", "dense-counted"],
+    [
+        _int_path,
+        _int_path_reference,
+        fused_conv_pool_fp16,
+        fused_conv_pool_counted,
+        dense_conv_pool_counted,
+    ],
+    ids=["int-vectorized", "int-reference", "fp16", "fused-counted", "dense-counted"],
 )
 def test_square_only_executors_reject_non_square_input(rng, executor, shape):
     """These size their output from H alone: a wide input would lose

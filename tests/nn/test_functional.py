@@ -242,33 +242,3 @@ class TestIm2colRoundTrip:
         assert cols.shape == (1, 2, 2, 1, 2, 2)
         np.testing.assert_allclose(cols[0, 0, 0, 0], [[0, 1], [4, 5]])
         np.testing.assert_allclose(cols[0, 1, 1, 0], [[10, 11], [14, 15]])
-
-
-class TestConvSaveMemory:
-    def test_save_memory_gradients_identical(self, rng):
-        x = rng.normal(size=(2, 3, 8, 8))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-
-        def grads(save):
-            xt = Tensor(x, requires_grad=True)
-            wt = Tensor(w, requires_grad=True)
-            bt = Tensor(b, requires_grad=True)
-            out = F.conv2d(xt, wt, bt, stride=2, padding=1, save_memory=save)
-            (out ** 2).sum().backward()
-            return xt.grad, wt.grad, bt.grad
-
-        for g_fast, g_lean in zip(grads(False), grads(True)):
-            np.testing.assert_allclose(g_fast, g_lean, atol=1e-12)
-
-    def test_global_flag_respected(self, rng):
-        x = Tensor(rng.normal(size=(1, 1, 6, 6)), requires_grad=True)
-        w = Tensor(rng.normal(size=(1, 1, 3, 3)), requires_grad=True)
-        old = F.CONV_SAVE_MEMORY
-        try:
-            F.CONV_SAVE_MEMORY = True
-            out = F.conv2d(x, w)
-            out.sum().backward()
-            assert w.grad is not None
-        finally:
-            F.CONV_SAVE_MEMORY = old

@@ -12,7 +12,7 @@ import pytest
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs.attrib import AttributionReport, build_attribution
 from repro.obs.instrument import instrument_model
-from repro.obs.metrics import OpCounters
+from repro.obs import OpCounters
 from repro.obs.roofline import Roofline
 from repro.obs.tracer import Tracer
 
@@ -212,11 +212,10 @@ class TestInstrumentedModelJoin:
     def test_intensity_cross_checks_analytic_model(self):
         """Measured intensity matches the closed-form opcount/bytes model.
 
-        For a plain Conv2d leaf the engine's ops come from the analytic
-        2*N*M*HO*WO*C*K^2 count and bytes from array sizes, so the two
-        sides must agree to well under the 5%% acceptance band; the
-        fused leaves' measured mult counters must match the same
-        geometry formula.
+        The fused leaf's ops come from the mults its kernel recorded
+        (2 FLOPs each) and its bytes from array sizes; both must match
+        the geometry formulas, 2*N*M*PO*QO*C*K^2 ops and the operand
+        bytes, to well under the 5%% acceptance band.
         """
         from repro.compiler import CompileContext, mlcnn_pipeline
         from repro.models import build_model
@@ -244,6 +243,32 @@ class TestInstrumentedModelJoin:
         )
         assert row.bytes_moved == pytest.approx(analytic_bytes, rel=0.05)
         assert row.intensity == pytest.approx(analytic_ops / analytic_bytes, rel=0.05)
+
+    @pytest.mark.parametrize("bits", [0, 8])
+    def test_every_arithmetic_leaf_has_measured_ops(self, bits):
+        """Every leaf that multiplies records its own multiplications:
+        plain, fused and quantized convolutions and linear layers."""
+        from repro.compiler import CompileContext, mlcnn_pipeline
+        from repro.models import build_model
+
+        model = build_model("lenet5")
+        mlcnn_pipeline(bits=bits, strict=False).run(model, CompileContext(quant_bits=bits))
+        tracer = Tracer(enabled=True)
+        instrument_model(model, tracer=tracer, prefix="lenet5", counters=True)
+        model.eval()
+        n = 2
+        with no_grad():
+            model(Tensor(np.random.default_rng(0).normal(size=(n, 3, 32, 32))))
+        rep = build_attribution(tracer)
+        kinds = {"Conv2d", "Linear", "FusedConvPool", "QuantizedConvBlock"}
+        ran = {ev.name: ev.attrs["cls"] for ev in tracer.events if ev.attrs.get("cls") in kinds}
+        conv = "QuantizedConvBlock" if bits else "Conv2d"
+        assert set(ran.values()) == {"Linear", "FusedConvPool", conv}
+        for name in ran:
+            assert rep.row(name).ops, name
+        # the unfused conv (16 -> 120, 5x5 over 5x5) runs dense: 2 FLOPs per MAC
+        (conv_row,) = [name for name, cls in ran.items() if cls == conv]
+        assert rep.row(conv_row).ops == 2.0 * n * 120 * 16 * 5 * 5
 
     def test_counters_instrumentation_free_when_disabled(self):
         """counters=True must stay near-zero overhead with tracing off."""

@@ -20,7 +20,7 @@ from repro.core.fusion import (
 from repro.core.opcount import dcnn_layer_ops, mlcnn_layer_ops
 from repro.models.specs import LayerSpec
 from repro.nn.tensor import Tensor, no_grad
-from repro.obs.metrics import collect_counters
+from repro.obs import collect_counters
 
 RTOL = 0.01  # the 1% acceptance bar
 

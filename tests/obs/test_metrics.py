@@ -4,14 +4,12 @@ import json
 
 import pytest
 
+from repro.obs import OpCounters, collect_counters, get_recorder
 from repro.obs.metrics import (
     HISTORY_LIMIT,
     MetricRegistry,
-    OpCounters,
     RunRecord,
     area_for_figure,
-    collect_counters,
-    get_recorder,
     load_metrics_jsonl,
     metric_key,
     provenance,
@@ -42,6 +40,17 @@ class TestCounters:
                 rec.record(mults=2)
         assert inner.mults == 2
         assert outer.mults == 3
+
+    def test_closing_an_inner_scope_keeps_an_equal_outer_scope(self):
+        """Nested sinks that saw the same records compare equal; closing
+        the inner one must still close that one, not the outer."""
+        rec = get_recorder()
+        with collect_counters() as outer:
+            with collect_counters() as inner:
+                rec.record(mults=2)
+            rec.record(mults=5)
+        assert not rec.enabled
+        assert (inner.mults, outer.mults) == (2, 7)
 
     def test_derived_fields_and_merge(self):
         a = OpCounters(half_additions=2, full_additions=3, major_additions=5,

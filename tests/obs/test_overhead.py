@@ -19,6 +19,7 @@ from repro.data import SyntheticImageConfig, make_synth_cifar, train_val_split
 from repro.models import build_model
 from repro.nn import AvgPool2d, Conv2d, Flatten, Linear, Module, ReLU, Sequential
 from repro.nn.tensor import Tensor, no_grad
+from repro.obs import get_recorder
 from repro.obs.instrument import instrument_model
 from repro.obs.numerics import NumericsCollector, record_quant_event
 from repro.obs.telemetry.registry import TelemetryRegistry, get_telemetry
@@ -81,6 +82,13 @@ class TestDisabledOverhead:
     def test_disabled_record_quant_event_per_call_cost_is_tiny(self):
         cost = per_call_s(lambda: record_quant_event("dorefa.act_clip", 1, 100))
         assert cost < PER_CALL_BOUND_S, f"inactive quant event costs {cost * 1e6:.2f} us/call"
+
+    def test_disabled_counter_record_per_call_cost_is_tiny(self):
+        """``F.conv2d`` and ``F.linear`` reach the recorder on every forward."""
+        rec = get_recorder()
+        assert not rec.enabled  # the suite never leaves a collection open
+        cost = per_call_s(lambda: get_recorder().record(mults=1024))
+        assert cost < PER_CALL_BOUND_S, f"inactive counter record costs {cost * 1e6:.2f} us/call"
 
     def test_disabled_histogram_observe_per_call_cost_is_tiny(self):
         h = TelemetryRegistry(enabled=False).histogram("lat")
