@@ -85,10 +85,6 @@ class LayerResult:
     energy: EnergyBreakdown
     tiling: TilingPlan
 
-    @property
-    def seconds(self) -> float:
-        return self.cycles  # populated later by NetworkResult scaling
-
 
 @dataclass
 class NetworkResult:

@@ -12,20 +12,34 @@ Under the weight-input-reuse dataflow, every (m, r, c) tile iterates
 over all input-channel tiles while partial sums stay in the output
 buffer, so outputs travel to DRAM once; inputs and weights are
 re-fetched once per trip through their enclosing loops.
+
+:func:`plan_tiling` scores its whole candidate grid as one array
+expression, the same one :func:`dram_traffic` evaluates for one plan.
+A tiling problem depends on the layer's shape, the buffer and the
+element width, not on the layer's name, so each distinct problem is
+searched once per process.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.models.specs import LayerSpec
 
 
 @dataclass(frozen=True)
 class TilingPlan:
-    """A concrete tile-size assignment for one layer."""
+    """A concrete tile-size assignment for one layer.
+
+    The fields may also be broadcastable integer arrays: such a plan is
+    a grid of candidates, which :meth:`trips`, :meth:`buffer_elements`
+    and :func:`dram_traffic` evaluate element-wise (``-(-a // b)`` is
+    ceil division on ints and arrays alike).
+    """
 
     tm: int  # output-channel tile
     tn: int  # input-channel tile
@@ -36,10 +50,10 @@ class TilingPlan:
         """Loop trip counts (m, n, r, c) for ``spec``."""
         out = spec.conv_output_size
         return (
-            math.ceil(spec.out_channels / self.tm),
-            math.ceil(spec.in_channels / self.tn),
-            math.ceil(out / self.tr),
-            math.ceil(out / self.tc),
+            -(-spec.out_channels // self.tm),
+            -(-spec.in_channels // self.tn),
+            -(-out // self.tr),
+            -(-out // self.tc),
         )
 
     def buffer_elements(self, spec: LayerSpec) -> int:
@@ -51,41 +65,50 @@ class TilingPlan:
         return in_tile + w_tile + out_tile
 
 
+def _candidates(n: int) -> np.ndarray:
+    vals = {1, 2, 4, 8, 16, 32, 64, n, n // 2, n // 4}
+    return np.array(sorted(v for v in vals if 1 <= v <= n), dtype=np.int64)
+
+
+def _search(spec: LayerSpec, capacity: int, bytes_per_element: float) -> Optional[TilingPlan]:
+    """The least-traffic plan of at most ``capacity`` elements; None if none fits."""
+    tm, tn, tr = np.ix_(
+        _candidates(spec.out_channels),
+        _candidates(spec.in_channels),
+        _candidates(spec.conv_output_size),
+    )
+    grid = TilingPlan(tm, tn, tr, tr)
+    fits = grid.buffer_elements(spec) <= capacity
+    if not fits.any():
+        return None
+    traffic = np.where(fits, dram_traffic(spec, grid, bytes_per_element), np.inf)
+    i, j, k = np.unravel_index(np.argmin(traffic), traffic.shape)
+    return TilingPlan(int(tm[i, 0, 0]), int(tn[0, j, 0]), int(tr[0, 0, k]), int(tr[0, 0, k]))
+
+
+#: what a tiling problem depends on: every LayerSpec field but the name
+_shape = attrgetter(*(f.name for f in fields(LayerSpec) if f.name != "name"))
+_PLANS: Dict[Tuple[tuple, float, float], Optional[TilingPlan]] = {}
+
+
 def plan_tiling(spec: LayerSpec, buffer_bytes: int, bytes_per_element: float) -> TilingPlan:
     """Pick tile sizes that fit the buffer and minimize DRAM traffic.
 
-    A small exhaustive search over channel tiles and row/column tiles;
-    layer shapes are tiny (tens of channels, <= 224 spatial), so the
-    search space is negligible.
+    An exhaustive search over ``Tm x Tn x Tr`` (``Tc = Tr``), each drawn
+    from ``{1, 2, 4, ..., 64, n, n/2, n/4}`` up to its loop bound ``n``,
+    scored as one array expression.  Ties go to the first candidate in
+    (Tm, Tn, Tr) ascending order.  The answer is cached per (shape
+    without the name, ``buffer_bytes``, ``bytes_per_element``), so
+    same-shape layers share one plan object and each distinct problem is
+    searched once per process.
     """
-    capacity = int(buffer_bytes / bytes_per_element)
-    out = spec.conv_output_size
-    best: Optional[TilingPlan] = None
-    best_traffic = float("inf")
-
-    def _candidates(n: int) -> Iterable[int]:
-        vals = {1, 2, 4, 8, 16, 32, 64, n, max(1, n // 2), max(1, n // 4)}
-        return sorted(v for v in vals if 1 <= v <= n)
-
-    for tm in _candidates(spec.out_channels):
-        for tn in _candidates(spec.in_channels):
-            for tr in _candidates(out):
-                plan = TilingPlan(tm, tn, tr, tr if tr <= out else out)
-                if plan.buffer_elements(spec) > capacity:
-                    continue
-                traffic = dram_traffic(spec, plan, bytes_per_element)
-                if traffic < best_traffic:
-                    best_traffic = traffic
-                    best = plan
-    if best is None:
-        # Degenerate fallback: single-element tiles always fit any
-        # realistic buffer; if even that fails the buffer is absurd.
-        best = TilingPlan(1, 1, 1, 1)
-        if best.buffer_elements(spec) > capacity:
-            raise ValueError(
-                f"buffer of {buffer_bytes} B cannot hold even a unit tile of {spec.name}"
-            )
-    return best
+    key = (_shape(spec), buffer_bytes, bytes_per_element)
+    if key not in _PLANS:
+        _PLANS[key] = _search(spec, int(buffer_bytes / bytes_per_element), bytes_per_element)
+    plan = _PLANS[key]
+    if plan is None:
+        raise ValueError(f"buffer of {buffer_bytes} B cannot hold even a unit tile of {spec.name}")
+    return plan
 
 
 def dram_traffic(
