@@ -19,9 +19,9 @@ Applications* (IPDPS 2022):
 * :mod:`repro.accel` — accelerator cycle/energy/area model and the
   RTL-level AR-unit/MAC-slice micro-simulator.
 * :mod:`repro.analysis` — FLOP audits and report formatting.
-* :mod:`repro.obs` — observability: spans (the process-wide tracer),
-  the telemetry registry of scalar series, measured op counters,
-  roofline attribution, run diffs and the regression gate.
+* :mod:`repro.obs` — observability: spans (the process-wide tracer,
+  whose training spans also carry the per-epoch scalars), measured op
+  counters, roofline attribution, run diffs and the regression gate.
   ``python -m repro.experiments ... --obs DIR`` (:class:`repro.obs.ObsRun`)
   turns it all on and writes one run directory.
 

@@ -13,14 +13,15 @@ Usage::
 
 ``--obs DIR`` is the one observability switch
 (:class:`repro.obs.ObsRun`).  In every run mode (suite, ``--pipeline``,
-``--numerics``, ``--attrib``) it turns on the tracer, the telemetry
-registry and the sampling profiler, writes ``trace.jsonl``,
-``trace.json`` (Chrome trace-event format, open in Perfetto),
-``metrics.jsonl``, ``profile.txt``, ``flamegraph.html``,
+``--numerics``, ``--attrib``) it turns on the tracer and the sampling
+profiler, writes ``trace.jsonl``, ``trace.json`` (Chrome trace-event
+format, open in Perfetto), ``profile.txt``, ``flamegraph.html``,
 ``attrib.jsonl`` and ``dashboard.html`` into DIR, and prints the run's
-attribution table.  With ``--pipeline`` the run adds an instrumented
-forward and an accelerator simulation to the compile, so one trace
-holds compiler passes, layers and simulated layers.
+attribution table.  A training run's trace also holds every epoch's
+loss, top-1 and throughput, shown as the dashboard's Training table.
+With ``--pipeline`` the run adds an instrumented forward and an
+accelerator simulation to the compile, so one trace holds compiler
+passes, layers and simulated layers.
 
 ``--bench-compare`` feeds a benchmark run's ``--metrics-jsonl`` file
 through the tolerance-policy regression gate (:mod:`repro.obs.regress`)
@@ -222,9 +223,9 @@ def main(argv=None) -> int:
         "--obs",
         metavar="DIR",
         default=None,
-        help="turn on the tracer, the telemetry registry and the sampling "
-        "profiler, write the run directory DIR (trace, metric series, "
-        "profile, attribution, dashboard) and print the attribution table",
+        help="turn on the tracer and the sampling profiler, write the run "
+        "directory DIR (trace with the training scalars, profile, "
+        "attribution, dashboard) and print the attribution table",
     )
     parser.add_argument(
         "--bench-compare",

@@ -6,15 +6,15 @@ the process-wide :class:`Tracer` that the compiler pipeline, the
 instrumented ``Module`` trees report into), measured op counters
 (:class:`OpCounters`, recorded by every kernel as it runs; defined in
 :mod:`repro.nn.counters` so the kernels need not import this package),
-and the accelerator model.
-Scalar series (batch latency, loss, top-1) live in the telemetry
-registry (:func:`get_telemetry`).  All are disabled by default and
+and the accelerator model.  Spans carry the scalars of the work they
+time: a ``train.epoch`` span its epoch's loss, top-1 and throughput,
+so one trace is the whole training record (:func:`epoch_batch_ms`
+reads its batch wall times).  All are disabled by default and
 near-free while off.
 
 One switch turns everything on: :class:`ObsRun` (``--obs DIR`` on the
-CLI) enables the tracer, the telemetry registry and the sampling
-profiler, and writes one run directory — ``trace.jsonl``,
-``trace.json`` (Chrome), ``metrics.jsonl``, ``profile.txt``,
+CLI) enables the tracer and the sampling profiler, and writes one run
+directory — ``trace.jsonl``, ``trace.json`` (Chrome), ``profile.txt``,
 ``flamegraph.html``, ``attrib.jsonl`` and ``dashboard.html``::
 
     from repro import obs
@@ -44,6 +44,7 @@ from repro.obs.attrib import (
     AttributionReport,
     attribute_model_run,
     build_attribution,
+    epoch_batch_ms,
 )
 from repro.obs.dashboard import write_dashboard
 from repro.obs.forensics import RunDiff, diff_runs
@@ -73,14 +74,7 @@ from repro.obs.regress import (
     gate_jsonl,
     gate_metrics,
 )
-from repro.obs.telemetry import (
-    SamplingProfiler,
-    TelemetryExporter,
-    TelemetryRegistry,
-    TelemetrySnapshot,
-    get_telemetry,
-    read_telemetry_jsonl,
-)
+from repro.obs.profiler import SamplingProfiler
 from repro.obs.tracer import SpanEvent, Tracer, event, get_tracer, span
 
 __all__ = [
@@ -97,9 +91,6 @@ __all__ = [
     "RunRecord",
     "SamplingProfiler",
     "SpanEvent",
-    "TelemetryExporter",
-    "TelemetryRegistry",
-    "TelemetrySnapshot",
     "TensorStats",
     "TolerancePolicy",
     "Tracer",
@@ -111,16 +102,15 @@ __all__ = [
     "collect_counters",
     "deinstrument_model",
     "diff_runs",
+    "epoch_batch_ms",
     "event",
     "gate_jsonl",
     "gate_metrics",
     "get_recorder",
     "get_roofline",
-    "get_telemetry",
     "get_tracer",
     "instrument_model",
     "provenance",
-    "read_telemetry_jsonl",
     "record_quant_event",
     "reorder_divergence",
     "span",

@@ -32,14 +32,16 @@ The engine is trace-driven: it accepts a live
 :func:`repro.obs.export.write_jsonl`, or an iterable of recorded
 :class:`~repro.obs.tracer.SpanEvent`\\ s or already-parsed event
 dicts — which is what makes cross-run forensics
-(:mod:`repro.obs.forensics`) a diff of two of these tables.
+(:mod:`repro.obs.forensics`) a diff of two of these tables.  The same
+sources feed :func:`epoch_batch_ms`, the per-epoch batch wall times of
+the :class:`~repro.train.Trainer`'s spans.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.roofline import Roofline
 from repro.obs.tracer import SpanEvent, Tracer
@@ -50,6 +52,7 @@ __all__ = [
     "normalize_events",
     "build_attribution",
     "attribute_model_run",
+    "epoch_batch_ms",
 ]
 
 #: span categories -> row kind (the localization axis forensics ranks on)
@@ -198,6 +201,36 @@ def _build_forest(rows: Sequence[Mapping[str, Any]]) -> List[_Node]:
             _attach_instant(roots, row)
         forest.extend(roots)
     return forest
+
+
+def epoch_batch_ms(
+    source: Union[Tracer, str, Iterable[Union[SpanEvent, Mapping[str, Any]]]],
+) -> List[Tuple[Dict[str, Any], List[float]]]:
+    """Each ``train.epoch`` span's attrs with its batches' wall times (ms).
+
+    A batch runs from the end of the previous ``train.batch`` span of
+    its epoch (the epoch span's start, for the first batch) to the end
+    of its own, so the data-loader wait counts.  A batch belongs to the
+    epoch span of its own thread that contains it.  ``source`` is
+    anything :func:`normalize_events` reads; epochs come in start order.
+    """
+    epochs: List[_Node] = []
+    nodes = _build_forest(normalize_events(source))
+    while nodes:
+        node = nodes.pop()
+        if node.row.get("name") == "train.epoch":
+            epochs.append(node)
+        else:
+            nodes.extend(node.children)
+    out = []
+    for epoch in sorted(epochs, key=lambda n: n.ts_us):
+        prev_end, batch_ms = epoch.ts_us, []
+        for child in epoch.children:
+            if child.row.get("name") == "train.batch":
+                batch_ms.append((child.end_us - prev_end) / 1e3)
+                prev_end = child.end_us
+        out.append((dict(epoch.row.get("attrs") or {}), batch_ms))
+    return out
 
 
 def _attributed_us(node: _Node) -> float:

@@ -3,8 +3,8 @@
 Renders the state of the run registry (``BENCH_<area>.json``) — latest
 baseline vs the current run, relative deltas, and a unicode sparkline
 of each metric's history — plus, when supplied, the regression-gate
-verdicts, a telemetry snapshot series, and any other table a run
-produced (attribution, numerics, run diff).  Every section is an
+verdicts and any other table a run produced (the per-epoch training
+table of a trace, attribution, numerics, run diff).  Every section is an
 :class:`~repro.analysis.report.ExperimentReport`, the table type every
 experiment prints.  CI writes the markdown flavour as a build
 artifact::
@@ -20,19 +20,30 @@ in a minimal standalone page; format is chosen by extension.
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Mapping, Optional, Sequence
+import math
+from typing import List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.analysis.report import ExperimentReport
+from repro.obs.attrib import epoch_batch_ms
 from repro.obs.metrics import MetricRegistry, provenance
 
-__all__ = ["sparkline", "build_dashboard", "render_markdown", "render_html", "write_dashboard"]
+__all__ = [
+    "sparkline",
+    "training_report",
+    "build_dashboard",
+    "render_markdown",
+    "render_html",
+    "write_dashboard",
+]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
 
 def sparkline(values: Sequence[float]) -> str:
-    """Unicode block sparkline of a metric series (empty for < 2 points)."""
-    vals = [float(v) for v in values]
+    """Unicode block sparkline of a series' finite points (empty for < 2)."""
+    vals = [v for v in map(float, values) if math.isfinite(v)]
     if len(vals) < 2:
         return ""
     lo, hi = min(vals), max(vals)
@@ -83,54 +94,38 @@ def _area_section(
     return rep
 
 
-def _telemetry_section(snapshots: Sequence) -> ExperimentReport:
-    """Per-series time evolution of a telemetry snapshot sequence.
+def _fmt(value, spec: str) -> str:
+    return "-" if value is None else format(value, spec)
 
-    ``snapshots`` are :class:`~repro.obs.telemetry.registry.TelemetrySnapshot`
-    objects (or their ``as_dict`` documents), e.g. from
-    :func:`~repro.obs.telemetry.registry.read_telemetry_jsonl`; the last
-    one supplies current values and the whole sequence feeds the trend
-    sparkline.
+
+def training_report(source) -> ExperimentReport:
+    """The per-epoch Training table of a trace; no rows without a fit.
+
+    One row per ``train.epoch`` span, in start order: the EpochStats
+    scalars the span carries and the p50/p99 wall time of its
+    ``train.batch`` spans (:func:`~repro.obs.attrib.epoch_batch_ms`,
+    which reads the same ``source`` types).
     """
     rep = ExperimentReport(
-        "Live telemetry",
-        "telemetry registry series over the run",
-        headers=["series", "type", "current", "trend"],
+        "Training",
+        "per-epoch scalars of the train.epoch spans, batch wall time of the train.batch spans",
+        headers=["epoch", "train loss", "val loss", "val top-1", "val top-5",
+                 "samples/s", "batches", "batch p50 ms", "batch p99 ms"],
     )
-    docs = [s.as_dict() if hasattr(s, "as_dict") else dict(s) for s in snapshots]
-
-    def rows_of(doc) -> Dict[str, Mapping]:
-        out: Dict[str, Mapping] = {}
-        for fam in doc.get("metrics") or []:
-            for srow in fam.get("series") or []:
-                labels = srow.get("labels") or {}
-                tag = "".join(f"[{k}={v}]" for k, v in sorted(labels.items()))
-                out[f"{fam['name']}{tag}"] = {"type": fam["type"], **srow}
-        return out
-
-    def fmt(value) -> str:
-        return "nan" if value is None else f"{value:.3f}"
-
-    history = [rows_of(doc) for doc in docs]
-    latest = history[-1] if history else {}
-    for key in sorted(latest):
-        row = latest[key]
-        if row["type"] == "histogram":
-            track = [h[key]["p99"] for h in history if h.get(key, {}).get("p99") is not None]
-            count = int(row.get("count") or 0)
-            mean = (row["sum"] / count) if count else 0.0
-            current = (
-                f"n={count} mean={mean:.3f} p50={fmt(row.get('p50'))} "
-                f"p95={fmt(row.get('p95'))} p99={fmt(row.get('p99'))}"
-            )
-        else:
-            track = [h[key]["value"] for h in history if key in h]
-            current = f"{row['value']:.6g}"
-        rep.add_row(key, row["type"], current, sparkline(track) or "·")
-    span_s = docs[-1]["ts"] - docs[0]["ts"] if len(docs) > 1 else 0.0
-    rep.add_note(
-        f"{len(docs)} snapshot(s) over {span_s:.1f}s (histogram trend tracks p99)"
-    )
+    for attrs, batch_ms in epoch_batch_ms(source):
+        p50, p99 = np.percentile(batch_ms, [50, 99]) if batch_ms else (None, None)
+        rep.add_row(
+            attrs.get("epoch", "-"),
+            _fmt(attrs.get("train_loss"), ".4f"),
+            _fmt(attrs.get("val_loss"), ".4f"),
+            _fmt(attrs.get("val_top1"), ".3f"),
+            _fmt(attrs.get("val_top5"), ".3f"),
+            _fmt(attrs.get("samples_per_sec"), ".1f"),
+            len(batch_ms),
+            _fmt(p50, ".2f"),
+            _fmt(p99, ".2f"),
+        )
+    rep.add_note("a batch runs from the previous batch's end, so data loading counts")
     return rep
 
 
@@ -138,14 +133,12 @@ def build_dashboard(
     registry: Optional[MetricRegistry] = None,
     current: Optional[Mapping[str, Mapping[str, float]]] = None,
     gate_report=None,
-    telemetry: Optional[Sequence] = None,
     reports: Sequence[ExperimentReport] = (),
 ) -> List[ExperimentReport]:
     """Assemble dashboard sections (shared by both output formats).
 
     One section per baseline area of ``registry`` (and of ``current``),
-    then the ``telemetry`` snapshot series (see
-    :func:`_telemetry_section`), the given ``reports`` in order — e.g.
+    then the given ``reports`` in order — e.g. :func:`training_report`,
     ``AttributionReport.to_experiment_report()``,
     ``NumericsCollector.summary_report()`` or
     ``RunDiff.to_experiment_report()`` — and finally the
@@ -155,8 +148,6 @@ def build_dashboard(
     if registry is not None:
         for area in sorted(set(registry.areas()) | set(current or {})):
             sections.append(_area_section(registry, area, (current or {}).get(area)))
-    if telemetry is not None:
-        sections.append(_telemetry_section(telemetry))
     sections.extend(reports)
     if gate_report is not None:
         sections.append(gate_report.to_experiment_report())

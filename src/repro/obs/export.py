@@ -11,8 +11,8 @@ Two serializations of one :class:`~repro.obs.tracer.Tracer`:
   instant events become ``"ph": "i"``.
 
 :class:`ObsRun` is the single observability switch: it turns on the
-tracer, the telemetry registry and the sampling profiler for a run,
-and writes everything they recorded into one directory.
+tracer and the sampling profiler for a run, and writes everything they
+recorded into one directory.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ import os
 from typing import Dict, List, Optional
 
 from repro.obs.attrib import AttributionReport, build_attribution
-from repro.obs.dashboard import write_dashboard
-from repro.obs.telemetry import (
-    SamplingProfiler,
-    TelemetryExporter,
-    get_telemetry,
-    read_telemetry_jsonl,
-)
+from repro.obs.dashboard import training_report, write_dashboard
+from repro.obs.profiler import SamplingProfiler
 from repro.obs.tracer import Tracer, get_tracer
 
 __all__ = [
@@ -122,14 +117,14 @@ def write_chrome_trace(path: str, tracer: Optional[Tracer] = None) -> int:
 class ObsRun:
     """One observability run directory; the only owner of its file names.
 
-    Entering clears and enables the process-wide tracer and telemetry
-    registry, starts a :class:`TelemetryExporter` scraping into
-    ``metrics.jsonl``, and starts the :class:`SamplingProfiler`.
-    Exiting stops them and writes the trace (JSONL and Chrome), the
-    profile (collapsed stacks and flamegraph), the attribution rows and
-    the dashboard.  Every file is removed on entry, so a reused
-    directory never mixes two runs.  ``--numerics`` runs add
-    ``numerics.jsonl`` at :meth:`path` ``(ObsRun.NUMERICS)``::
+    Entering clears and enables the process-wide tracer and starts the
+    :class:`SamplingProfiler` (the one thread a run adds).  Exiting
+    stops them and writes the trace (JSONL and Chrome), the profile
+    (collapsed stacks and flamegraph), the attribution rows and the
+    dashboard, whose Training table is read from the trace.  Every file
+    is removed on entry, so a reused directory never mixes two runs.
+    ``--numerics`` runs add ``numerics.jsonl`` at :meth:`path`
+    ``(ObsRun.NUMERICS)``::
 
         with ObsRun("obs-run") as run:
             ...                       # compile / train / simulate
@@ -138,15 +133,12 @@ class ObsRun:
 
     TRACE = "trace.jsonl"
     CHROME_TRACE = "trace.json"
-    METRICS = "metrics.jsonl"
     PROFILE = "profile.txt"
     FLAMEGRAPH = "flamegraph.html"
     ATTRIB = "attrib.jsonl"
     DASHBOARD = "dashboard.html"
     NUMERICS = "numerics.jsonl"
-    FILES = (TRACE, CHROME_TRACE, METRICS, PROFILE, FLAMEGRAPH, ATTRIB, DASHBOARD)
-    #: seconds between telemetry snapshots in ``metrics.jsonl``
-    SCRAPE_PERIOD_S = 0.5
+    FILES = (TRACE, CHROME_TRACE, PROFILE, FLAMEGRAPH, ATTRIB, DASHBOARD)
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -171,21 +163,14 @@ class ObsRun:
         for name in self.FILES + (self.NUMERICS,):
             if os.path.exists(self.path(name)):
                 os.remove(self.path(name))
-        tracer, telemetry = get_tracer(), get_telemetry()
+        tracer = get_tracer()
         tracer.clear()
         tracer.enable()
-        telemetry.clear()
-        telemetry.enable()
-        self._exporter = TelemetryExporter(
-            telemetry, jsonl_path=self.path(self.METRICS), period_s=self.SCRAPE_PERIOD_S
-        ).start()
         self._profiler = SamplingProfiler().start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._profiler.stop()
-        self._exporter.stop()
-        get_telemetry().disable()
         tracer = get_tracer()
         tracer.disable()
         write_jsonl(self.path(self.TRACE), tracer)
@@ -194,7 +179,8 @@ class ObsRun:
         self._profiler.write_flamegraph(self.path(self.FLAMEGRAPH))
         self.attribution = build_attribution(tracer)
         tagged = self.model_attributions or {"": self.attribution}
-        tables = []
+        training = training_report(tracer)
+        tables = [training] if training.rows else []
         with open(self.path(self.ATTRIB), "w") as fh:
             for model, report in tagged.items():
                 fh.write(report.to_jsonl(**({"model": model} if model else {})))
@@ -202,9 +188,5 @@ class ObsRun:
                 if model:
                     table.experiment += f" [{model}]"
                 tables.append(table)
-        write_dashboard(
-            self.path(self.DASHBOARD),
-            telemetry=read_telemetry_jsonl(self.path(self.METRICS)),
-            reports=tables + self.reports,
-        )
+        write_dashboard(self.path(self.DASHBOARD), reports=tables + self.reports)
         return False

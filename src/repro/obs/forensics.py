@@ -177,7 +177,12 @@ def diff_runs(
         if ka == kb:
             continue
         note = f"plan kernel {ka or 'none'} -> {kb or 'none'}"
-        target = next((e for e in entries if path in e.name), None)
+        # whole dotted segments: features.1 is not features.10
+        span_name = f"{path}.forward"
+        target = next(
+            (e for e in entries if e.name == span_name or e.name.endswith("." + span_name)),
+            None,
+        )
         if target is not None:
             if not any(n.startswith("kernel") or n.startswith("plan kernel") for n in target.notes):
                 target.notes.append(note)

@@ -160,8 +160,14 @@ def load_metrics_jsonl(path: str) -> Dict[str, Dict[str, float]]:
                 for k, v in row.items()
                 if k not in ("figure", "metric", "value") and k not in PROVENANCE_FIELDS
             }
+            try:
+                value = float(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: metric value {value!r} is not a number"
+                ) from exc
             area = area_for_figure(str(figure))
-            per_area.setdefault(area, {})[metric_key(figure, metric, extra)] = float(value)
+            per_area.setdefault(area, {})[metric_key(figure, metric, extra)] = value
     return per_area
 
 

@@ -1,13 +1,13 @@
 """Low-overhead background sampling profiler.
 
 A daemon thread wakes every ``interval_s`` seconds, grabs
-``sys._current_frames()``, and folds each thread's Python stack into a
-root→leaf tuple counted in a dict.  No tracing hooks are installed, so
-the profiled code runs at full speed between samples — the only cost
-is the sampler's own wall time, which the profiler measures about
-itself (:attr:`overhead_fraction`) so the bound can be asserted rather
-than assumed (``benchmarks/test_telemetry.py`` gates
-``telemetry.profiler_overhead_pct``).
+``sys._current_frames()``, and folds the Python stack of every thread
+but its own into a root→leaf tuple counted in a dict.  No tracing
+hooks are installed, so the profiled code runs at full speed between
+samples — the only cost is the sampler's own wall time, which the
+profiler measures about itself (:attr:`overhead_fraction`) so the bound
+can be asserted rather than assumed (``benchmarks/test_telemetry.py``
+gates ``telemetry.profiler_overhead_pct``).
 
 Exports:
 
@@ -32,17 +32,9 @@ import sys
 import threading
 import time
 from collections import Counter as _TallyCounter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["SamplingProfiler"]
-
-#: frames with these function names are dropped from stacks
-#: (the sampler observing itself, threading scaffolding)
-_SKIP_NAMES = {"_sample_once", "_loop"}
-
-#: threads whose name starts with this are the observability machinery
-#: itself (this sampler, the telemetry exporter); they are not sampled
-_OWN_THREAD_PREFIX = "telemetry-"
 
 
 def _frame_name(frame) -> str:
@@ -84,45 +76,30 @@ class SamplingProfiler:
         self.elapsed_s = 0.0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        #: id(code) -> (rendered frame name or "" for a skipped frame, the
-        #: code object); holding the code keeps its id from being reused.
-        #: Keyed by id because hashing a code object hashes its constants.
+        #: id(code) -> (rendered frame name, the code object); holding the
+        #: code keeps its id from being reused.  Keyed by id because
+        #: hashing a code object hashes its constants.
         self._frame_names: Dict[int, Tuple[str, object]] = {}
-        #: thread idents at the last read of the thread names, and those
-        #: among them that belong to the observability machinery
-        self._known_threads: Set[int] = set()
-        self._own_threads: Set[int] = set()
 
     # -- sampling ------------------------------------------------------------
     def _sample_once(self) -> None:
         t0 = time.perf_counter()
         frames = sys._current_frames()
-        if frames.keys() != self._known_threads:
-            # a thread started or exited: read the thread names again
-            threads = threading.enumerate()
-            self._known_threads = {t.ident for t in threads}
-            self._own_threads = {
-                t.ident for t in threads if t.name.startswith(_OWN_THREAD_PREFIX)
-            }
+        frames.pop(threading.get_ident(), None)  # not the sampler itself
         names = self._frame_names
-        for tid, top in frames.items():
-            if tid in self._own_threads:
-                continue
+        for top in frames.values():
             stack: List[str] = []
             frame = top
             while frame is not None:
                 code = frame.f_code
                 entry = names.get(id(code))
                 if entry is None:
-                    name = "" if code.co_name in _SKIP_NAMES else _frame_name(frame)
-                    entry = names[id(code)] = (name, code)
-                if entry[0]:
-                    stack.append(entry[0])
+                    entry = names[id(code)] = (_frame_name(frame), code)
+                stack.append(entry[0])
                 frame = frame.f_back
-            if stack:
-                stack.reverse()
-                self.stacks[tuple(stack)] += 1
-                self.sample_count += 1
+            stack.reverse()
+            self.stacks[tuple(stack)] += 1
+            self.sample_count += 1
         del frames
         self.sampling_wall_s += time.perf_counter() - t0
 
@@ -137,7 +114,7 @@ class SamplingProfiler:
         self._started_at = time.perf_counter()
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._loop, name="telemetry-profiler", daemon=True
+            target=self._loop, name="repro-profiler", daemon=True
         )
         self._thread.start()
         return self

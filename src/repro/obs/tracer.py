@@ -4,9 +4,9 @@ One :class:`Tracer` collects every timing signal a run produces —
 compiler passes, per-layer forwards, training epochs, simulator layer
 attributions — into a single ordered event list that the exporters in
 :mod:`repro.obs.export` turn into JSONL or a Chrome trace.  Spans are
-the only record of time; scalar series (loss, throughput, latency
-histograms) belong to the telemetry registry
-(:mod:`repro.obs.telemetry`).
+the only record of time, and they carry the scalars of the work they
+time as attrs (a ``train.epoch`` span its loss, top-1 and throughput;
+a compiler pass span its rewrites).
 
 Design constraints:
 

@@ -20,7 +20,6 @@ from repro.nn.layers import Module
 from repro.nn.optim import Adam, LRSchedule, Optimizer, SGD
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs.numerics import NumericsCollector
-from repro.obs.telemetry.registry import get_telemetry
 from repro.obs.tracer import get_tracer
 
 logger = logging.getLogger("repro.train")
@@ -170,30 +169,11 @@ class Trainer:
     def _fit_loop(self) -> List[EpochStats]:
         cfg = self.config
         watch = self.numerics
+        # One trace is the whole training record: the ``train.batch``
+        # spans time the batches (from one batch's end to the next, so
+        # the data-loader wait counts) and each ``train.epoch`` span
+        # carries its EpochStats scalars.
         tracer = get_tracer()
-        # Spans record time; the telemetry registry records every scalar
-        # series.  Instruments exist only while the process-wide
-        # registry is enabled, so the batch loop pays one None check
-        # (plus one registry-enabled check per fit) when telemetry is off.
-        telemetry = get_telemetry()
-        batch_hist = epoch_gauge = None
-        if telemetry.enabled:
-            # latency includes the data-loader wait (batch-to-batch wall
-            # time), so a stalled input pipeline shows in the p99
-            batch_hist = telemetry.histogram(
-                "train.batch_latency_ms",
-                "wall time of one training batch, data loading included",
-            )
-            thr_gauge = telemetry.gauge(
-                "train.samples_per_sec", "training throughput (last epoch)"
-            )
-            loss_gauge = telemetry.gauge("train.loss", "training loss (last epoch)")
-            top1_gauge = telemetry.gauge(
-                "train.val_top1", "validation top-1 accuracy (last epoch)"
-            )
-            epoch_gauge = telemetry.gauge("train.epoch", "current epoch index")
-            batches_ctr = telemetry.counter("train.batches_total", "batches completed")
-            samples_ctr = telemetry.counter("train.samples_total", "samples trained on")
         loader = DataLoader(
             self.train_set,
             batch_size=cfg.batch_size,
@@ -204,14 +184,13 @@ class Trainer:
         stale = 0
         with tracer.span("train.fit", category="train", epochs=cfg.epochs) as fit_span:
             for epoch in range(cfg.epochs):
-                with tracer.span("train.epoch", category="train", epoch=epoch):
+                with tracer.span(
+                    "train.epoch", category="train", epoch=epoch
+                ) as epoch_span:
                     epoch_start = time.perf_counter()
                     self.model.train()
                     total_loss = 0.0
                     total_n = 0
-                    if epoch_gauge is not None:
-                        epoch_gauge.set(epoch)
-                        batch_start = time.perf_counter()
                     for batch_idx, (images, labels) in enumerate(loader):
                         if watch is not None:
                             watch.set_context(epoch=epoch, batch=batch_idx)
@@ -223,12 +202,6 @@ class Trainer:
                             self.optimizer.zero_grad()
                             loss.backward()
                             self.optimizer.step()
-                        if batch_hist is not None:
-                            now = time.perf_counter()
-                            batch_hist.observe((now - batch_start) * 1e3)
-                            batch_start = now
-                            batches_ctr.inc()
-                            samples_ctr.inc(len(labels))
                         batch_loss = loss.item()
                         if watch is not None:
                             watch.check_value("train", "loss", batch_loss)
@@ -251,10 +224,13 @@ class Trainer:
                         samples_per_sec=total_n / max(train_wall, 1e-12),
                     )
                     self.history.append(stats)
-                    if batch_hist is not None:
-                        thr_gauge.set(stats.samples_per_sec)
-                        loss_gauge.set(stats.train_loss)
-                        top1_gauge.set(top1)
+                    epoch_span.set(
+                        train_loss=stats.train_loss,
+                        val_loss=val_loss,
+                        val_top1=top1,
+                        val_top5=top5,
+                        samples_per_sec=stats.samples_per_sec,
+                    )
                 if cfg.verbose:
                     logger.info(
                         "epoch %3d  train_loss %.4f  val_loss %.4f  top1 %.3f  "

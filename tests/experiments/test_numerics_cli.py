@@ -17,11 +17,10 @@ from repro.experiments.__main__ import main
 @pytest.fixture(autouse=True)
 def _clean_global_recorders():
     yield
-    from repro.obs import get_telemetry, get_tracer
+    from repro.obs import get_tracer
 
-    for recorder in (get_tracer(), get_telemetry()):
-        recorder.disable()
-        recorder.clear()
+    get_tracer().disable()
+    get_tracer().clear()
 
 
 def _rows(run_dir):

@@ -69,11 +69,10 @@ class TestTraceFlags:
     @pytest.fixture(autouse=True)
     def _clean_global_recorders(self):
         yield
-        from repro.obs import get_telemetry, get_tracer
+        from repro.obs import get_tracer
 
-        for recorder in (get_tracer(), get_telemetry()):
-            recorder.disable()
-            recorder.clear()
+        get_tracer().disable()
+        get_tracer().clear()
 
     def test_pipeline_chrome_trace_is_unified(self, tmp_path, capsys):
         """The acceptance command: compiler-pass, per-layer forward and
@@ -91,7 +90,7 @@ class TestTraceFlags:
         assert "compile.pipeline" in names
         assert any(n.startswith("lenet5.") and n.endswith(".forward") for n in names)
         assert "sim.network" in names and "sim.layer" in names  # simulator
-        assert f"obs: 7 files -> {tmp_path}" in capsys.readouterr().out
+        assert f"obs: 6 files -> {tmp_path}" in capsys.readouterr().out
 
     def test_suite_jsonl_trace(self, tmp_path, capsys):
         assert main(["--only", "limits", "--obs", str(tmp_path)]) == 0
@@ -109,22 +108,20 @@ class TestTraceFlags:
         assert "experiment.limits" in out.split("== Attribution:")[1]
 
     def test_tracer_disabled_after_run(self, tmp_path):
-        from repro.obs import get_telemetry, get_tracer
+        from repro.obs import get_tracer
 
         assert main(["--only", "limits", "--obs", str(tmp_path)]) == 0
         assert not get_tracer().enabled
-        assert not get_telemetry().enabled
 
 
 class TestObsRunDirectory:
     @pytest.fixture(autouse=True)
     def _clean_global_recorders(self):
         yield
-        from repro.obs import get_telemetry, get_tracer
+        from repro.obs import get_tracer
 
-        for recorder in (get_tracer(), get_telemetry()):
-            recorder.disable()
-            recorder.clear()
+        get_tracer().disable()
+        get_tracer().clear()
 
     def test_attrib_keeps_every_models_spans(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ROOFLINE_CACHE", str(tmp_path / "roofline.json"))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.nn.tensor import Tensor, no_grad
-from repro.obs.attrib import AttributionReport, build_attribution
+from repro.obs.attrib import AttributionReport, build_attribution, epoch_batch_ms
 from repro.obs.instrument import instrument_model
 from repro.obs import OpCounters
 from repro.obs.roofline import Roofline
@@ -95,6 +95,41 @@ class TestCoverageSemantics:
             pass
         rep = build_attribution(tracer)
         assert rep.rows == [] and rep.span_coverage == 0.0
+
+
+class TestEpochBatchMs:
+    """Batch wall time read from the Trainer's spans."""
+
+    def test_loader_gap_counts_and_first_batch_starts_at_the_epoch(self):
+        rows = [
+            span("train.batch", 1000, 2000, samples=8),  # 1 ms of loading first
+            span("train.batch", 4000, 2000, samples=8),  # 1 ms gap before it
+            span("train.evaluate", 6500, 500),
+            span("train.epoch", 0, 8000, epoch=0, val_top1=0.5),
+        ]
+        assert epoch_batch_ms(rows) == [({"epoch": 0, "val_top1": 0.5}, [3.0, 3.0])]
+
+    def test_threads_are_not_mixed(self):
+        rows = [
+            span("train.epoch", 0, 8000, tid=1, epoch=0),
+            span("train.batch", 1000, 1000, tid=2),
+            span("train.batch", 2000, 4000, tid=1),
+            span("train.batch", 3000, 1000, tid=2),
+            span("train.epoch", 500, 7000, tid=2, epoch=0),
+        ]
+        assert epoch_batch_ms(rows) == [
+            ({"epoch": 0}, [6.0]),
+            ({"epoch": 0}, [1.5, 2.0]),
+        ]
+
+    def test_reads_a_live_tracer(self):
+        tracer = Tracer(enabled=True)
+        for epoch in range(2):
+            with tracer.span("train.epoch", epoch=epoch):
+                for _ in range(3):
+                    with tracer.span("train.batch"):
+                        pass
+        assert [(a["epoch"], len(ms)) for a, ms in epoch_batch_ms(tracer)] == [(0, 3), (1, 3)]
 
 
 class TestRooflineJoin:

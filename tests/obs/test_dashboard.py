@@ -7,6 +7,7 @@ from repro.obs.dashboard import (
     render_html,
     render_markdown,
     sparkline,
+    training_report,
     write_dashboard,
 )
 from repro.analysis.report import ExperimentReport
@@ -26,6 +27,11 @@ class TestSparkline:
     def test_short_series_empty(self):
         assert sparkline([]) == ""
         assert sparkline([1.0]) == ""
+
+    def test_non_finite_points_are_skipped(self):
+        assert sparkline([1, 2, float("inf")]) == "▁█"
+        assert sparkline([1.0, float("nan"), 3.0]) == "▁█"
+        assert sparkline([float("nan"), 1.0]) == ""
 
 
 @pytest.fixture
@@ -71,6 +77,16 @@ class TestRendering:
         assert "no committed baseline yet" in text
         assert "--bench-update" in text
 
+    def test_invalid_metric_renders_as_a_failure(self, tmp_path):
+        reg = MetricRegistry(str(tmp_path))
+        reg.update("accel", {"kernel.fused_samples_per_sec": 2000.0}, stamp={"git_sha": "r1"})
+        current = {"accel": {"kernel.fused_samples_per_sec": float("nan")}}
+        report = gate_metrics(current, reg)
+        text = render_markdown(build_dashboard(reg, current, gate_report=report))
+        assert "| kernel.fused_samples_per_sec | 2000 | nan | +nan% | · |" in text
+        assert "| invalid | accel | kernel.fused_samples_per_sec |" in text
+        assert "REGRESSION GATE: FAIL" in text
+
     def test_write_dashboard_picks_format_by_extension(self, registry, tmp_path):
         md = write_dashboard(str(tmp_path / "d.md"), registry)
         assert "# Benchmark dashboard" in open(md).read()
@@ -78,41 +94,30 @@ class TestRendering:
         assert open(html_path).read().startswith("<!doctype html>")
 
 
-def _telemetry_snapshots(n=3):
-    from repro.obs.telemetry.registry import TelemetryRegistry
+def _epoch_rows():
+    """One traced epoch of three batches: 3, 3 and 4 ms wall time."""
+    def span(name, ts, dur, **attrs):
+        return {"type": "span", "name": name, "ts_us": ts, "dur_us": dur,
+                "tid": 1, "cat": "train", "attrs": attrs}
 
-    reg = TelemetryRegistry(enabled=True)
-    h = reg.histogram("train.batch_latency_ms", buckets=(1.0, 10.0, 100.0))
-    g = reg.gauge("train.loss")
-    snaps = []
-    for i in range(n):
-        h.observe(5.0 * (i + 1))
-        g.set(1.0 / (i + 1), model="lenet5")
-        snaps.append(reg.snapshot(ts=float(i)))
-    return snaps
+    stats = {"epoch": 0, "train_loss": 1.5, "val_loss": 1.25, "val_top1": 0.5,
+             "val_top5": 1.0, "samples_per_sec": 320.0}
+    return [
+        span("train.batch", 1000.0, 2000.0, samples=16),
+        span("train.batch", 4000.0, 2000.0, samples=16),
+        span("train.batch", 7000.0, 3000.0, samples=16),
+        span("train.epoch", 0.0, 12000.0, **stats),
+    ]
 
 
-class TestTelemetrySection:
-    def test_renders_series_and_trend(self, registry):
-        text = render_markdown(build_dashboard(registry, telemetry=_telemetry_snapshots()))
-        assert "## Live telemetry" in text
-        assert "train.batch_latency_ms" in text
-        assert "train.loss[model=lenet5]" in text
-        assert "p99" in text
-        assert "3 snapshot(s)" in text
-        # time-evolution sparkline across the snapshots
-        assert any(ch in text for ch in "▁▂▃▄▅▆▇█")
+class TestTrainingSection:
+    def test_one_row_per_epoch(self):
+        rep = training_report(_epoch_rows())
+        assert rep.experiment == "Training"
+        assert rep.rows == [[0, "1.5000", "1.2500", "0.500", "1.000", "320.0", 3, "3.00", "3.98"]]
 
-    def test_run_dashboard_needs_no_registry(self):
-        html_text = render_html(build_dashboard(telemetry=_telemetry_snapshots()))
-        assert "Live telemetry" in html_text and "Area" not in html_text
-
-    def test_accepts_raw_snapshot_dicts(self, registry, tmp_path):
-        docs = [s.as_dict() for s in _telemetry_snapshots()]
-        path = write_dashboard(
-            str(tmp_path / "d.html"), registry, telemetry=docs
-        )
-        assert "Live telemetry" in open(path).read()
+    def test_no_fit_no_rows(self):
+        assert training_report([]).rows == []
 
 
 class TestGateAdvisoryVisibility:

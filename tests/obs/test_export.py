@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.telemetry import get_telemetry, read_telemetry_jsonl
 from repro.obs.tracer import Tracer, get_tracer
 
 
@@ -91,39 +91,44 @@ class TestObsRun:
     @pytest.fixture(autouse=True)
     def _restore_globals(self):
         yield
-        for recorder in (get_tracer(), get_telemetry()):
-            recorder.disable()
-            recorder.clear()
+        get_tracer().disable()
+        get_tracer().clear()
 
     def _run(self, directory, batches=3):
         with ObsRun(str(directory)) as run:
-            assert get_tracer().enabled and get_telemetry().enabled
-            hist = get_telemetry().histogram("train.batch_latency_ms")
-            with get_tracer().span("work", category="experiments"):
-                with get_tracer().span("step", category="experiments"):
+            tracer = get_tracer()
+            assert tracer.enabled
+            with tracer.span("work", category="experiments"):
+                with tracer.span("train.epoch", category="train", epoch=0, val_top1=0.5):
                     for _ in range(batches):
-                        hist.observe(1.0)
+                        with tracer.span("train.batch", category="train", samples=4):
+                            pass
         return run
 
     def test_writes_every_file_and_switches_off(self, tmp_path):
         run = self._run(tmp_path / "run")
         assert sorted(os.listdir(run.directory)) == sorted(ObsRun.FILES)
-        assert not get_tracer().enabled and not get_telemetry().enabled
+        assert not get_tracer().enabled
         names = {json.loads(line)["name"] for line in open(run.path(ObsRun.TRACE))}
-        assert names == {"work", "step"}
+        assert names == {"work", "train.epoch", "train.batch"}
         assert json.load(open(run.path(ObsRun.CHROME_TRACE)))["traceEvents"]
         rows = [json.loads(line) for line in open(run.path(ObsRun.ATTRIB))]
         assert {r["name"] for r in rows if r["type"] == "attrib_row"} == names
         assert run.attribution.row("work").count == 1
-        assert "Live telemetry" in open(run.path(ObsRun.DASHBOARD)).read()
+        dashboard = open(run.path(ObsRun.DASHBOARD)).read()
+        assert "<h2>Training</h2>" in dashboard and "<td>0.500</td>" in dashboard
+
+    def test_six_files_and_no_thread_but_the_profiler(self, tmp_path):
+        before = set(threading.enumerate())
+        with ObsRun(str(tmp_path / "run")) as run:
+            started = set(threading.enumerate()) - before
+            assert started == {run._profiler._thread}
+        assert len(os.listdir(run.directory)) == 6
 
     def test_reused_directory_holds_one_run(self, tmp_path):
         self._run(tmp_path / "run", batches=5)
         run = self._run(tmp_path / "run", batches=3)
-        snaps = read_telemetry_jsonl(run.path(ObsRun.METRICS))
-        counts = [s.find("train.batch_latency_ms")["series"][0]["count"] for s in snaps]
-        assert max(counts) == counts[-1] == 3
-        assert len(open(run.path(ObsRun.TRACE)).read().splitlines()) == 2
+        assert len(open(run.path(ObsRun.TRACE)).read().splitlines()) == 5
 
     def test_stale_numerics_file_is_removed(self, tmp_path):
         (tmp_path / "run").mkdir()

@@ -112,6 +112,32 @@ class TestDiffRuns:
         e = next(x for x in diff.entries if x.name == "plan.features.0")
         assert e.notes == ["plan kernel fused-f64 -> fused-int8"]
 
+    def test_kernel_plan_change_matches_whole_path_segments(self):
+        """features.1's plan change must not land on features.10."""
+
+        def trace(walls, plan):
+            rows = [span(name, 1000 * i, wall, cat="nn") for i, (name, wall) in enumerate(walls)]
+            rows.append({"type": "instant", "name": "compile.plan", "ts_us": 5000,
+                         "tid": 1, "cat": "compiler", "attrs": {"kernels": plan}})
+            return rows
+
+        a = build_attribution(trace(
+            [("m.features.1.forward", 100), ("m.features.10.conv.forward", 100)],
+            {"features.1": "fused-f32-nhwc"},
+        ))
+        b = build_attribution(trace(
+            [("m.features.1.forward", 101), ("m.features.10.conv.forward", 500)], {}
+        ))
+        note = ["plan kernel fused-f32-nhwc -> none"]
+        diff = diff_runs(a, b, min_delta_us=50)
+        assert {e.name: e.notes for e in diff.entries} == {
+            "m.features.10.conv.forward": [],
+            "plan.features.1": note,
+        }
+        notes = {e.name: e.notes for e in diff_runs(a, b).entries}
+        assert notes["m.features.1.forward"] == note
+        assert notes["m.features.10.conv.forward"] == []
+
     def test_min_delta_filter(self):
         a = build_attribution(_model_trace())
         b = build_attribution(_model_trace(slow_layer="net.features.0", factor=1.001))

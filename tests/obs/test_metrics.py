@@ -1,6 +1,7 @@
 """OpCounters, the recorder, provenance, and the run registry."""
 
 import json
+import re
 
 import pytest
 
@@ -120,6 +121,16 @@ class TestMetricNaming:
             load_metrics_jsonl(str(p))
         p.write_text('{"metric": "no-figure", "value": 1}\n')
         with pytest.raises(ValueError, match="figure/metric/value"):
+            load_metrics_jsonl(str(p))
+
+    @pytest.mark.parametrize("value", ["null", '"fast"', "[1]"])
+    def test_load_jsonl_rejects_non_numeric_values(self, tmp_path, value):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(
+            '{"figure": "kernel", "metric": "x", "value": 1.0}\n'
+            f'{{"figure": "kernel", "metric": "y", "value": {value}}}\n'
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: metric value"):
             load_metrics_jsonl(str(p))
 
 

@@ -1,13 +1,12 @@
 """Sampling profiler: attribution correctness, export formats, overhead."""
 
 import re
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.obs.telemetry.profiler import SamplingProfiler
+from repro.obs.profiler import SamplingProfiler
 
 
 def _spin_numpy(seconds: float) -> None:
@@ -76,28 +75,8 @@ def test_profiler_skips_its_own_thread():
         _spin_numpy(0.2)
     for stack in prof.stacks:
         assert not any(
-            f.startswith("repro.obs.telemetry.profiler:_") for f in stack
+            f.startswith("repro.obs.profiler:_") for f in stack
         ), stack
-
-
-def test_profiler_skips_telemetry_threads():
-    """An idle telemetry exporter must not fill an ``--obs`` profile."""
-    stop = threading.Event()
-
-    def idle_telemetry_worker():
-        stop.wait(5.0)
-
-    worker = threading.Thread(target=idle_telemetry_worker, name="telemetry-exporter")
-    worker.start()
-    try:
-        with SamplingProfiler(interval_s=0.002) as prof:
-            _spin_numpy(0.2)
-    finally:
-        stop.set()
-        worker.join(5.0)
-    assert not worker.is_alive()
-    assert prof.sample_count > 0
-    assert not any("idle_telemetry_worker" in f for stack in prof.stacks for f in stack)
 
 
 def test_compiled_lenet5_forward_top_frame_is_a_kernel():

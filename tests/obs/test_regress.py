@@ -143,6 +143,12 @@ class TestCompareMetrics:
         assert v.status == "regressed" and not v.fails
         assert not RegressionReport(vs).failed
 
+    def test_only_passing_verdicts_are_labelled_advisory(self):
+        base = {"kernel.x": 1000.0, "kernel.y": 1000.0}
+        vs = compare_metrics("accel", base, {"kernel.x": float("nan"), "kernel.y": 10.0})
+        statuses = {row[2]: row[0] for row in RegressionReport(vs).to_experiment_report().rows}
+        assert statuses == {"kernel.x": "invalid", "kernel.y": "regressed (advisory)"}
+
     def test_report_render(self):
         vs = compare_metrics("accel", self.BASE, {"fig13.speedup": 3.0, AREA: 80.0})
         rep = RegressionReport(vs)

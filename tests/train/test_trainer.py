@@ -1,5 +1,7 @@
 """Training harness: learning happens, metrics and early stopping work."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -145,34 +147,22 @@ class TestEpochTiming:
 
 class TestTrainerTracing:
     def test_fit_records_spans_and_metric_series(self, tiny_split, enabled_tracer):
-        from repro.obs import get_telemetry
-
         train_set, val_set = tiny_split
         trainer = Trainer(
             small_model(), train_set, val_set, TrainConfig(epochs=2, batch_size=16)
         )
-        telemetry = get_telemetry()
-        telemetry.clear()
-        with telemetry:
-            history = trainer.fit()
-        names = [ev.name for ev in enabled_tracer.events]
+        history = trainer.fit()
+        events = enabled_tracer.events
+        names = [ev.name for ev in events]
         assert names.count("train.fit") == 1
-        assert names.count("train.epoch") == 2
         assert names.count("train.evaluate") == 2
-        assert names.count("train.batch") > 0
-        # spans carry time only; the scalar series live in the registry
-        ep = next(ev for ev in enabled_tracer.events if ev.name == "train.epoch")
-        assert ep.attrs == {"epoch": 0}
-        snap = telemetry.snapshot()
-        telemetry.clear()
-
-        def value(name):
-            return snap.find(name)["series"][0]["value"]
-
-        assert value("train.val_top1") == history[-1].val_top1
-        assert value("train.loss") == history[-1].train_loss
-        assert value("train.samples_total") == 2 * len(train_set)
-        assert snap.find("train.batch_latency_ms")["series"][0]["count"] > 0
+        # each epoch span carries the scalars of the EpochStats it produced
+        epochs = [ev for ev in events if ev.name == "train.epoch"]
+        assert [ev.attrs for ev in epochs] == [
+            {k: v for k, v in asdict(stats).items() if k != "wall_s"} for stats in history
+        ]
+        samples = [ev.attrs["samples"] for ev in events if ev.name == "train.batch"]
+        assert sum(samples) == 2 * len(train_set)
 
     def test_fit_untraced_when_disabled(self, tiny_split):
         from repro.obs import get_tracer
