@@ -10,7 +10,7 @@ This package implements the paper's primary contribution:
   executor that counts every addition/multiplication under configurable
   reuse (RME / LAR / row- and column-GAR).
 * :mod:`repro.core.kernels` — the fully vectorized fused-kernel
-  implementations: prefix-sum box sum, float64 gather + GEMM, exact
+  implementations: separable box sum, float64 gather + GEMM, exact
   int64 path, and the fp32 NHWC kernel the compiler's ``lower`` pass
   binds.
 * :mod:`repro.core.transform` — network-level fusion: rewrite a

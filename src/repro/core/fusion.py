@@ -10,7 +10,8 @@ input (``I_Acc`` in the paper), divided by ``p^2``:
     P_{x,y} = \\mathrm{ReLU}\\Big(\\frac{1}{p^2} \\sum_{i,j,c}
         W_{c,i,j} \\cdot I\\_Acc_{c,\\,p x + i,\\,p y + j} + B\\Big)
 
-Two implementations live here:
+The box sum itself is :func:`repro.core.kernels.boxsum.box_sum`,
+re-exported here as :func:`box_sum`.  Two implementations live here:
 
 * :func:`fused_conv_pool` — a fully vectorized NumPy execution used for
   inference and for the functional-equivalence property tests.
@@ -29,23 +30,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import boxsum as _boxsum
 from repro.core.kernels import fused as _kernels
+from repro.core.kernels.boxsum import box_sum
 from repro.nn import functional as F
 from repro.nn.counters import OpCounters, get_recorder
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor, is_grad_enabled, make_node, send_grad
-
-
-def box_sum(x: np.ndarray, p: int) -> np.ndarray:
-    """p x p box sum over the trailing two axes (the paper's ``I_Acc``).
-
-    Computed via the 2-D prefix-sum formulation
-    (:func:`repro.core.kernels.boxsum.box_sum_cumsum`) — O(H*W)
-    additions independent of ``p``, exact for integer dtypes.  Output
-    spatial dims are ``H - p + 1`` x ``W - p + 1``.
-    """
-    return _boxsum.box_sum_cumsum(x, p)
+from repro.nn.tensor import Tensor, is_grad_enabled, make_node, needs_grad, send_grad
 
 
 def fused_conv_pool(
@@ -63,7 +53,9 @@ def fused_conv_pool(
     RME in vectorized form: the convolution runs on the box-summed
     input with stride ``p``, touching each weight once per *pooled*
     output.  Supports autograd (gradients flow through the box sum), so
-    a fused network remains trainable.
+    a fused network remains trainable; the input gradient is computed
+    only when ``x`` needs one (:func:`repro.nn.tensor.needs_grad`), so
+    a network's first layer skips it.
 
     ``impl="vectorized"`` (default) lowers the whole operator to one
     :func:`repro.core.kernels.fused.fused_forward` call (gather + GEMM)
@@ -88,8 +80,6 @@ def fused_conv_pool(
     weight = weight if isinstance(weight, Tensor) else Tensor(weight)
 
     if impl == "vectorized":
-        if activation not in ("relu", "sigmoid", "tanh", "none"):
-            raise ValueError(f"unknown activation {activation!r}")
         bias_t = bias if (bias is None or isinstance(bias, Tensor)) else Tensor(bias)
         out_data, res = _kernels.fused_forward(
             x.data,
@@ -105,8 +95,9 @@ def fused_conv_pool(
         if node.requires_grad:
 
             def _bw(g: np.ndarray) -> None:
-                gx, gw, gb = _kernels.fused_backward(g, res)
-                send_grad(x, gx)
+                gx, gw, gb = _kernels.fused_backward(g, res, input_grad=needs_grad(x))
+                if gx is not None:
+                    send_grad(x, gx)
                 send_grad(weight, gw)
                 if bias_t is not None:
                     send_grad(bias_t, gb)

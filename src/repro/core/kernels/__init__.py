@@ -5,8 +5,9 @@ This package is the *lowering* target of the compiler: where
 computes (and keeps an instrumented loop nest as the golden
 reference), the kernels here define how it executes fast —
 
-* :mod:`~repro.core.kernels.boxsum` — the ``I_Acc`` box sum as a 2-D
-  prefix sum (production) and as materialized windows (reference).
+* :mod:`~repro.core.kernels.boxsum` — the ``I_Acc`` box sum as
+  separable vertical-then-horizontal runs (production) and as
+  materialized windows (reference).
 * :mod:`~repro.core.kernels.fused` — float64 NCHW forward/backward for
   any pool stride: box sum, pooled-patch gather, one GEMM.  Every
   ``FusedConvPool`` runs it unless a kernel is bound.
@@ -19,7 +20,7 @@ reference), the kernels here define how it executes fast —
   the fixed-point path (bit-identical to the reference loop).
 """
 
-from repro.core.kernels.boxsum import box_sum_cumsum, box_sum_windows
+from repro.core.kernels.boxsum import box_sum, box_sum_windows
 from repro.core.kernels.fused import (
     FusedResiduals,
     fused_backward,
@@ -30,7 +31,7 @@ from repro.core.kernels.intpath import conv_over_boxsum_int
 from repro.core.kernels.nhwc import F32NHWCKernel
 
 __all__ = [
-    "box_sum_cumsum",
+    "box_sum",
     "box_sum_windows",
     "FusedResiduals",
     "fused_forward",

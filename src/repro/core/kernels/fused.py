@@ -2,19 +2,27 @@
 
 The loop nest of Algorithm 1 lowers to three dense stages:
 
-1. **box sum** — :func:`~repro.core.kernels.boxsum.box_sum_cumsum`
-   builds the ``I_Acc`` plane in O(H*W) additions (LAR/GAR in closed
-   form: every partial sum is computed once and reused everywhere).
+1. **box sum** — :func:`~repro.core.kernels.boxsum.box_sum` builds the
+   ``I_Acc`` plane with Algorithm 1's own schedule, vertical runs of
+   ``p`` pixels reused by horizontal runs (LAR/GAR in closed form:
+   every partial sum is computed once and reused everywhere).
 2. **pooled-patch gather** — ``sliding_window_view`` over ``I_Acc``
    subsampled at stride ``p`` collects exactly one K x K patch per
-   *pooled* output (RME: each weight meets each patch once).
-3. **GEMM** — one ``(N*Po*Qo, C*K*K) @ (C*K*K, M)`` matrix product,
-   followed by the ``1/p^2`` scaling, bias and activation epilogue.
+   *pooled* output (RME: each weight meets each patch once), channel-
+   major: row ``(c, ki, kj)`` of the ``(C*K*K, N*Po*Qo)`` patch matrix
+   holds that tap for every pooled output.
+3. **GEMM** — one ``(M, C*K*K) @ (C*K*K, N*Po*Qo)`` matrix product,
+   followed by the ``1/p^2`` scaling, bias and activation epilogue in
+   place.  The output is an ``(N, M, Po, Qo)`` view of the
+   ``(M, N, Po, Qo)`` result.
 
 :func:`fused_forward` returns the output plus a :class:`FusedResiduals`
 bundle; :func:`fused_backward` consumes it and reproduces the gradient
 of the unfused composition (box-sum scatter + stride-p convolution
-backward) without materializing the intermediate graph nodes.
+backward) without materializing the intermediate graph nodes.  It
+computes the input gradient only on request: the first layer of a
+network has an input that needs none, and skipping it skips the
+input-gradient GEMM, the K x K scatter and the box-sum adjoint.
 
 :func:`record_rme_counters` is the one measured-counter formula
 (``mults``, ``mults_eliminated``) for every float fused path: this one,
@@ -35,7 +43,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.core.kernels.boxsum import box_sum_cumsum
+from repro.core.kernels.boxsum import box_sum
 from repro.nn.counters import get_recorder
 
 __all__ = [
@@ -90,7 +98,7 @@ def record_rme_counters(
 class FusedResiduals:
     """Everything :func:`fused_backward` needs from the forward pass."""
 
-    cols: np.ndarray  # (N*Po*Qo, C*K*K) gathered I_Acc patches
+    cols: np.ndarray  # (C*K*K, N*Po*Qo) gathered I_Acc patches, channel-major
     wmat: np.ndarray  # (M, C*K*K) flattened weights
     out: np.ndarray  # (N, M, Po, Qo) post-activation output
     activation: str
@@ -122,8 +130,8 @@ def fused_forward(
     ``stride != pool`` gathers the same box-sum patches at the strided
     positions, which is exactly the overlapping-pool identity — each
     pooled output is still one K x K ``I_Acc`` patch dotted with the
-    weights.  Returns the NCHW output and the residuals for
-    :func:`fused_backward`.
+    weights.  Returns the NCHW output, a view of the ``(M, N, Po, Qo)``
+    GEMM result, and the residuals for :func:`fused_backward`.
     """
     stride = pool if stride is None else stride
     if stride < 1:
@@ -132,35 +140,37 @@ def fused_forward(
     m, cw, k, _ = weight.shape
     if c != cw:
         raise ValueError(f"channel mismatch: input {c}, weight {cw}")
+    if activation not in ("relu", "sigmoid", "tanh", "none"):
+        raise ValueError(f"unknown activation {activation!r}")
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    acc = box_sum_cumsum(xp, pool)
+    acc = box_sum(xp, pool)
     ha, wa = acc.shape[-2:]
     po = (ha - k) // stride + 1
     qo = (wa - k) // stride + 1
     if po < 1 or qo < 1:
         raise ValueError("input too small for one pooled output")
-    # One K x K patch of I_Acc per pooled output (RME in closed form).
+    # One K x K patch of I_Acc per pooled output (RME in closed form),
+    # gathered as one (N, Po, Qo) slab per tap (c, ki, kj).
     win = sliding_window_view(acc, (k, k), axis=(-2, -1))[:, :, ::stride, ::stride]
     win = win[:, :, :po, :qo]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * po * qo, c * k * k
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        c * k * k, n * po * qo
     )
     wmat = weight.reshape(m, c * k * k)
-    lin = cols @ wmat.T
-    lin *= 1.0 / (pool * pool)
+    out = wmat @ cols
+    out *= 1.0 / (pool * pool)
     if bias is not None:
-        lin += bias
-    pre = lin.reshape(n, po, qo, m).transpose(0, 3, 1, 2)
+        out += bias[:, None]
     if activation == "relu":
-        out = np.maximum(pre, 0.0)
+        np.maximum(out, 0.0, out=out)
     elif activation == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-pre))
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        np.reciprocal(out, out=out)
     elif activation == "tanh":
-        out = np.tanh(pre)
-    elif activation == "none":
-        out = np.ascontiguousarray(pre)
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
+        np.tanh(out, out=out)
+    out = out.reshape(m, n, po, qo).transpose(1, 0, 2, 3)
     record_rme_counters(n, m, c, k, pool, po, qo, *xp.shape[-2:])
     res = FusedResiduals(
         cols=cols,
@@ -178,14 +188,19 @@ def fused_forward(
 
 
 def fused_backward(
-    g: np.ndarray, res: FusedResiduals
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    g: np.ndarray, res: FusedResiduals, *, input_grad: bool = True
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Gradients ``(gx, gweight, gbias)`` of :func:`fused_forward`.
 
     Mirrors the unfused composition's chain rule: activation local
     derivative, GEMM backward, stride-p patch scatter back onto the
     ``I_Acc`` plane, and the box-sum backward (every I_Acc cell
     distributes its gradient to the p x p input pixels that fed it).
+
+    ``input_grad`` is the output mask of the input gradient: with
+    ``False`` (an input that needs no gradient) ``gx`` is ``None`` and
+    none of its work runs.  Every parameter needs its gradient, so
+    ``gweight`` and ``gbias`` are always computed.
     """
     n, c, h, w = res.x_shape
     _, _, ha, wa = res.acc_shape
@@ -201,23 +216,21 @@ def fused_backward(
     # else "none": identity
     m = g.shape[1]
     po, qo = g.shape[-2:]
-    gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * po * qo, m)
-    gbias = gm.sum(axis=0)
+    gm = g.transpose(1, 0, 2, 3).reshape(m, n * po * qo)
+    gbias = gm.sum(axis=1)
     gms = gm * (1.0 / (pool * pool))  # bias enters after the scaling
-    gweight = (gms.T @ res.cols).reshape(m, c, k, k)
-    gcols = (gms @ res.wmat).reshape(n, po, qo, c, k, k)
-    gc = gcols.transpose(0, 3, 1, 2, 4, 5)  # (N, C, Po, Qo, K, K)
-    gacc = np.zeros((n, c, ha, wa), dtype=g.dtype)
+    gweight = (gms @ res.cols.T).reshape(m, c, k, k)
+    if not input_grad:
+        return None, gweight, gbias
+    gcols = (res.wmat.T @ gms).reshape(c, k, k, n, po, qo)
+    # Scatter each tap's (N, Po, Qo) slab onto I_Acc inside a zero
+    # border of p - 1: the box sum of the bordered plane is the box-sum
+    # adjoint, the gradient of the padded input.
+    b = pool - 1
+    gacc = np.zeros((c, n, ha + 2 * b, wa + 2 * b), dtype=gcols.dtype)
     for ki in range(k):
+        rows = slice(b + ki, b + ki + stride * po, stride)
         for kj in range(k):
-            gacc[:, :, ki : ki + stride * po : stride, kj : kj + stride * qo : stride] += gc[
-                ..., ki, kj
-            ]
-    hp, wp = ha + pool - 1, wa + pool - 1
-    gpad = np.zeros((n, c, hp, wp), dtype=g.dtype)
-    for i in range(pool):
-        for j in range(pool):
-            gpad[:, :, i : i + ha, j : j + wa] += gacc
-    gx = gpad[:, :, padding : padding + h, padding : padding + w] if padding else gpad
-    return gx, gweight, gbias
-
+            gacc[:, :, rows, b + kj : b + kj + stride * qo : stride] += gcols[:, ki, kj]
+    gx = box_sum(gacc[:, :, padding : padding + h + b, padding : padding + w + b], pool)
+    return gx.transpose(1, 0, 2, 3), gweight, gbias

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.counters import get_recorder
-from repro.nn.tensor import Tensor, _as_tensor, make_node, send_grad
+from repro.nn.tensor import Tensor, _as_tensor, make_node, needs_grad, send_grad
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -116,6 +116,8 @@ def conv2d(
     """2-D cross-correlation (the CNN "convolution").
 
     ``x``: (N, C, H, W); ``weight``: (M, C, kh, kw); ``bias``: (M,).
+    The backward computes the input gradient only when ``x`` needs one
+    (:func:`repro.nn.tensor.needs_grad`).
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -143,9 +145,10 @@ def conv2d(
             # dW = g^T @ cols
             gw = (gm.T @ cols2d).reshape(m, c, kh, kw)
             send_grad(weight, gw)
-            # dX = scatter(g @ W)
-            gcols = (gm @ wmat).reshape(n, ho, wo, c, kh, kw)
-            send_grad(x, col2im_add(gcols, x.shape, (kh, kw), stride, padding))
+            if needs_grad(x):
+                # dX = scatter(g @ W)
+                gcols = (gm @ wmat).reshape(n, ho, wo, c, kh, kw)
+                send_grad(x, col2im_add(gcols, x.shape, (kh, kw), stride, padding))
             if bias is not None:
                 send_grad(bias, g.sum(axis=(0, 2, 3)))
 

@@ -447,6 +447,17 @@ class Tensor:
 _CURRENT_SINK: list[dict] = []
 
 
+def needs_grad(tensor: Tensor) -> bool:
+    """Whether a gradient sent to ``tensor`` is used.
+
+    It is when ``tensor`` accumulates one (``requires_grad``) or passes
+    one on to its parents (``_backward``).  :func:`_send` drops every
+    other gradient, so a backward closure may skip computing it: that
+    is its output mask for the parent.
+    """
+    return tensor.requires_grad or tensor._backward is not None
+
+
 def _send(tensor: Tensor, grad: np.ndarray) -> None:
     """Route a computed parent gradient into the active backward pass.
 
@@ -454,7 +465,7 @@ def _send(tensor: Tensor, grad: np.ndarray) -> None:
     tensor identity so that each node's ``_backward`` runs exactly once,
     after all of its consumers have contributed.
     """
-    if not tensor.requires_grad and tensor._backward is None:
+    if not needs_grad(tensor):
         return
     sink = _CURRENT_SINK[-1]
     key = id(tensor)
@@ -472,7 +483,7 @@ def _make(data: np.ndarray, parents: Iterable[Tensor]) -> Tensor:
     """Create a graph node whose requires_grad is inherited from parents."""
     parents = tuple(parents)
     out = Tensor(data)
-    if is_grad_enabled() and any(p.requires_grad or p._backward is not None for p in parents):
+    if is_grad_enabled() and any(needs_grad(p) for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._is_leaf = False

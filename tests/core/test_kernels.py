@@ -3,19 +3,24 @@ equivalence across shape classes, int-path bit-exactness.
 
 Satellite coverage for the lowering backend:
 
-* the prefix-sum ``box_sum`` against the naive windowed version for
-  non-square inputs and ``p`` not dividing the spatial size;
+* the separable ``box_sum`` against the naive windowed version for
+  non-square inputs and ``p`` not dividing the spatial size, exact on
+  integers and accurate on a large float32 plane;
 * the equivalence property suite — vectorized vs reference kernels
   agree to 1e-6 (float64) and bit-exactly (int path, counters
   included) across a randomized grid of ``(k, p, stride, bits,
   channels)``;
+* the fused backward's gradients against the reference composition
+  over a grid of ``(k, p, pool stride, padding, H != W, activation)``,
+  and its masked branch (an input that needs no gradient);
 * the square-only executors reject non-square inputs.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.core import kernels
 from repro.core.fixedpoint import (
     IntPathStats,
     fused_conv_pool_fp16,
@@ -30,7 +35,6 @@ from repro.core.fusion import (
 )
 from repro.core.kernels import (
     F32NHWCKernel,
-    box_sum_cumsum,
     box_sum_windows,
     fused_backward,
     fused_forward,
@@ -47,7 +51,7 @@ def rng():
 
 
 # ---------------------------------------------------------------------------
-# box sum: prefix-sum vs windowed reference (satellite 1)
+# box sum: separable vs windowed reference
 # ---------------------------------------------------------------------------
 
 
@@ -64,28 +68,39 @@ class TestBoxSumFormulations:
     )
     def test_matches_windowed_reference(self, rng, shape, p):
         x = rng.normal(size=shape)
-        np.testing.assert_allclose(
-            box_sum_cumsum(x, p), box_sum_windows(x, p), atol=1e-9
-        )
+        np.testing.assert_allclose(box_sum(x, p), box_sum_windows(x, p), atol=1e-9)
 
     def test_integer_inputs_are_exact(self, rng):
         x = rng.integers(-1000, 1000, size=(3, 17, 10)).astype(np.int64)
-        out = box_sum_cumsum(x, 3)
+        out = box_sum(x, 3)
         assert out.dtype == np.int64
         assert np.array_equal(out, box_sum_windows(x, 3))
+        pixels = rng.integers(0, 256, size=(17, 10)).astype(np.uint8)
+        out = box_sum(pixels, 3)  # 9 * 255 wraps a uint8 unless widened
+        ref = box_sum_windows(pixels, 3)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
 
     def test_p1_identity_and_validation(self, rng):
         x = rng.normal(size=(4, 4))
-        assert box_sum_cumsum(x, 1) is x
+        assert box_sum(x, 1) is x
         with pytest.raises(ValueError):
-            box_sum_cumsum(x, 0)
+            box_sum(x, 0)
         with pytest.raises(ValueError):
-            box_sum_cumsum(x, 5)
+            box_sum(x, 5)
 
-    def test_fusion_box_sum_is_the_cumsum_formulation(self, rng):
-        """core.fusion.box_sum delegates to the prefix-sum kernel."""
-        x = rng.normal(size=(2, 8, 12))
-        np.testing.assert_array_equal(box_sum(x, 3), box_sum_cumsum(x, 3))
+    def test_fusion_box_sum_is_the_kernel_box_sum(self):
+        """core.fusion.box_sum is the lowered kernel, not a second formulation."""
+        assert box_sum is kernels.box_sum
+
+    def test_float32_large_plane_keeps_single_precision(self, rng):
+        """No subtraction, so no cancellation: every output keeps float32
+        accuracy whatever the plane size."""
+        x = np.abs(rng.normal(size=(3, 224, 224))).astype(np.float32)
+        out = box_sum(x, 2)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(
+            out, box_sum_windows(x.astype(np.float64), 2), rtol=1e-6, atol=0
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -101,11 +116,9 @@ class TestBoxSumFormulations:
         x = g.normal(size=shape)
         if p > 1 and (h < p or w < p):
             with pytest.raises(ValueError):
-                box_sum_cumsum(x, p)
+                box_sum(x, p)
             return
-        np.testing.assert_allclose(
-            box_sum_cumsum(x, p), box_sum_windows(x, p), atol=1e-9
-        )
+        np.testing.assert_allclose(box_sum(x, p), box_sum_windows(x, p), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +234,69 @@ class TestBackwardEquivalence:
             grads[impl] = (xt.grad, wt.grad, bt.grad)
         for gv, gr in zip(grads["vectorized"], grads["reference"]):
             np.testing.assert_allclose(gv, gr, atol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        p=st.integers(1, 3),
+        stride=st.integers(1, 3),
+        pad=st.integers(0, 2),
+        extra_h=st.integers(0, 4),
+        extra_w=st.integers(0, 4),
+        cout=st.integers(1, 2),
+        activation=st.sampled_from(["relu", "tanh", "none"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradient_grid_matches_reference(
+        self, k, p, stride, pad, extra_h, extra_w, cout, activation, seed
+    ):
+        """Output and all three gradients agree within 1e-9 relative over
+        k, p, pool stride (overlapping pools included), padding and
+        H != W, for one image of one channel."""
+        assume(extra_h != extra_w)
+        g = np.random.default_rng(seed)
+        base = max(1, k + p - 1 - 2 * pad)  # smallest side with one output
+        x = g.normal(size=(1, 1, base + extra_h, base + extra_w))
+        w = g.normal(size=(cout, 1, k, k))
+        b = g.normal(size=cout)
+        results = {}
+        for impl in ("vectorized", "reference"):
+            xt = Tensor(x, requires_grad=True)
+            wt = Tensor(w, requires_grad=True)
+            bt = Tensor(b, requires_grad=True)
+            out = fused_conv_pool(
+                xt, wt, bt, pool=p, pool_stride=stride, padding=pad,
+                activation=activation, impl=impl,
+            )
+            if impl == "vectorized":
+                gout = g.normal(size=out.shape)
+            out.backward(gout)
+            results[impl] = (out.data, xt.grad, wt.grad, bt.grad)
+        for got, ref in zip(results["vectorized"], results["reference"]):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(
+                got, ref, rtol=1e-9, atol=1e-9 * max(np.abs(ref).max(), 1e-300)
+            )
+
+    def test_input_without_grad_skips_its_gradient(self, rng):
+        """The masked branch: no input gradient, the same gw and gb."""
+        x = rng.normal(size=(2, 3, 11, 9))
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        xt = Tensor(x)  # an input image: needs no gradient
+        wt = Tensor(w, requires_grad=True)
+        bt = Tensor(b, requires_grad=True)
+        out = fused_conv_pool(xt, wt, bt, pool=2, padding=1)
+        gout = rng.normal(size=out.shape)
+        out.backward(gout)
+        assert xt.grad is None
+
+        _, res = fused_forward(x, w, b, pool=2, padding=1)
+        gx, gw, gb = fused_backward(gout, res, input_grad=False)
+        gx_full, gw_full, gb_full = fused_backward(gout, res)
+        assert gx is None and gx_full.shape == x.shape
+        assert np.array_equal(gw, gw_full) and np.array_equal(gb, gb_full)
+        assert np.array_equal(wt.grad, gw) and np.array_equal(bt.grad, gb)
 
     def test_fused_backward_rejects_nothing_without_bias(self, rng):
         x = rng.normal(size=(1, 2, 8, 8))

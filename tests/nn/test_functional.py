@@ -84,6 +84,19 @@ class TestConvValues:
         strided = F.conv2d(Tensor(x), Tensor(w), stride=2).data
         np.testing.assert_allclose(strided[0, 0], full[0, 0, ::2, ::2], atol=1e-12)
 
+    def test_conv2d_input_without_grad_skips_its_gradient(self, rng):
+        x = rng.normal(size=(2, 3, 7, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        gout = rng.normal(size=(2, 4, 7, 6))
+        grads = []
+        for x_grad in (False, True):
+            xt = Tensor(x, requires_grad=x_grad)
+            wt = Tensor(w, requires_grad=True)
+            F.conv2d(xt, wt, padding=1).backward(gout)
+            assert (xt.grad is None) is not x_grad
+            grads.append(wt.grad)
+        assert np.array_equal(grads[0], grads[1])
+
 
 class TestPooling:
     def test_avg_pool_values(self):
