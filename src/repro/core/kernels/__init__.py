@@ -12,10 +12,11 @@ reference), the kernels here define how it executes fast —
   any pool stride: box sum, pooled-patch gather, one GEMM.  Every
   ``FusedConvPool`` runs it unless a kernel is bound.
 * :mod:`~repro.core.kernels.nhwc` — the fp32 channels-last kernel with
-  plan-time workspaces and a per-parameter-version weight-fold cache,
-  the one kernel :class:`repro.compiler.lower.LowerFusedKernelPass`
-  binds: to non-overlapping fused layers, and as its pool-1 case to
-  stride-1 convolutions.
+  plan-time workspaces and gather views and a per-parameter-version
+  weight-fold cache, the one kernel
+  :class:`repro.compiler.lower.LowerFusedKernelPass` binds: to
+  non-overlapping fused layers, and as its pool-1 case to stride-1
+  convolutions.
 * :mod:`~repro.core.kernels.intpath` — exact int64 accumulation for
   the fixed-point path (bit-identical to the reference loop).
 """

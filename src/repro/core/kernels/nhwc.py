@@ -10,7 +10,11 @@ channels-last layout in which every memory stage is contiguous:
 
 * **layout** — NHWC internally: the pooled-patch gather copies
   contiguous ``(kj, c)`` runs in both source and destination instead
-  of strided per-channel elements.
+  of strided per-channel elements.  :meth:`F32NHWCKernel.run_nchw`
+  returns the NCHW view of the fresh NHWC GEMM output (never a
+  workspace) and copies only input that is not a C-contiguous float32
+  channels-last view, so consecutive lowered layers hand each other
+  channels-last memory without a copy.
 * **padding folded into the box sum** — for ``pool=2`` on inputs at
   least 2 pixels high and wide the horizontal pairwise sum writes pad
   columns directly from the input edges; no padded copy of the input
@@ -24,6 +28,10 @@ channels-last layout in which every memory stage is contiguous:
 * **plan-time workspaces** — all activation intermediates are allocated
   once per input shape and reused; steady-state calls allocate only the
   output of the final GEMM.
+* **plan-time views** — each plan builds the strided gather source over
+  its own box-sum or pad workspace, and the patch-matrix destination,
+  once, so a call gathers with one copy; only pool 1 without padding,
+  whose source is the input itself, builds its window per call.
 
 Folding the weights — cast, transpose to the gather order, scale and
 append the bias row — is a separate step, :meth:`F32NHWCKernel.fold`.
@@ -32,9 +40,9 @@ layer on a 2-core x86 VM, against about a millisecond for its batch-1
 GEMM), so callers that run the same weights repeatedly fold once and pass the
 result as ``wmat=``.  :meth:`F32NHWCKernel.folded` is that cache for the
 module the kernel is bound to (one kernel per module): it re-folds only
-when a parameter's data object or version changes, and pickles and
-copies of the kernel drop it.  Called without ``wmat``, the kernel folds
-on every call.
+when a parameter's data object or version changes.  Pickles and copies
+of the kernel drop it and the plans, both derived state.  Called without
+``wmat``, the kernel folds on every call.
 
 Accuracy: outputs deviate from the float64 reference by single-
 precision round-off (measured max ~3e-5 on the benchmark workload;
@@ -47,7 +55,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.kernels.fused import record_rme_counters
 
@@ -55,7 +63,7 @@ __all__ = ["F32NHWCKernel"]
 
 
 class _Plan:
-    """Activation workspaces for one (input shape, padding) specialization."""
+    """Activation workspaces and gather views for one (input shape, padding)."""
 
     def __init__(self, n: int, h: int, w: int, c: int, k: int, pool: int, pad: int):
         self.n, self.h, self.w, self.c, self.k = n, h, w, c, k
@@ -84,8 +92,26 @@ class _Plan:
                 self.tmp = np.empty((n, hp, self.wa, c), dtype=f32)
             self.acc = np.empty((n, self.ha, self.wa, c), dtype=f32)
         # patch matrix with a trailing ones column (bias folded into GEMM)
-        self.cols = np.empty((n, self.po, self.qo, self.ck + 1), dtype=f32)
-        self.cols[..., self.ck] = 1.0
+        self.cols = np.empty((n * self.po * self.qo, self.ck + 1), dtype=f32)
+        self.cols[:, self.ck] = 1.0
+        #: the gather destination: contiguous (kj, c) runs of the patch matrix
+        self.dst = self.cols[:, : self.ck].reshape(n, self.po, self.qo, k, k, c)
+        #: the gather source over the I_Acc workspace; ``None`` when I_Acc
+        #: is the input itself (pool 1 without padding)
+        plane = self.acc if pool > 1 else self.xpad
+        self.src = None if plane is None else self.windows(plane)
+
+    def windows(self, plane: np.ndarray) -> np.ndarray:
+        """The ``(N, Po, Qo, Ki, Kj, C)`` pooled-stride patch view of an
+        NHWC ``I_Acc`` plane, over the plane's own memory."""
+        sn, sh, sw, sc = plane.strides
+        p = self.pool
+        return as_strided(
+            plane,
+            (self.n, self.po, self.qo, self.k, self.k, self.c),
+            (sn, p * sh, p * sw, sh, sw, sc),
+            writeable=False,
+        )
 
 
 class F32NHWCKernel:
@@ -112,10 +138,13 @@ class F32NHWCKernel:
         return "conv-f32-nhwc" if self.pool == 1 else "fused-f32-nhwc"
 
     def __getstate__(self):
-        # the folded operand is derived from the parameters: pickles and
-        # deep copies rebuild it on first use
+        # the folded operand and the plans are derived state: pickles and
+        # deep copies rebuild them on first use.  A copied plan would also
+        # hold a detached copy of its gather view, not a view of its own
+        # workspace.
         state = self.__dict__.copy()
         state["_folded"] = None
+        state["_plans"] = {}
         return state
 
     # -- planning -----------------------------------------------------------
@@ -174,8 +203,11 @@ class F32NHWCKernel:
 
     # -- the box sum (I_Acc) --------------------------------------------------
 
-    def _box_sum(self, plan: _Plan, x: np.ndarray) -> np.ndarray:
-        """The padded ``I_Acc`` plane of ``x``: a plan workspace, or ``x``."""
+    def _box_sum(self, plan: _Plan, x: np.ndarray) -> None:
+        """Fill the plan's padded ``I_Acc`` workspace from ``x``.
+
+        Pool 1 without padding has no workspace: its ``I_Acc`` is ``x``.
+        """
         p, pad, h, w = plan.pool, plan.pad, plan.h, plan.w
         if plan.pairwise:
             # horizontal pairwise sum with the zero padding folded in
@@ -186,20 +218,19 @@ class F32NHWCKernel:
                 core[:, :, pad + w - 1, :] = x[:, :, w - 1, :]
             # vertical pairwise sum (pad rows are zero by construction)
             np.add(plan.tmp[:, :-1], plan.tmp[:, 1:], out=plan.acc)
-            return plan.acc
+            return
         xp = plan.xpad
         if xp is None:  # pool 1 without padding
-            return x
+            return
         xp[:, pad : pad + h, pad : pad + w, :] = x
         if p == 1:
-            return xp
+            return
         plan.tmp[:] = xp[:, :, : plan.wa, :]
         for d in range(1, p):
             plan.tmp += xp[:, :, d : d + plan.wa, :]
         plan.acc[:] = plan.tmp[:, : plan.ha]
         for d in range(1, p):
             plan.acc += plan.tmp[:, d : d + plan.ha]
-        return plan.acc
 
     # -- execution ----------------------------------------------------------
 
@@ -234,15 +265,10 @@ class F32NHWCKernel:
             raise ValueError(
                 f"folded weights must be float32 {(ck + 1, m)}, got {wmat.dtype} {wmat.shape}"
             )
-        acc = self._box_sum(plan, x)
+        self._box_sum(plan, x)
         # gather: contiguous (kj, c) runs in both source and destination
-        win = sliding_window_view(acc, (k, k), axis=(1, 2))[:, ::p, ::p]
-        win = win[:, :po, :qo]
-        np.copyto(
-            plan.cols[..., :ck].reshape(plan.n, po, qo, k, k, plan.c),
-            win.transpose(0, 1, 2, 4, 5, 3),
-        )
-        out = np.matmul(plan.cols.reshape(plan.n * po * qo, ck + 1), wmat)
+        np.copyto(plan.dst, plan.windows(x) if plan.src is None else plan.src)
+        out = np.matmul(plan.cols, wmat)
         if activation == "relu":
             np.maximum(out, 0.0, out=out)
         elif activation == "sigmoid":
@@ -269,10 +295,17 @@ class F32NHWCKernel:
         activation: str = "relu",
         wmat: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """NCHW convenience wrapper (layout conversion both ways)."""
-        xh = np.ascontiguousarray(np.moveaxis(x, 1, -1), dtype=np.float32)
+        """Run on an NCHW batch; returns the NCHW view of the NHWC result.
+
+        ``x`` reaches the kernel as its channels-last view, copied only
+        when that view is not C-contiguous float32.  The output of a
+        previous call is such a view, so consecutive lowered layers hand
+        each other channels-last memory without a copy.  The result is
+        the fresh GEMM output, never a plan workspace.
+        """
+        xh = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
         out = self(xh, weight, bias, padding=padding, activation=activation, wmat=wmat)
-        return np.ascontiguousarray(np.moveaxis(out, -1, 1))
+        return out.transpose(0, 3, 1, 2)
 
     def __repr__(self) -> str:
         return f"<F32NHWCKernel pool={self.pool}, {len(self._plans)} plan(s)>"

@@ -5,6 +5,8 @@ non-overlapping fused layer and ``conv-f32-nhwc`` (the kernel's pool-1
 case) to every stride-1 conv whose own forward runs, and reports that
 plan; the default pipeline binds nothing.  The plan cache keys on the
 pipeline spec, so a 64-bit compilation can never serve a 32-bit one.
+Consecutive lowered layers hand each other channels-last float32 memory
+without a copy, and no output aliases a kernel workspace.
 """
 
 import numpy as np
@@ -197,6 +199,56 @@ class TestPlanMatchesExecution:
             counted.append((oc.mults, oc.mults_eliminated))
         assert counted[0][0] > 0
         assert counted[1] == counted[0]
+
+
+class TestChannelsLastHandoff:
+    """``run_nchw`` returns an NCHW view of channels-last memory, which the
+    next lowered layer reads in place."""
+
+    @pytest.mark.parametrize(
+        "name, kwargs", [("lenet5", {}), ("vgg16", {"width_mult": 0.125})], ids=["lenet5", "vgg16"]
+    )
+    def test_lowered_layers_read_their_input_in_place(self, name, kwargs, monkeypatch):
+        model, _ = mlcnn_pipeline(strict=False, lower_bits=32).run(
+            build_model(name, seed=0, **kwargs)
+        )
+        model.eval()
+        modules = dict(model.named_modules())
+        paths = [path for path, _ in lowered_kernels(model)]
+        kernel_inputs, calls = [], []  # per lowered call, in execution order
+        kernel_call = F32NHWCKernel.__call__
+
+        def recording_call(kernel, x, *args, **kw):
+            kernel_inputs.append(x)
+            return kernel_call(kernel, x, *args, **kw)
+
+        monkeypatch.setattr(F32NHWCKernel, "__call__", recording_call)
+        for path in paths:
+
+            def forward(x, _forward=modules[path].forward):
+                out = _forward(x)
+                calls.append((x.data, out.data))
+                return out
+
+            monkeypatch.setattr(modules[path], "forward", forward)
+
+        rng = np.random.default_rng(9)
+        x1, x2 = (Tensor(rng.standard_normal((3, 3, 32, 32))) for _ in range(2))
+        with no_grad():
+            y1 = model(x1).data
+        assert len(kernel_inputs) == len(calls) == len(paths)
+        # the model input is float64 NCHW: the first layer copies it ...
+        assert not np.shares_memory(kernel_inputs[0], calls[0][0])
+        # ... and every later lowered layer reads its input Tensor's memory
+        for path, xk, (xm, _) in list(zip(paths, kernel_inputs, calls))[1:]:
+            assert np.shares_memory(xk, xm), path
+        # a second call on another input changes no earlier result
+        first = [out for _, out in calls] + [y1]
+        kept = [out.copy() for out in first]
+        with no_grad():
+            model(x2)
+        for got, want in zip(first, kept):
+            np.testing.assert_array_equal(got, want)
 
 
 def _fused(pool, pool_stride):

@@ -109,9 +109,9 @@ def _reference_like(model):
 X = np.random.default_rng(7).standard_normal((4, 3, 32, 32))
 
 
-def _infer(model):
+def _infer(model, x=X):
     with no_grad():
-        return model(Tensor(X)).data
+        return model(Tensor(x)).data
 
 
 def _assert_current(model):
@@ -212,9 +212,14 @@ class TestNoStaleWeights:
         _assert_current(model)
 
     def test_copies_drop_the_cache_and_refold(self, model):
+        """Copies drop the folds and the plans; a copied plan would gather
+        from a detached copy of its workspace, stale on any new input."""
+        x_new = np.random.default_rng(8).standard_normal(X.shape)
         for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
             assert all(f.kernel._folded is None for f in _bound(clone))
+            assert all(not f.kernel._plans for f in _bound(clone))
             np.testing.assert_array_equal(_infer(clone), _infer(model))
+            np.testing.assert_array_equal(_infer(clone, x_new), _infer(model, x_new))
 
 
 def test_fifty_calls_over_all_batch_sizes_fold_each_layer_once(monkeypatch):

@@ -182,8 +182,15 @@ class TestFloatEquivalenceGrid:
         x = g.normal(size=(2, cin, h, w))
         wt = g.normal(size=(cout, cin, k, k))
         b = g.normal(size=cout)
-        out = F32NHWCKernel(p).run_nchw(x, wt, b, padding=pad)
+        kern = F32NHWCKernel(p)
+        out = kern.run_nchw(x, wt, b, padding=pad)
         np.testing.assert_allclose(out, _reference_out(x, wt, b, p, pad), atol=1e-3)
+        # a float32 channels-last view (which the kernel reads in place)
+        # and its contiguous NCHW copy give bit-identical outputs
+        last = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
+        last = last.transpose(0, 3, 1, 2)
+        for xin in (last, np.ascontiguousarray(last)):
+            np.testing.assert_array_equal(kern.run_nchw(xin, wt, b, padding=pad), out)
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "none"])
     def test_activations_match_reference(self, rng, activation):

@@ -89,7 +89,7 @@ def test_compiled_lenet5_forward_top_frame_is_a_kernel():
 
     model = build_model("lenet5", seed=0)
     ctx = CompileContext(quant_bits=0)
-    mlcnn_pipeline(bits=0, strict=False).run(model, ctx)
+    mlcnn_pipeline(bits=0, strict=False, lower_bits=32).run(model, ctx)
     model.eval()
     x = np.random.default_rng(0).normal(size=(16, 3, 32, 32))
     # warm caches so compilation/allocations don't pollute the profile
