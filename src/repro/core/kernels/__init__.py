@@ -12,8 +12,8 @@ reference), the kernels here define how it executes fast —
   any pool stride: box sum, pooled-patch gather, one GEMM.  Every
   ``FusedConvPool`` runs it unless a kernel is bound.
 * :mod:`~repro.core.kernels.nhwc` — the fp32 channels-last kernel with
-  plan-time workspaces and gather views and a per-parameter-version
-  weight-fold cache, the one kernel
+  plan-time workspaces and gather views, a GEMM orientation picked per
+  call, and a per-parameter-version weight-fold cache, the one kernel
   :class:`repro.compiler.lower.LowerFusedKernelPass` binds: to
   non-overlapping fused layers, and as its pool-1 case to stride-1
   convolutions.
