@@ -2,24 +2,29 @@
 """Numerics health monitoring end-to-end: watch a training run, audit a
 quantized forward, and measure the reorder divergence.
 
-Three acts, all driven by one :class:`repro.obs.numerics.NumericsCollector`:
+Three acts, driven by :class:`repro.obs.numerics.NumericsCollector`:
 
 1. **Watched training** — a small LeNet trains on synthetic data with
-   every layer instrumented; the collector streams per-layer
-   forward/backward statistics (Welford moments + P² percentiles, no
-   tensors retained) and the NaN/inf watchdog stamps any anomaly with
+   every layer instrumented; the NaN/inf watchdog checks each layer's
+   forward output and backward gradient and stamps any anomaly with
    its (layer, epoch, batch) position.
 2. **Quantized clip audit** — the model is compiled through the MLCNN
-   pipeline with DoReFa quantization; the collector counts how often
-   activations/weights hit the clip boundaries, per layer.
+   pipeline with DoReFa quantization; a second collector counts how
+   often activations/weights hit the clip boundaries, and the run
+   prints the activation clip and weight saturation rates.
 3. **Reorder-divergence probe** — the compiled network runs in both
    activation/pooling orders and reports how far the outputs drift
    (exactly 0 for max pooling; real but small for average pooling).
+
+The run doubles as a smoke check: it exits 1 when the healthy watched
+run records a NaN/inf, a clip rate falls outside [0, 1], or the
+avg-pool reorder divergence is not positive.
 
 Run:  PYTHONPATH=src python examples/numerics_watch.py [--epochs 2]
 """
 
 import argparse
+import sys
 
 from repro.compiler import CompileContext, Pipeline
 from repro.compiler.passes import (
@@ -36,7 +41,7 @@ from repro.obs.numerics import NumericsCollector
 from repro.train import TrainConfig, Trainer
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epochs", type=int, default=2)
     parser.add_argument("--samples", type=int, default=8, help="samples per class")
@@ -61,15 +66,16 @@ def main() -> None:
         numerics=collector,
     )
     trainer.fit()
-    streams = sorted({layer for layer, _ in collector.stats})
-    print(f"watched {args.epochs} epoch(s): {len(streams)} instrumented layers, "
-          f"{len(collector.stats)} forward/backward streams")
     anomaly = collector.first_anomaly
-    print("watchdog:", "clean run, no NaN/inf" if anomaly is None else anomaly)
+    print(f"watched {args.epochs} epoch(s); watchdog:",
+          "clean run, no NaN/inf" if anomaly is None else anomaly)
+    if anomaly is not None:
+        print("FAIL: the healthy watched run recorded a NaN/inf", file=sys.stderr)
+        return 1
 
     # -- 2. quantized clip audit --------------------------------------------
-    # fresh collector: training stats and inference clip rates are
-    # different questions
+    # fresh collector: the training watch and the inference clip rates
+    # are different questions
     audit = NumericsCollector(watchdog="warn")
     ctx = CompileContext(seed=args.seed, quant_bits=args.bits)
     pipeline = Pipeline(
@@ -86,9 +92,13 @@ def main() -> None:
         model.eval()
         with no_grad():
             model(Tensor(ctx.probe_batch()))
+    rates = {
+        "activation clip rate": audit.clip_rate("dorefa.act_clip"),
+        "weight saturation": audit.clip_rate("dorefa.weight_sat"),
+    }
     print(f"\nquantized forward (INT{args.bits}):")
-    print(f"  activation clip rate: {audit.clip_rate('dorefa.act_clip'):.2%}")
-    print(f"  weight saturation:    {audit.clip_rate('dorefa.weight_sat'):.2%}")
+    for label, rate in rates.items():
+        print(f"  {label + ':':<22s}{rate:.2%}")
 
     # -- 3. reorder-divergence probe ----------------------------------------
     div = ctx.state["reorder_divergence"]
@@ -100,6 +110,14 @@ def main() -> None:
     print("\n(avg pooling: ReLU/avg do not commute, so nonzero divergence "
           "is expected; rerun the probe on a max-pool net for exact zeros)")
 
+    failures = [f"{label} {rate} is outside [0, 1]"
+                for label, rate in rates.items() if not 0.0 <= rate <= 1.0]
+    if not div["end_to_end_max_abs"] > 0.0:
+        failures.append(f"avg-pool divergence {div['end_to_end_max_abs']} is not > 0")
+    for failure in failures:
+        print("FAIL:", failure, file=sys.stderr)
+    return 1 if failures else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

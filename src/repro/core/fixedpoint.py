@@ -88,6 +88,8 @@ def quantize_tensor(
     fields count that saturation, and
     :func:`quantization_error_bound` accounts for it.
     """
+    if not 2 <= bits <= 32:  # one bit leaves qmax = 0: no magnitude
+        raise ValueError(f"bits must be in [2, 32], got {bits}")
     x = np.asarray(x, dtype=np.float64)
     qmax = 2 ** (bits - 1) - 1
     if amax is None:
@@ -173,14 +175,14 @@ def fused_conv_pool_int(
     happen in floating point — exactly the split the preprocessing
     stage of Fig. 9 implements (shift + bias + activation).
 
-    ``acc_bits`` is the *nominal* hardware accumulator width: the math
-    stays exact (int64 carriers), but accumulators whose magnitude
+    ``acc_bits`` (≥ 2) is the *nominal* hardware accumulator width: the
+    math stays exact (int64 carriers), but accumulators whose magnitude
     exceeds ``2^(acc_bits-1)-1`` are counted as would-be overflows.
-    ``out_bits > 0`` requantizes the epilogue output to that width
-    (range ``out_amax``, or the output's own max), modelling the
-    write-back, and counts requantization clipping.  Pass ``stats`` to
-    receive the counts; enabled numerics collectors get them either
-    way.
+    ``out_bits`` in [2, 32] requantizes the epilogue output to that
+    width (range ``out_amax`` > 0, or the output's own max), modelling
+    the write-back, and counts requantization clipping; the default 0
+    skips it.  Pass ``stats`` to receive the counts; enabled numerics
+    collectors get them either way.
 
     ``impl`` selects the accumulation schedule: ``"vectorized"``
     (default) runs the single gather + int64 GEMM of
@@ -191,6 +193,14 @@ def fused_conv_pool_int(
     """
     if impl not in ("vectorized", "reference"):
         raise ValueError(f"impl must be 'vectorized' or 'reference', got {impl!r}")
+    if acc_bits < 2:
+        raise ValueError(f"acc_bits must be >= 2, got {acc_bits}")
+    if out_bits and not 2 <= out_bits <= 32:
+        raise ValueError(
+            f"out_bits must be 0 (no requantization) or in [2, 32], got {out_bits}"
+        )
+    if out_amax is not None and not out_amax > 0:
+        raise ValueError(f"out_amax must be positive, got {out_amax}")
     xi = x.values.astype(ACC_DTYPE)
     wi = w.values.astype(ACC_DTYPE)
     if xi.ndim != 3 or wi.ndim != 4:
@@ -254,49 +264,6 @@ def fused_conv_pool_int(
         if _ACTIVE:
             record_quant_event("fixedpoint.requant_clip", requant_clipped, result.size)
         result = np.clip(raw, -out_qmax, out_qmax) * rscale
-    return result
-
-
-def fused_conv_pool_fp16(
-    x: np.ndarray,
-    w: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    pool: int = 2,
-    apply_relu: bool = True,
-) -> np.ndarray:
-    """Half-precision fused kernel (the FP16 accelerator configuration).
-
-    Operands are cast to ``float16``; products and the box sum are
-    accumulated in ``float32`` (the hardware accumulates wider than it
-    multiplies), then the epilogue runs in float32.  Returns float64
-    for comparison convenience.  ``x`` must be a square ``(C, H, H)``
-    plane: the output is sized from H alone.
-    """
-    x16 = np.asarray(x, dtype=np.float16).astype(np.float32)
-    w16 = np.asarray(w, dtype=np.float16).astype(np.float32)
-    if x16.ndim != 3 or w16.ndim != 4:
-        raise ValueError("expected (C,H,W) activations and (M,C,K,K) weights")
-    c, h, wdt = x16.shape
-    m, cw, k, _ = w16.shape
-    if c != cw:
-        raise ValueError(f"channel mismatch: {c} vs {cw}")
-    if h != wdt:
-        raise ValueError(f"the fp16 path needs a square input (H == W), got {h}x{wdt}")
-    acc = box_sum(x16, pool)
-    co = h - k + 1
-    po = (co - pool) // pool + 1
-    if po < 1:
-        raise ValueError("input too small for one pooled output")
-    out = np.zeros((m, po, po), dtype=np.float32)
-    for ki in range(k):
-        for kj in range(k):
-            window = acc[:, ki : ki + pool * po : pool, kj : kj + pool * po : pool]
-            out += np.einsum("mc,cij->mij", w16[:, :, ki, kj], window)
-    result = out.astype(np.float64) / float(pool * pool)
-    if bias is not None:
-        result += np.asarray(bias, dtype=np.float64)[:, None, None]
-    if apply_relu:
-        np.maximum(result, 0.0, out=result)
     return result
 
 

@@ -45,11 +45,11 @@ kernel selection changes, ops/bytes drift.
 ``--numerics [MODEL ...]`` (default: lenet5 vgg16) compiles each model
 through the MLCNN pipeline with the reorder-divergence probe, runs an
 instrumented forward+backward on the probe batch, and prints the
-per-layer numerics health report — streaming activation/gradient
-statistics, DoReFa clip/saturation rates, and the measured reorder
-divergence.  ``--bits`` selects the quantization width (default 8);
-with ``--obs`` the report lands in ``numerics.jsonl``, each row tagged
-with ``model`` and ``bits``::
+numerics health report — per-layer DoReFa clip/saturation rates, the
+measured reorder divergence and the NaN/inf watchdog's verdict.
+``--bits`` selects the quantization width (default 8); with ``--obs``
+the report lands in ``numerics.jsonl``, each row tagged with ``model``
+and ``bits``::
 
     python -m repro.experiments --numerics lenet5 --bits 4 --obs run
 """
@@ -200,8 +200,9 @@ def main(argv=None) -> int:
         nargs="*",
         metavar="MODEL",
         default=None,
-        help="print the per-layer numerics health report for the given "
-        "zoo models (default: lenet5 vgg16) and exit; honours --bits",
+        help="print the numerics health report (clip rates, reorder "
+        "divergence, NaN/inf watchdog) for the given zoo models "
+        "(default: lenet5 vgg16) and exit; honours --bits",
     )
     parser.add_argument(
         "--attrib",
@@ -300,8 +301,8 @@ def _run_numerics(args, run) -> int:
     reorder-divergence probe inserted after ``reorder``), instrument
     the compiled model with a :class:`~repro.obs.numerics
     .NumericsCollector`, run one forward+backward on the probe batch,
-    and print per-layer streaming statistics, DoReFa clip/saturation
-    rates and the measured reorder divergence.
+    and print its summary: DoReFa clip/saturation rates per layer, the
+    measured reorder divergence and the NaN/inf watchdog's verdict.
     """
     import numpy as np
 
@@ -351,12 +352,12 @@ def _run_numerics(args, run) -> int:
             labels = rng.integers(0, logits.data.shape[-1], size=len(x))
             loss = F.cross_entropy(logits, labels)
             loss.backward()
+        table = collector.summary_report()
         print(f"\n-- {name} (INT{bits}) --")
-        print(collector.summary())
+        print(table.render())
         if run is not None:
             with open(run.path(run.NUMERICS), "a") as fh:
                 fh.write(collector.to_jsonl(model=name, bits=bits))
-            table = collector.summary_report()
             table.experiment += f" [{name}]"
             run.reports.append(table)
     return 0

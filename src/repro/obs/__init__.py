@@ -60,9 +60,6 @@ from repro.obs.instrument import deinstrument_model, instrument_model
 from repro.obs.numerics import (
     NumericsCollector,
     NumericsError,
-    P2Quantile,
-    TensorStats,
-    Welford,
     record_quant_event,
     reorder_divergence,
 )
@@ -84,18 +81,15 @@ __all__ = [
     "NumericsError",
     "ObsRun",
     "OpCounters",
-    "P2Quantile",
     "RegressionReport",
     "Roofline",
     "RunDiff",
     "RunRecord",
     "SamplingProfiler",
     "SpanEvent",
-    "TensorStats",
     "TolerancePolicy",
     "Tracer",
     "Verdict",
-    "Welford",
     "attribute_model_run",
     "build_attribution",
     "calibrate",

@@ -14,8 +14,8 @@ backward arithmetic.)
 
 Passing ``numerics=`` attaches a
 :class:`~repro.obs.numerics.NumericsCollector` through the same
-wrappers: each leaf's forward output and backward gradient are folded
-into streaming per-layer statistics, and quantized paths executing
+wrappers: each leaf's forward output and backward gradient pass its
+NaN/inf watchdog, and the clip events of quantized paths executing
 inside a layer's forward get attributed to it.
 
 Passing ``counters=True`` arms the attribution join
@@ -152,8 +152,9 @@ def instrument_model(
     (``features.0.forward`` …), optionally under ``prefix``.  The root
     module's span is ``prefix`` itself, or the lowercased class name
     when no prefix is given.  When ``numerics`` is given, leaf forward
-    outputs and backward gradients additionally feed its streaming
-    per-layer statistics whenever the collector is enabled.  When
+    outputs and backward gradients additionally pass its NaN/inf
+    watchdog, and quantized clip events are attributed to the running
+    layer, whenever the collector is enabled.  When
     ``counters=True``, leaf spans carry measured
     :class:`~repro.nn.counters.OpCounters`, a ``bytes_io`` traffic
     estimate and the executing kernel name while the tracer is enabled

@@ -1,42 +1,33 @@
-"""Per-layer numerics health monitoring (the third observability axis).
+"""Numerics health: the evidence behind the paper's two accuracy claims.
 
 The tracer (:mod:`repro.obs.tracer`) answers *where time goes*, the
 measured counters (:mod:`repro.nn.counters`) answer *what work
-happened*; this module answers *where numerical damage happens* — the
-evidence behind the paper's two accuracy claims (the
-``Conv→ReLU→AvgPool`` → ``Conv→AvgPool→ReLU`` swap is benign, and INT8
-DoReFa quantization stays accuracy-equivalent).
+happened*; this module answers *where numerical damage happens*.  The
+paper claims the ``Conv→ReLU→AvgPool`` → ``Conv→AvgPool→ReLU`` swap is
+benign (Fig. 3) and INT8 DoReFa quantization stays accuracy-equivalent
+(Fig. 12); the gated ``numerics.*`` metrics read the two quantities
+below.
 
-Three layers:
-
-* **Streaming estimators** — :class:`Welford` (count/mean/std/min/max
-  in one pass, mergeable across shards) and :class:`P2Quantile` (the
-  P² algorithm: approximate percentiles from five markers, no sample
-  retention).  :class:`TensorStats` composes them with NaN/inf/zero
-  accounting over a stream of arrays; memory is O(1) per stream no
-  matter how many batches flow through.
-* **The collector** — :class:`NumericsCollector` holds one
-  :class:`TensorStats` per ``(layer, kind)`` stream.  Attach it with
-  ``instrument_model(model, numerics=collector)`` and every module's
-  forward output and backward gradient is observed; the quantized
+* **The collector** — :class:`NumericsCollector`.  The quantized
   execution paths (:mod:`repro.core.quantize`,
   :mod:`repro.core.fixedpoint`) report clip/saturation/overflow events
-  into every *enabled* collector via :func:`record_quant_event`,
-  attributed to the layer currently executing.  A configurable NaN/inf
-  **watchdog** (``record`` / ``warn`` / ``raise``) fires on the first
-  non-finite value, naming the offending layer and batch.
+  into every *enabled* collector via :func:`record_quant_event`;
+  attached with ``instrument_model(model, numerics=collector)``, each
+  event is attributed to the layer currently executing, and every
+  module's forward output and backward gradient passes a NaN/inf
+  **watchdog** (``record`` / ``warn`` / ``raise``) that names the
+  first offending layer, epoch and batch.
 * **The reorder-divergence probe** — :func:`reorder_divergence` runs a
   network in *both* activation orders on a probe batch and reports
   per-layer and end-to-end max-abs divergence plus the top-1 flip
   rate.  :class:`repro.compiler.passes.ReorderDivergenceProbePass`
   exposes it as a compiler validation step.
 
-Everything exports through the existing surfaces: ``report()`` is a
-JSON document, ``to_jsonl()`` a greppable event log (the
-``numerics.jsonl`` of an ``--obs`` run directory), and
-``summary_report()`` the standard table the dashboard renders.
-Disabled collectors cost one attribute check per call (guarded by
-``tests/obs/test_overhead.py``).
+``to_jsonl()`` writes the clip counters, the divergence and the first
+anomaly as typed rows (the ``numerics.jsonl`` of an ``--obs`` run
+directory), and ``summary_report()`` is the table ``--numerics``
+prints and the dashboard renders.  Disabled collectors cost one
+attribute check per call (guarded by ``tests/obs/test_overhead.py``).
 """
 
 from __future__ import annotations
@@ -44,15 +35,12 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "Welford",
-    "P2Quantile",
-    "TensorStats",
     "ClipCounter",
     "NumericsError",
     "NumericsCollector",
@@ -66,240 +54,6 @@ logger = logging.getLogger("repro.obs.numerics")
 
 #: valid NaN/inf watchdog policies
 WATCHDOG_POLICIES = ("record", "warn", "raise")
-
-
-# ---------------------------------------------------------------------------
-# Streaming estimators
-# ---------------------------------------------------------------------------
-
-class Welford:
-    """Streaming count / mean / variance / min / max (Welford's method).
-
-    ``update`` consumes whole arrays (batched Chan/parallel update, no
-    Python-level loop); ``merge`` combines two independently-built
-    estimators exactly, so per-shard statistics can be reduced to a
-    global one.  Variance is the population variance (``ddof=0``),
-    matching ``numpy.std``'s default.
-    """
-
-    __slots__ = ("n", "mean", "_m2", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def update(self, values: np.ndarray) -> None:
-        """Fold a batch of finite values into the running statistics."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        nb = values.size
-        if nb == 0:
-            return
-        mb = float(values.mean())
-        m2b = float(((values - mb) ** 2).sum())
-        self._combine(nb, mb, m2b)
-        self.minimum = min(self.minimum, float(values.min()))
-        self.maximum = max(self.maximum, float(values.max()))
-
-    def merge(self, other: "Welford") -> "Welford":
-        """Fold ``other``'s statistics into self (exact); returns self."""
-        if other.n:
-            self._combine(other.n, other.mean, other._m2)
-            self.minimum = min(self.minimum, other.minimum)
-            self.maximum = max(self.maximum, other.maximum)
-        return self
-
-    def _combine(self, nb: int, mb: float, m2b: float) -> None:
-        na = self.n
-        total = na + nb
-        delta = mb - self.mean
-        self.mean += delta * nb / total
-        self._m2 += m2b + delta * delta * na * nb / total
-        self.n = total
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.n if self.n else 0.0
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
-
-
-class P2Quantile:
-    """The P² algorithm (Jain & Chlamtac 1985): one streaming quantile.
-
-    Five markers track the target quantile ``q`` with parabolic
-    (fallback linear) height adjustment — O(1) memory, no sample
-    retention.  Exact while fewer than five observations have been
-    seen.  Accuracy degrades gracefully on pathological distributions;
-    ``tests/obs/test_numerics.py`` pins the behaviour on constant,
-    bimodal and heavy-tailed streams.
-    """
-
-    __slots__ = ("q", "n", "_heights", "_pos", "_want", "_inc")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.n = 0
-        self._heights: List[float] = []
-        self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._want = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._inc = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def add(self, x: float) -> None:
-        """Observe one value."""
-        x = float(x)
-        self.n += 1
-        if self.n <= 5:
-            self._heights.append(x)
-            self._heights.sort()
-            return
-        h = self._heights
-        # locate the cell, extending the extremes when needed
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._pos[i] += 1.0
-        for i in range(5):
-            self._want[i] += self._inc[i]
-        # adjust the three interior markers
-        for i in (1, 2, 3):
-            d = self._want[i] - self._pos[i]
-            if (d >= 1.0 and self._pos[i + 1] - self._pos[i] > 1.0) or (
-                d <= -1.0 and self._pos[i - 1] - self._pos[i] < -1.0
-            ):
-                step = 1.0 if d > 0 else -1.0
-                cand = self._parabolic(i, step)
-                if not h[i - 1] < cand < h[i + 1]:
-                    cand = self._linear(i, step)
-                h[i] = cand
-                self._pos[i] += step
-
-    def update(self, values: Sequence[float]) -> None:
-        """Observe a batch of values."""
-        for v in np.asarray(values, dtype=np.float64).ravel():
-            self.add(v)
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, p = self._heights, self._pos
-        return h[i] + d / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, p = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (p[j] - p[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (NaN before any observation)."""
-        if self.n == 0:
-            return float("nan")
-        if self.n <= 5:
-            return float(np.quantile(self._heights, self.q))
-        return self._heights[2]
-
-
-class TensorStats:
-    """Streaming health statistics for one stream of arrays.
-
-    Tracks count, NaN/inf/zero counts, and — over the *finite* values
-    only, so one stray inf cannot poison the distribution view —
-    Welford mean/std/min/max plus P² percentile estimates.  Percentile
-    estimators see at most ``sample_limit`` evenly-strided values per
-    update (the P² inner loop is per-observation Python); the moment
-    statistics always see every finite value.
-    """
-
-    __slots__ = ("count", "nan_count", "inf_count", "zero_count",
-                 "moments", "quantiles", "sample_limit")
-
-    def __init__(
-        self,
-        percentiles: Sequence[float] = (0.01, 0.5, 0.99),
-        sample_limit: int = 256,
-    ) -> None:
-        self.count = 0
-        self.nan_count = 0
-        self.inf_count = 0
-        self.zero_count = 0
-        self.moments = Welford()
-        self.quantiles: Dict[float, P2Quantile] = {
-            float(q): P2Quantile(float(q)) for q in percentiles
-        }
-        self.sample_limit = int(sample_limit)
-
-    def update(self, arr: np.ndarray) -> Tuple[int, int]:
-        """Fold one array in; returns this update's (nan, inf) counts."""
-        arr = np.asarray(arr)
-        n = arr.size
-        if n == 0:
-            return 0, 0
-        self.count += n
-        finite_mask = np.isfinite(arr)
-        n_finite = int(np.count_nonzero(finite_mask))
-        nan = inf = 0
-        if n_finite != n:
-            nan = int(np.count_nonzero(np.isnan(arr)))
-            inf = n - n_finite - nan
-            self.nan_count += nan
-            self.inf_count += inf
-            finite = np.asarray(arr[finite_mask], dtype=np.float64).ravel()
-        else:
-            finite = np.asarray(arr, dtype=np.float64).ravel()
-        self.zero_count += int(np.count_nonzero(finite == 0.0))
-        if finite.size:
-            self.moments.update(finite)
-            if self.quantiles:
-                if finite.size > self.sample_limit:
-                    step = finite.size // self.sample_limit
-                    sample = finite[::step][: self.sample_limit]
-                else:
-                    sample = finite
-                for est in self.quantiles.values():
-                    est.update(sample)
-        return nan, inf
-
-    @property
-    def finite_count(self) -> int:
-        return self.count - self.nan_count - self.inf_count
-
-    @property
-    def zero_fraction(self) -> float:
-        return self.zero_count / self.finite_count if self.finite_count else 0.0
-
-    def percentile(self, q: float) -> float:
-        return self.quantiles[float(q)].value
-
-    def as_dict(self) -> Dict[str, float]:
-        doc: Dict[str, float] = {
-            "count": self.count,
-            "nan": self.nan_count,
-            "inf": self.inf_count,
-            "zero_fraction": self.zero_fraction,
-            "mean": self.moments.mean,
-            "std": self.moments.std,
-            "min": self.moments.minimum if self.moments.n else float("nan"),
-            "max": self.moments.maximum if self.moments.n else float("nan"),
-        }
-        for q in sorted(self.quantiles):
-            doc[f"p{q * 100:g}"] = self.quantiles[q].value
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -385,43 +139,28 @@ class NumericsError(RuntimeError):
 
 
 class NumericsCollector:
-    """Per-layer numerics health: streaming stats, clip counters, watchdog.
+    """Clip counters and a NaN/inf watchdog behind one switch.
 
     Attach with ``instrument_model(model, numerics=collector)``; enable
-    with :meth:`enable` or as a context manager.  While enabled it also
+    with :meth:`enable` or as a context manager.  While enabled it
     receives clip/saturation events from the quantized execution paths
-    (:func:`record_quant_event`).  Disabled, instrumented forwards pay
-    one attribute check.
+    (:func:`record_quant_event`) and checks every observed array for
+    non-finite values.  Disabled, instrumented forwards pay one
+    attribute check.
 
-    Parameters
-    ----------
-    percentiles:
-        Quantiles estimated per stream via P² (empty tuple disables the
-        per-observation estimator loop entirely — the cheap mode for
-        training-time monitoring).
-    watchdog:
-        ``"record"`` (remember the first anomaly), ``"warn"`` (log a
-        warning once per stream), or ``"raise"`` (raise
-        :class:`NumericsError` naming the layer and batch).
-    sample_limit:
-        Max values per update fed to each percentile estimator.
+    ``watchdog`` is ``"record"`` (remember the first anomaly),
+    ``"warn"`` (also log a warning once per ``(layer, kind)``), or
+    ``"raise"`` (raise :class:`NumericsError` naming the layer and
+    batch).
     """
 
-    def __init__(
-        self,
-        percentiles: Sequence[float] = (0.01, 0.5, 0.99),
-        watchdog: str = "record",
-        sample_limit: int = 256,
-    ) -> None:
+    def __init__(self, watchdog: str = "record") -> None:
         if watchdog not in WATCHDOG_POLICIES:
             raise ValueError(
                 f"unknown watchdog policy {watchdog!r}; valid: {WATCHDOG_POLICIES}"
             )
-        self.percentiles = tuple(float(q) for q in percentiles)
         self.watchdog = watchdog
-        self.sample_limit = sample_limit
         self.enabled = False
-        self.stats: "Dict[Tuple[str, str], TensorStats]" = {}
         self.quant: Dict[str, ClipCounter] = {}
         self.divergence: Optional[Dict[str, Any]] = None
         self.first_anomaly: Optional[Dict[str, Any]] = None
@@ -480,21 +219,15 @@ class NumericsCollector:
 
     # -- observation ---------------------------------------------------------
     def observe(self, layer: str, kind: str, arr: np.ndarray) -> None:
-        """Fold one array into the ``(layer, kind)`` stream.
+        """Watchdog check for one ``(layer, kind)`` array.
 
         May raise :class:`NumericsError` under the ``raise`` policy.
         """
-        if not self.enabled:
+        if not self.enabled or np.isfinite(arr).all():
             return
-        key = (layer, kind)
-        with self._lock:
-            stats = self.stats.get(key)
-            if stats is None:
-                stats = TensorStats(self.percentiles, self.sample_limit)
-                self.stats[key] = stats
-            nan, inf = stats.update(arr)
-        if nan or inf:
-            self._handle_anomaly(layer, kind, nan, inf)
+        nan = int(np.count_nonzero(np.isnan(arr)))
+        inf = int(np.count_nonzero(np.isinf(arr)))
+        self._handle_anomaly(layer, kind, nan, inf)
 
     def record_quant(
         self, name: str, clipped: int, total: int, low: int = 0, high: int = 0
@@ -551,95 +284,48 @@ class NumericsCollector:
         return clipped / total if total else 0.0
 
     # -- export --------------------------------------------------------------
-    def report(self) -> Dict[str, Any]:
-        """The full health report as one JSON-ready document."""
-        with self._lock:
-            layers = [
-                {"layer": layer, "kind": kind, **stats.as_dict()}
-                for (layer, kind), stats in self.stats.items()
-            ]
-            quant = {key: counter.as_dict() for key, counter in self.quant.items()}
-        return {
-            "layers": layers,
-            "quant": quant,
-            "divergence": self.divergence,
-            "anomaly": self.first_anomaly,
-        }
-
     def to_jsonl(self, **tags: Any) -> str:
-        """One JSON object per stream / clip counter / probe result;
+        """One JSON object per clip counter, probe result and anomaly;
         every row carries ``tags`` (e.g. ``model="lenet5", bits=8``)."""
-        lines: List[str] = []
-        doc = self.report()
-        for row in doc["layers"]:
-            lines.append(json.dumps({"type": "numerics", **tags, **row}))
-        for key, counter in sorted(doc["quant"].items()):
-            lines.append(json.dumps({"type": "quant_clip", **tags, "name": key, **counter}))
-        if doc["divergence"] is not None:
-            lines.append(json.dumps({"type": "reorder_divergence", **tags, **doc["divergence"]}))
-        if doc["anomaly"] is not None:
-            lines.append(json.dumps({"type": "anomaly", **tags, **doc["anomaly"]}))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_report(self, path: str) -> str:
-        """Write the report to ``path`` (JSONL for ``.jsonl``, else JSON)."""
-        with open(path, "w") as fh:
-            if path.endswith(".jsonl"):
-                fh.write(self.to_jsonl())
-            else:
-                json.dump(self.report(), fh, indent=2)
-                fh.write("\n")
-        return path
+        with self._lock:
+            quant = sorted(self.quant.items())
+        rows = [
+            {"type": "quant_clip", **tags, "name": key, **counter.as_dict()}
+            for key, counter in quant
+        ]
+        if self.divergence is not None:
+            rows.append({"type": "reorder_divergence", **tags, **self.divergence})
+        if self.first_anomaly is not None:
+            rows.append({"type": "anomaly", **tags, **self.first_anomaly})
+        return "".join(json.dumps(row) + "\n" for row in rows)
 
     def summary_report(self):
-        """Per-layer table as a :class:`repro.analysis.report.ExperimentReport`."""
-        from repro.analysis.report import ExperimentReport
+        """One row per clip counter, the divergence and the watchdog's
+        verdict as notes: a :class:`repro.analysis.report.ExperimentReport`."""
+        from repro.analysis.report import ExperimentReport, format_percent
 
-        headers = ["layer", "kind", "count", "mean", "std", "min", "max", "zero%", "nan", "inf"]
-        headers += [f"p{q * 100:g}" for q in sorted(self.percentiles)]
-        rep = ExperimentReport("Numerics", "per-layer value-distribution health", headers=headers)
-        with self._lock:
-            items = list(self.stats.items())
-        for (layer, kind), stats in items:
-            d = stats.as_dict()
-            row = [
-                layer,
-                kind,
-                int(d["count"]),
-                f"{d['mean']:.4g}",
-                f"{d['std']:.4g}",
-                f"{d['min']:.4g}",
-                f"{d['max']:.4g}",
-                f"{100 * d['zero_fraction']:.1f}",
-                int(d["nan"]),
-                int(d["inf"]),
-            ]
-            row += [f"{d[f'p{q * 100:g}']:.4g}" for q in sorted(self.percentiles)]
-            rep.add_row(*row)
+        rep = ExperimentReport(
+            "Numerics",
+            "quantized-path clip counters, reorder divergence, NaN/inf watchdog",
+            headers=["name", "clipped", "total", "rate"],
+        )
         with self._lock:
             quant = sorted(self.quant.items())
         for key, counter in quant:
-            rep.add_note(
-                f"quant {key}: {counter.clipped}/{counter.total} clipped "
-                f"({100 * counter.rate:.2f}%)"
-            )
+            rep.add_row(key, counter.clipped, counter.total, format_percent(counter.rate, 2))
         if self.divergence is not None:
             d = self.divergence
             rep.add_note(
                 f"reorder divergence: end-to-end max|dev| {d['end_to_end_max_abs']:.4g}, "
                 f"top-1 flips {100 * d['top1_flip_rate']:.1f}% over {d['layers']} pooled layer(s)"
             )
-        if self.first_anomaly is not None:
-            a = self.first_anomaly
-            rep.add_note(
-                f"ANOMALY: {a['layer']}.{a['kind']} ({a['nan']} NaN, {a['inf']} inf) "
-                f"at epoch {a['epoch']}, batch {a['batch']}"
-            )
+        a = self.first_anomaly
+        rep.add_note(
+            "watchdog: no NaN/inf" if a is None else
+            f"ANOMALY: {a['layer']}.{a['kind']} ({a['nan']} NaN, {a['inf']} inf) "
+            f"at epoch {a['epoch']}, batch {a['batch']}"
+        )
         return rep
-
-    def summary(self) -> str:
-        """Rendered text of :meth:`summary_report`."""
-        return self.summary_report().render()
 
 
 # ---------------------------------------------------------------------------

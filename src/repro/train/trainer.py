@@ -109,10 +109,10 @@ class Trainer:
     """Fit a model on a dataset; records per-epoch statistics.
 
     Pass a :class:`repro.obs.numerics.NumericsCollector` as
-    ``numerics`` to watch training health: the collector is enabled for
-    the duration of :meth:`fit`, every anomaly is stamped with the
-    (epoch, batch) position, and each batch loss runs through the
-    NaN/inf watchdog — with policy ``"raise"``, a diverging run stops
+    ``numerics`` to watch training for NaN/inf: the collector is enabled
+    for the duration of :meth:`fit` (quantized layers report their clip
+    counters into it), every anomaly is stamped with the (epoch, batch)
+    position, and each batch loss runs through the watchdog — with policy ``"raise"``, a diverging run stops
     at the first non-finite value, naming the offending layer (when the
     model is instrumented via
     :func:`repro.obs.instrument_model(..., numerics=...)

@@ -1,4 +1,4 @@
-"""Sweep series, FP16 numerics path, and model checkpointing."""
+"""Sweep series and model checkpointing."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.analysis.sweep import (
     lar_rate_vs_filter,
     speedup_vs_pool_size,
 )
-from repro.core.fixedpoint import fused_conv_pool_fp16, fused_conv_pool_int, quantize_tensor
-from repro.core.fusion import fused_conv_pool
 from repro.models import build_model
 from repro.nn import load_checkpoint, save_checkpoint
 from repro.nn.tensor import Tensor, no_grad
@@ -46,41 +44,6 @@ class TestSweeps:
         # larger kernels amortize preprocessing better
         assert red[0] <= red[-1] + 0.05
         assert (red > 0).all()
-
-
-class TestFP16Path:
-    @pytest.fixture
-    def rng(self):
-        return np.random.default_rng(55)
-
-    def test_close_to_fp32(self, rng):
-        x = rng.normal(size=(3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3)) * 0.3
-        with no_grad():
-            ref = fused_conv_pool(Tensor(x[None]), Tensor(w), None, pool=2).data[0]
-        got = fused_conv_pool_fp16(x, w, None)
-        rel = np.abs(got - ref).max() / (np.abs(ref).max() + 1e-12)
-        assert rel < 5e-3  # half precision: ~1e-3 relative
-
-    def test_fp16_more_accurate_than_int8(self, rng):
-        x = rng.normal(size=(2, 12, 12)) * 3
-        w = rng.normal(size=(2, 2, 3, 3))
-        with no_grad():
-            ref = fused_conv_pool(Tensor(x[None]), Tensor(w), None, pool=2).data[0]
-        e16 = np.abs(fused_conv_pool_fp16(x, w) - ref).max()
-        e8 = np.abs(fused_conv_pool_int(quantize_tensor(x, 8), quantize_tensor(w, 8)) - ref).max()
-        assert e16 < e8
-
-    def test_relu_and_bias(self, rng):
-        x = rng.normal(size=(1, 8, 8))
-        w = rng.normal(size=(2, 1, 3, 3))
-        b = rng.normal(size=2)
-        out = fused_conv_pool_fp16(x, w, b, apply_relu=True)
-        assert (out >= 0).all()
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            fused_conv_pool_fp16(rng.normal(size=(2, 8, 8)), rng.normal(size=(1, 3, 3, 3)))
 
 
 class TestCheckpointing:

@@ -196,6 +196,34 @@ class TestAccumulatorAndRequant:
         assert np.abs(got - ref).max() <= int_path_error_bound(qx, qw)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"bits": 1}, r"bits must be in \[2, 32\], got 1"),
+        ({"bits": 33}, r"bits must be in \[2, 32\], got 33"),
+        ({"out_bits": 1}, r"out_bits must be 0 \(no requantization\) or in \[2, 32\], got 1"),
+        ({"out_bits": -3}, r"out_bits must be 0 \(no requantization\) or in \[2, 32\], got -3"),
+        ({"out_bits": 33}, r"out_bits must be 0 \(no requantization\) or in \[2, 32\], got 33"),
+        ({"out_bits": 8, "out_amax": -1.0}, r"out_amax must be positive, got -1.0"),
+        ({"out_bits": 8, "out_amax": 0.0}, r"out_amax must be positive, got 0.0"),
+        ({"acc_bits": 0}, r"acc_bits must be >= 2, got 0"),
+        ({"acc_bits": 1}, r"acc_bits must be >= 2, got 1"),
+    ],
+    ids=["bits-1", "bits-33", "out_bits-1", "out_bits-neg", "out_bits-33",
+         "out_amax-neg", "out_amax-0", "acc_bits-0", "acc_bits-1"],
+)
+def test_fixed_point_widths_and_ranges_rejected_at_entry(rng, kwargs, match):
+    """A width or range outside the valid set raises instead of dividing
+    by zero or silently saturating every output."""
+    x = rng.normal(size=(2, 8, 8))
+    w = rng.normal(size=(3, 2, 3, 3))
+    with pytest.raises(ValueError, match=match):
+        if "bits" in kwargs:
+            quantize_tensor(x, **kwargs)
+        else:
+            fused_conv_pool_int(quantize_tensor(x, 8), quantize_tensor(w, 8), **kwargs)
+
+
 class TestIntFusedKernel:
     def _float_ref(self, x, w, b, pool=2):
         with no_grad():

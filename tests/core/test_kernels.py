@@ -29,7 +29,6 @@ from repro.compiler import lowered_kernels
 from repro.core import kernels
 from repro.core.fixedpoint import (
     IntPathStats,
-    fused_conv_pool_fp16,
     fused_conv_pool_int,
     quantize_tensor,
 )
@@ -479,11 +478,10 @@ def _int_path_reference(x, w):
     [
         _int_path,
         _int_path_reference,
-        fused_conv_pool_fp16,
         fused_conv_pool_counted,
         dense_conv_pool_counted,
     ],
-    ids=["int-vectorized", "int-reference", "fp16", "fused-counted", "dense-counted"],
+    ids=["int-vectorized", "int-reference", "fused-counted", "dense-counted"],
 )
 def test_square_only_executors_reject_non_square_input(rng, executor, shape):
     """These size their output from H alone: a wide input would lose

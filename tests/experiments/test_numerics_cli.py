@@ -1,10 +1,9 @@
 """The ``--numerics`` CLI surface: one command, full health report.
 
-``python -m repro.experiments --numerics`` must produce a per-layer
-report covering forward *and* backward statistics, quantized-path clip
-rates, and the measured reorder divergence — and with ``--obs`` it must
-persist that report as ``numerics.jsonl`` rows tagged with ``model`` and
-``bits``.
+``python -m repro.experiments --numerics`` must print the quantized-path
+clip counters, the measured reorder divergence and the watchdog's
+verdict — and with ``--obs`` it must persist them as ``numerics.jsonl``
+rows tagged with ``model`` and ``bits``.
 """
 
 import json
@@ -34,9 +33,10 @@ class TestNumericsCLI:
         printed = capsys.readouterr().out
         assert "lenet5" in printed
         rows = _rows(tmp_path)
-        kinds = {row["kind"] for row in rows if row["type"] == "numerics"}
-        assert kinds == {"forward", "backward"}
+        assert not [row for row in rows if row["type"] == "numerics"]
         clips = [row["name"] for row in rows if row["type"] == "quant_clip"]
+        assert all(name in printed for name in clips)  # one summary row each
+        assert "no NaN/inf" in printed
         assert any(k.endswith("dorefa.act_clip") for k in clips)
         assert any(k.endswith("dorefa.weight_sat") for k in clips)
         (div,) = [row for row in rows if row["type"] == "reorder_divergence"]
@@ -49,7 +49,7 @@ class TestNumericsCLI:
         assert rc == 0
         rows = _rows(tmp_path)
         types = {row["type"] for row in rows}
-        assert {"numerics", "quant_clip", "reorder_divergence"} <= types
+        assert types == {"quant_clip", "reorder_divergence"}
         assert all(row["model"] == "lenet5" and row["bits"] == 8 for row in rows)
 
     def test_honours_bits(self, tmp_path):

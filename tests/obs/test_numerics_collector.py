@@ -1,7 +1,9 @@
-"""NumericsCollector end-to-end: instrumented collection, the NaN/inf
-watchdog, quantized-path attribution, and the reorder-divergence probe.
+"""NumericsCollector end-to-end: the instrumented NaN/inf watchdog,
+quantized-path attribution, the exports, and the reorder-divergence
+probe.
 """
 
+import json
 import logging
 
 import numpy as np
@@ -40,29 +42,39 @@ def _forward_backward(model, probe):
 
 
 class TestCollection:
-    def test_forward_and_backward_streams(self, lenet, probe):
+    def test_nan_and_inf_counted_exactly(self):
+        col = NumericsCollector()
+        arr = np.arange(12, dtype=np.float64)
+        arr[[2, 5, 7]] = [np.nan, np.inf, -np.inf]
+        with col:
+            col.observe("layer", "forward", np.zeros(4))  # finite: no anomaly
+            assert col.first_anomaly is None
+            col.observe("layer", "forward", arr)
+        assert col.first_anomaly["nan"] == 1
+        assert col.first_anomaly["inf"] == 2
+        assert (col.first_anomaly["layer"], col.first_anomaly["kind"]) == ("layer", "forward")
+
+    def test_backward_nan_reported_at_fc_out(self, lenet, probe):
+        """A clean forward, then a NaN upstream gradient into the logits:
+        the first non-finite array is the backward of the output layer."""
         col = NumericsCollector()
         instrument_model(lenet, numerics=col)
         with col:
-            _forward_backward(lenet, probe)
-        kinds = {kind for _, kind in col.stats}
-        assert kinds == {"forward", "backward"}
-        layers = {layer for layer, _ in col.stats}
-        assert "fc_out" in layers
-        fwd = col.stats[("fc_out", "forward")]
-        assert fwd.count == 2 * 10  # batch x classes
-        assert np.isfinite(fwd.moments.mean)
-        bwd = col.stats[("fc_out", "backward")]
-        assert bwd.count == 2 * 10
+            logits = lenet(Tensor(probe))
+            assert col.first_anomaly is None
+            logits.backward(np.full(logits.shape, np.nan))
+        anomaly = col.first_anomaly
+        assert (anomaly["layer"], anomaly["kind"]) == ("fc_out", "backward")
+        assert anomaly["nan"] == logits.data.size and anomaly["inf"] == 0
 
     def test_disabled_collector_records_nothing(self, lenet, probe):
         col = NumericsCollector()
         instrument_model(lenet, numerics=col)
-        _forward_backward(lenet, probe)  # never enabled
-        assert col.stats == {}
-        assert col.quant == {}
-        col.observe("x", "forward", probe)  # direct call, still disabled
-        assert col.stats == {}
+        lenet.features[0].conv.weight.data[0, 0, 0, 0] = np.nan
+        _forward_backward(lenet, probe)  # NaN everywhere, never enabled
+        assert col.first_anomaly is None and col.quant == {}
+        col.observe("x", "forward", np.array([np.nan]))  # direct call, still disabled
+        assert col.first_anomaly is None and col.quant == {}
 
     def test_deinstrument_restores_forward(self, lenet, probe):
         col = NumericsCollector()
@@ -71,21 +83,36 @@ class TestCollection:
         deinstrument_model(lenet)
         with col:
             out = lenet(Tensor(probe)).data
+            lenet(Tensor(np.full_like(probe, np.nan)))  # nothing watches it now
         np.testing.assert_array_equal(out, ref)
-        assert col.stats == {}
+        assert col.first_anomaly is None
 
-    def test_report_and_jsonl_shapes(self, lenet, probe):
+    def test_report_and_jsonl_shapes(self, probe):
+        model = build_model("lenet5", seed=0)
+        set_pooling(model, "avg")
+        quantize_model(model, QuantConfig(8, 8))
         col = NumericsCollector()
-        instrument_model(lenet, numerics=col)
+        instrument_model(model, numerics=col)
+        reorder_divergence(model, probe, collector=col)
         with col:
-            _forward_backward(lenet, probe)
-        doc = col.report()
-        assert doc["layers"]
-        row = doc["layers"][0]
-        for key in ("layer", "kind", "count", "mean", "std", "zero_fraction"):
-            assert key in row
-        lines = col.to_jsonl().strip().splitlines()
-        assert len(lines) == len(doc["layers"])
+            model(Tensor(probe))
+        rep = col.summary_report()
+        assert rep.headers == ["name", "clipped", "total", "rate"]
+        assert [row[0] for row in rep.rows] == sorted(col.quant)
+        assert any("reorder divergence" in note for note in rep.notes)
+        assert "no NaN/inf" in rep.notes[-1]
+        rows = [json.loads(line) for line in col.to_jsonl(model="lenet5").splitlines()]
+        types = ["quant_clip"] * len(col.quant) + ["reorder_divergence"]
+        assert [row["type"] for row in rows] == types
+        assert all(row["model"] == "lenet5" for row in rows)
+        name = rows[0]["name"]
+        assert rows[0] == {"type": "quant_clip", "model": "lenet5", "name": name,
+                           **col.quant[name].as_dict()}
+        with col:
+            col.observe("fc_out", "forward", np.array([np.inf]))
+        last = json.loads(col.to_jsonl().splitlines()[-1])
+        assert last["type"] == "anomaly" and last["inf"] == 1
+        assert "ANOMALY: fc_out.forward (0 NaN, 1 inf)" in col.summary_report().notes[-1]
 
     def test_enable_disable_registry(self):
         col = NumericsCollector()
@@ -250,8 +277,8 @@ class TestReorderDivergence:
         instrument_model(model, numerics=col)
         reorder_divergence(model, probe)
         with col:
-            model(Tensor(probe))
-        assert any(kind == "forward" for _, kind in col.stats)
+            model(Tensor(np.full_like(probe, np.nan)))
+        assert col.first_anomaly["kind"] == "forward"
 
     def test_model_without_pooled_blocks(self, probe):
         model = build_model("lenet5", seed=0)
