@@ -12,7 +12,8 @@ model plus an RTL prototype.  This package provides the equivalent:
 * :mod:`repro.accel.tiling` — loop tiling ``<Tm, Tn, Tr, Tc>`` and the
   DRAM traffic it implies.
 * :mod:`repro.accel.simulator` — per-layer and whole-network cycle and
-  energy estimates for DCNN vs MLCNN (Figs. 13 & 15).
+  energy estimates for DCNN vs MLCNN (Figs. 13 & 15); its DRAM and
+  buffer terms are the package's one memory model.
 * :mod:`repro.accel.rtl` — a register/FIFO-accurate micro-simulator of
   the AR unit + MAC slice datapath (the RTL prototype's role).
 """
@@ -37,22 +38,6 @@ from repro.accel.rtl import (
     RTLFusedConvPool,
     RTLFusedConvPoolLayer,
     TraceEvent,
-)
-from repro.accel.dram import DramConfig, DramModel, DramStats
-from repro.accel.buffers import MultiBankBuffer, conflict_free_stride
-from repro.accel.dataflow import (
-    ScheduleStep,
-    weight_input_reuse_schedule,
-    validate_schedule,
-    timeline,
-)
-from repro.accel.arith import (
-    GateStats,
-    ripple_carry_add,
-    wallace_multiply_unsigned,
-    wallace_multiply_signed,
-    wallace_stage_bound,
-    PipelinedFPMultiplier,
 )
 
 __all__ = [
@@ -81,19 +66,4 @@ __all__ = [
     "RTLFusedConvPool",
     "RTLFusedConvPoolLayer",
     "TraceEvent",
-    "DramConfig",
-    "DramModel",
-    "DramStats",
-    "MultiBankBuffer",
-    "conflict_free_stride",
-    "ScheduleStep",
-    "weight_input_reuse_schedule",
-    "validate_schedule",
-    "timeline",
-    "GateStats",
-    "ripple_carry_add",
-    "wallace_multiply_unsigned",
-    "wallace_multiply_signed",
-    "wallace_stage_bound",
-    "PipelinedFPMultiplier",
 ]

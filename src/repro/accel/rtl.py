@@ -261,10 +261,13 @@ class RTLFusedConvPool:
         x = np.asarray(image, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("RTLFusedConvPool runs one channel at a time")
+        h, w = x.shape
+        if h != w:
+            # the output is sized from H alone
+            raise ValueError(f"the RTL datapath needs a square input (H == W), got {h}x{w}")
         if pool != 2:
             raise ValueError("the RTL datapath is instantiated for 2x2 pooling")
         trace: Optional[List[TraceEvent]] = [] if record_trace else None
-        h, w = x.shape
         k = self.k
         co = h - k + 1
         po = (co - pool) // pool + 1

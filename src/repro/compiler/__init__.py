@@ -3,11 +3,10 @@
 The paper's contribution is a *sequence* of cross-layer rewrites —
 reorder activation/pooling, switch to average pooling, fuse conv+pool
 (RME/LAR/GAR), then quantize.  This package turns each rewrite into a
-registered :class:`Pass` and executes them with a
-:class:`Pipeline`/:class:`PassManager` that validates (functional
-spot-check on a probe batch, parameter invariance, MAC deltas) and
-instruments (per-pass wall time, rewrite counts) every step, producing
-a structured :class:`CompileReport`.
+registered :class:`Pass` and executes them with a :class:`Pipeline`
+that validates (functional spot-check on a probe batch, parameter
+invariance, MAC deltas) and instruments (per-pass wall time, rewrite
+counts) every step, producing a structured :class:`CompileReport`.
 
 Quickstart::
 
@@ -24,7 +23,6 @@ Custom orderings compose from registered pass names or instances::
 from repro.compiler.context import CompileContext, PassResult, PassValidationError
 from repro.compiler.pass_base import (
     Pass,
-    FunctionPass,
     PASS_REGISTRY,
     register_pass,
     get_pass,
@@ -43,7 +41,6 @@ from repro.compiler.passes import (
 from repro.compiler.lower import LowerFusedKernelPass, lowered_kernels
 from repro.compiler.pipeline import (
     Pipeline,
-    PassManager,
     PassRecord,
     CompileReport,
     mlcnn_pipeline,
@@ -60,7 +57,6 @@ __all__ = [
     "PassResult",
     "PassValidationError",
     "Pass",
-    "FunctionPass",
     "PASS_REGISTRY",
     "register_pass",
     "get_pass",
@@ -76,7 +72,6 @@ __all__ = [
     "LowerFusedKernelPass",
     "lowered_kernels",
     "Pipeline",
-    "PassManager",
     "PassRecord",
     "CompileReport",
     "mlcnn_pipeline",

@@ -19,6 +19,13 @@ import numpy as np
 #: pass consuming ``ctx.rng`` never perturbs the validation data.
 _PROBE_SEED_OFFSET = 0x9E3779B9
 
+#: shape of the standard normal probe batch the validation hooks run
+PROBE_SHAPE = (2, 3, 32, 32)
+
+#: absolute tolerance of the functional-equivalence check for passes
+#: that declare ``preserves_semantics``
+PROBE_ATOL = 1e-8
+
 
 class PassValidationError(RuntimeError):
     """A pass violated an invariant it declared (semantics or params)."""
@@ -35,26 +42,17 @@ class CompileContext:
         the all-conv downsample convs) and the generated probe batch.
     quant_bits / sparsity / pooling:
         Defaults for passes constructed without an explicit setting.
-    probe / probe_shape:
-        Validation input: an explicit batch wins; otherwise a standard
-        normal batch of ``probe_shape`` is generated from ``seed``.
     validate:
         Master switch for the per-pass validation hooks (functional
-        spot-check, parameter invariance, MAC deltas).
-    atol:
-        Absolute tolerance of the functional-equivalence check for
-        passes that declare ``preserves_semantics``.
+        spot-check on the probe batch, parameter invariance, MAC deltas).
     """
 
     seed: int = 0
     quant_bits: int = 0
     sparsity: float = 0.0
     pooling: str = "avg"
-    probe: Optional[np.ndarray] = None
-    probe_shape: Tuple[int, ...] = (2, 3, 32, 32)
     validate: bool = True
     use_cache: bool = True
-    atol: float = 1e-8
     rng: Optional[np.random.Generator] = None
     state: Dict[str, Any] = field(default_factory=dict)
 
@@ -63,13 +61,12 @@ class CompileContext:
             self.rng = np.random.default_rng(self.seed)
 
     def probe_batch(self) -> np.ndarray:
-        """The validation input batch (deterministic in ``seed``)."""
-        if self.probe is not None:
-            return self.probe
+        """The validation input batch: standard normal of
+        :data:`PROBE_SHAPE`, deterministic in ``seed``."""
         cached = self.state.get("_probe_batch")
-        if cached is None or cached.shape != self.probe_shape:
+        if cached is None:
             gen = np.random.default_rng(self.seed + _PROBE_SEED_OFFSET)
-            cached = gen.normal(size=self.probe_shape)
+            cached = gen.normal(size=PROBE_SHAPE)
             self.state["_probe_batch"] = cached
         return cached
 

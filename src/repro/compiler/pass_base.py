@@ -4,7 +4,7 @@ A pass is a named, reorderable graph rewrite with two declared
 invariants the pipeline enforces after each run:
 
 * ``preserves_semantics`` — the model computes the same function on the
-  probe batch (to ``ctx.atol``); violated ⇒ :class:`PassValidationError`.
+  probe batch (to ``PROBE_ATOL``); violated ⇒ :class:`PassValidationError`.
 * ``preserves_params`` — ``model.num_parameters()`` is unchanged.
 
 Passes register under a stable name (``@register_pass``) so pipelines
@@ -15,7 +15,7 @@ can be specified as plain strings (``["set-pooling", "reorder",
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Type
+from typing import Dict, List, Type
 
 from repro.compiler.context import CompileContext, PassResult
 from repro.nn.layers import Module
@@ -74,23 +74,3 @@ def get_pass(name: str, **kwargs) -> Pass:
 
 def available_passes() -> List[str]:
     return sorted(PASS_REGISTRY)
-
-
-class FunctionPass(Pass):
-    """Adapter wrapping a plain ``fn(model, ctx) -> int`` as a pass."""
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[Module, CompileContext], int],
-        preserves_semantics: bool = False,
-        preserves_params: bool = True,
-    ) -> None:
-        self.name = name
-        self._fn = fn
-        self.preserves_semantics = preserves_semantics
-        self.preserves_params = preserves_params
-
-    def run(self, model: Module, ctx: CompileContext) -> PassResult:
-        rewrites = self._fn(model, ctx)
-        return PassResult(self.name, int(rewrites or 0))

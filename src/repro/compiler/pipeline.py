@@ -6,7 +6,7 @@
 
 * **validation hooks** (``ctx.validate``) — after each pass the model is
   re-run on the probe batch; passes declaring ``preserves_semantics``
-  must match the previous output to ``ctx.atol`` (else
+  must match the previous output to ``PROBE_ATOL``, NaN for NaN (else
   :class:`PassValidationError`), passes declaring ``preserves_params``
   must leave ``num_parameters()`` unchanged, and every pass gets its
   MAC (FLOP) delta measured via :func:`repro.analysis.flops.probe_forward`.
@@ -28,7 +28,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compiler.context import CompileContext, PassResult, PassValidationError
+from repro.compiler.context import (
+    PROBE_ATOL,
+    CompileContext,
+    PassResult,
+    PassValidationError,
+)
 from repro.compiler.pass_base import Pass, get_pass
 from repro.nn.layers import Module
 from repro.obs.tracer import get_tracer
@@ -217,9 +222,9 @@ class Pipeline:
                                     np.max(np.abs(out_after - out_before))
                                 )
                             if p.preserves_semantics and out_before is not None:
-                                if (
-                                    out_after.shape != out_before.shape
-                                    or not np.allclose(out_after, out_before, atol=ctx.atol)
+                                # a NaN the pass did not make is not its fault
+                                if out_after.shape != out_before.shape or not np.allclose(
+                                    out_after, out_before, atol=PROBE_ATOL, equal_nan=True
                                 ):
                                     raise PassValidationError(
                                         f"pass {p.name!r} declares semantics preservation "
@@ -251,10 +256,6 @@ class Pipeline:
             if note not in report.notes:
                 report.notes.append(note)
             return None, None
-
-
-#: alias matching the compiler-literature name
-PassManager = Pipeline
 
 
 def mlcnn_pipeline(

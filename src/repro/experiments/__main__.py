@@ -121,7 +121,7 @@ def _list_experiments() -> None:
 def _trace_model_extras(model_name: str, model, ctx) -> None:
     """With tracing on, add per-layer forward spans and simulator events.
 
-    Makes one ``--pipeline`` run produce the full unified timeline:
+    Makes one ``--pipeline`` run produce the full unified trace:
     compiler passes (already traced by :class:`Pipeline`), a per-layer
     instrumented forward on the probe batch, and the accelerator
     simulator's per-layer attribution for the model's specs.

@@ -13,9 +13,8 @@ performs when it performs it:
 * the counted loop nests in :mod:`repro.core.fusion` the whole
   :class:`OpCounters` they return: multiplications, half/full/major/bias
   additions and LAR/GAR reuse hits;
-* the accelerator simulator, the dataflow timeline, the multi-bank
-  buffer and the DRAM model their memory events: SRAM bank accesses and
-  conflicts, DRAM bytes and row hits.
+* the accelerator simulator (:func:`repro.accel.simulator.simulate_layer`)
+  its memory events: SRAM buffer accesses and DRAM bytes.
 
 Counts are forward-only.  Unlike the closed-form
 :mod:`repro.core.opcount` formulas, these numbers come from real
@@ -49,7 +48,7 @@ class OpCounters:
     """Measured event counts from instrumented executions.
 
     Arithmetic fields are filled by the kernels; memory fields by the
-    accelerator models.  All fields are additive, so one collection can
+    accelerator simulator.  All fields are additive, so one collection can
     span a whole run (many kernels + a simulation) and still decompose
     meaningfully.
     """
@@ -69,25 +68,11 @@ class OpCounters:
     #: additions avoided because a full box sum was found in the GAR cache
     gar_reuse_hits: int = 0
 
-    # -- on-chip buffer (MultiBankBuffer + simulator model) ---------------
-    buffer_reads: int = 0
-    buffer_writes: int = 0
-    buffer_conflicts: int = 0
+    # -- memory (accelerator simulator) -----------------------------------
     #: SRAM accesses attributed by the cycle simulator's buffer model
     buffer_accesses: float = 0.0
-
-    # -- DRAM (DramModel + simulator traffic model) -----------------------
-    dram_accesses: int = 0
-    dram_row_hits: int = 0
-    dram_row_misses: int = 0
-    dram_cycles: int = 0
     #: bytes moved per the simulator's tiling-derived traffic model
     dram_bytes: float = 0.0
-
-    # -- dataflow schedule (timeline makespan decomposition) --------------
-    sched_load_cycles: float = 0.0
-    sched_compute_cycles: float = 0.0
-    sched_store_cycles: float = 0.0
 
     @property
     def additions(self) -> int:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accel.rtl import ARUnit, Fifo, MACSlice, RTLFusedConvPool, ShiftRegister
+from repro.accel.rtl import (
+    ARUnit,
+    Fifo,
+    MACSlice,
+    RTLFusedConvPool,
+    RTLFusedConvPoolLayer,
+    ShiftRegister,
+)
 from repro.core.fusion import fused_conv_pool, fused_conv_pool_counted
 from repro.nn.tensor import Tensor, no_grad
 
@@ -251,3 +258,55 @@ class TestTrace:
         )
         line = report.trace[0].format()
         assert line.startswith("@") and "ar" in line
+
+
+class TestRTLFusedConvPoolLayer:
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(9)
+
+    def test_matches_fused_kernel_multichannel(self, rng):
+        x = rng.normal(size=(3, 12, 12))
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        rep = RTLFusedConvPoolLayer(w, b).run(x)
+        with no_grad():
+            ref = fused_conv_pool(Tensor(x[None]), Tensor(w), Tensor(b), pool=2).data[0]
+        np.testing.assert_allclose(rep.outputs, ref, atol=1e-9)
+
+    def test_parallel_cycles_scale_with_slices(self, rng):
+        x = rng.normal(size=(4, 10, 10))
+        w = rng.normal(size=(4, 4, 3, 3))
+        serial = RTLFusedConvPoolLayer(w, mac_slices=1).run(x)
+        par = RTLFusedConvPoolLayer(w, mac_slices=16).run(x)
+        assert par.cycles_parallel == pytest.approx(serial.cycles_parallel / 16, rel=0.05)
+        np.testing.assert_allclose(par.outputs, serial.outputs)
+
+    def test_default_zero_bias(self, rng):
+        x = rng.normal(size=(1, 8, 8))
+        w = rng.normal(size=(1, 1, 3, 3))
+        rep = RTLFusedConvPoolLayer(w).run(x)
+        with no_grad():
+            ref = fused_conv_pool(Tensor(x[None]), Tensor(w), None, pool=2).data[0]
+        np.testing.assert_allclose(rep.outputs, ref, atol=1e-10)
+
+    def test_op_counts_scale_with_channels(self, rng):
+        x1 = rng.normal(size=(1, 9, 9))
+        x2 = rng.normal(size=(2, 9, 9))
+        w1 = rng.normal(size=(1, 1, 3, 3))
+        w2 = rng.normal(size=(1, 2, 3, 3))
+        r1 = RTLFusedConvPoolLayer(w1).run(x1)
+        r2 = RTLFusedConvPoolLayer(w2).run(x2)
+        assert r2.multiplications == 2 * r1.multiplications
+        assert r2.half_additions == 2 * r1.half_additions
+
+    def test_validation(self, rng):
+        with pytest.raises(ValueError):
+            RTLFusedConvPoolLayer(rng.normal(size=(2, 2, 3, 4)))
+        with pytest.raises(ValueError):
+            RTLFusedConvPoolLayer(rng.normal(size=(2, 2, 3, 3)), mac_slices=0)
+        with pytest.raises(ValueError):
+            RTLFusedConvPoolLayer(rng.normal(size=(2, 2, 3, 3)), bias=np.zeros(3))
+        layer = RTLFusedConvPoolLayer(rng.normal(size=(2, 2, 3, 3)))
+        with pytest.raises(ValueError):
+            layer.run(rng.normal(size=(3, 8, 8)))  # channel mismatch

@@ -12,7 +12,7 @@ from repro.compiler import (
     mlcnn_pipeline,
 )
 from repro.compiler.pass_base import Pass
-from repro.compiler.context import PassResult
+from repro.compiler.context import PROBE_SHAPE, PassResult
 from repro.core.opcount import rme_multiplication_reduction
 from repro.core.transform import prepare_mlcnn
 from repro.models import build_model
@@ -67,7 +67,7 @@ class TestReportInstrumentation:
             assert r.flop_delta is not None
         assert report.record_for("fuse").rewrites == 2
         # RME removes 1 - 1/p^2 of each fused conv's dense MACs on the probe
-        batch = ctx.probe_shape[0]
+        batch = PROBE_SHAPE[0]
         removed = sum(
             batch * s.out_channels * s.conv_output_size ** 2 * s.in_channels * s.kernel ** 2
             * rme_multiplication_reduction(s.pool)
@@ -127,6 +127,36 @@ class TestValidationHooks:
         model = build_model("lenet5")
         with pytest.raises(PassValidationError):
             Pipeline([GrowPass()]).run(model)
+
+    def test_nan_already_in_the_model_blames_no_pass(self):
+        """A NaN in the weights reaches the probe output before any pass
+        runs, so the semantics-preserving passes after it are not at
+        fault: both the canonical and the numerics pass lists compile."""
+        pipelines = [
+            (mlcnn_pipeline(), CompileContext()),
+            (
+                Pipeline(["set-pooling", "reorder", "reorder-probe", "quantize"]),
+                CompileContext(quant_bits=8),
+            ),
+        ]
+        for pipe, ctx in pipelines:
+            model = build_model("lenet5")
+            dict(model.named_parameters())["features.0.conv.weight"].data[0, 0, 0, 0] = np.nan
+            _, report = pipe.run(model, ctx)
+            assert all(r.validated for r in report.records if r.ran)
+
+    def test_nan_written_by_a_semantics_pass_is_caught(self):
+        class NaNPass(Pass):
+            name = "nan"
+            preserves_semantics = True  # a lie: it plants a NaN
+
+            def run(self, model, ctx):
+                next(iter(model.parameters())).data.flat[0] = np.nan
+                return PassResult(self.name, 1)
+
+        model = build_model("lenet5")
+        with pytest.raises(PassValidationError, match="'nan'"):
+            Pipeline([NaNPass()]).run(model)
 
     def test_validation_off_skips_checks(self):
         model = build_model("lenet5")

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro import build_model, mlcnn_pipeline
+from repro.accel.rtl import RTLFusedConvPool, RTLFusedConvPoolLayer
 from repro.compiler import lowered_kernels
 from repro.core import kernels
 from repro.core.fixedpoint import (
@@ -472,6 +473,14 @@ def _int_path_reference(x, w):
     return fused_conv_pool_int(quantize_tensor(x, 8), quantize_tensor(w, 8), impl="reference")
 
 
+def _rtl(x, w):
+    return RTLFusedConvPool(w[0, 0]).run(x[0])
+
+
+def _rtl_layer(x, w):
+    return RTLFusedConvPoolLayer(w).run(x)
+
+
 @pytest.mark.parametrize("shape", [(2, 8, 12), (2, 12, 8)], ids=["wide", "tall"])
 @pytest.mark.parametrize(
     "executor",
@@ -480,8 +489,10 @@ def _int_path_reference(x, w):
         _int_path_reference,
         fused_conv_pool_counted,
         dense_conv_pool_counted,
+        _rtl,
+        _rtl_layer,
     ],
-    ids=["int-vectorized", "int-reference", "fused-counted", "dense-counted"],
+    ids=["int-vectorized", "int-reference", "fused-counted", "dense-counted", "rtl", "rtl-layer"],
 )
 def test_square_only_executors_reject_non_square_input(rng, executor, shape):
     """These size their output from H alone: a wide input would lose

@@ -7,6 +7,8 @@ within 1%.  (They actually agree exactly — the tolerance is slack for
 future model refinements.)
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,9 @@ from repro.core.fusion import (
     fused_conv_pool_counted,
 )
 from repro.core.opcount import dcnn_layer_ops, mlcnn_layer_ops
-from repro.models.specs import LayerSpec
+from repro.models.specs import LayerSpec, get_specs
 from repro.nn.tensor import Tensor, no_grad
-from repro.obs import collect_counters
+from repro.obs import OpCounters, collect_counters
 
 RTOL = 0.01  # the 1% acceptance bar
 
@@ -128,6 +130,20 @@ def test_simulator_memory_counters_match_results():
     assert oc.buffer_accesses == pytest.approx(
         sum(l.buffer_accesses for l in res.layers), rel=1e-12
     )
+
+
+def test_every_counter_field_is_recorded():
+    """Each field has a recorder on a path users run: one collection over
+    a fused layer whose kernel exceeds its pool (so LAR and GAR both hit)
+    and a simulated network leaves no field at zero."""
+    spec = CASES[0]
+    assert spec.kernel > spec.pool
+    x, w, b = _workload(spec)
+    with collect_counters() as oc:
+        fused_conv_pool_counted(x, w, b, pool=spec.pool)
+        simulate_network(get_specs("lenet5"), get_config("mlcnn-fp32"))
+    never_recorded = [f.name for f in fields(OpCounters) if getattr(oc, f.name) == 0]
+    assert not never_recorded, never_recorded
 
 
 def test_counters_identical_across_collections():
