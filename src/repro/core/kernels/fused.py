@@ -222,15 +222,20 @@ def fused_backward(
     gweight = (gms @ res.cols.T).reshape(m, c, k, k)
     if not input_grad:
         return None, gweight, gbias
-    gcols = (res.wmat.T @ gms).reshape(c, k, k, n, po, qo)
-    # Scatter each tap's (N, Po, Qo) slab onto I_Acc inside a zero
-    # border of p - 1: the box sum of the bordered plane is the box-sum
-    # adjoint, the gradient of the padded input.
+    # Batch-innermost columns (Po, Qo, N), so that each tap's slab adds
+    # runs of N contiguous elements.
+    gms =gms.reshape(m, n, po, qo).transpose(0, 2, 3, 1).reshape(m, po * qo * n)
+    gcols = (res.wmat.T @ gms).reshape(c, k, k, po, qo, n)
+    # Scatter each tap's (Po, Qo, N) slab onto a (C, Ha, Wa, N) I_Acc
+    # plane inside a zero border of p - 1: the box sum of the bordered
+    # plane is the box-sum adjoint, the gradient of the padded input.
+    # It runs on the (C, N, H, W) view, so N stays innermost in memory.
     b = pool - 1
-    gacc = np.zeros((c, n, ha + 2 * b, wa + 2 * b), dtype=gcols.dtype)
+    gacc = np.zeros((c, ha + 2 * b, wa + 2 * b, n), dtype=gcols.dtype)
     for ki in range(k):
         rows = slice(b + ki, b + ki + stride * po, stride)
         for kj in range(k):
-            gacc[:, :, rows, b + kj : b + kj + stride * qo : stride] += gcols[:, ki, kj]
-    gx = box_sum(gacc[:, :, padding : padding + h + b, padding : padding + w + b], pool)
+            gacc[:, rows, b + kj : b + kj + stride * qo : stride] += gcols[:, ki, kj]
+    plane = gacc.transpose(0, 3, 1, 2)
+    gx = box_sum(plane[:, :, padding : padding + h + b, padding : padding + w + b], pool)
     return gx.transpose(1, 0, 2, 3), gweight, gbias

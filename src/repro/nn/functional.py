@@ -289,7 +289,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     rng = rng or np.random.default_rng()
     x = _as_tensor(x)
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.dtype, copy=False)
     return x * mask
 
 

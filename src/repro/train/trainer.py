@@ -84,16 +84,30 @@ class EpochStats:
     samples_per_sec: float = 0.0
 
 
+def _param_dtype(model: Module) -> np.dtype:
+    """The dtype of ``model``'s parameters, which its batches are cast to.
+
+    A model without parameters takes float64 batches.
+    """
+    for p in model.parameters():
+        return p.dtype
+    return np.dtype(np.float64)
+
+
 def evaluate(model: Module, dataset: ArrayDataset, batch_size: int = 128):
-    """Return (loss, top1, top5) of ``model`` on ``dataset``."""
+    """Return (loss, top1, top5) of ``model`` on ``dataset``.
+
+    Batches are cast to the model's parameter dtype.
+    """
     model.eval()
     losses: List[float] = []
     logits_all: List[np.ndarray] = []
     labels_all: List[np.ndarray] = []
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
+    dtype = _param_dtype(model)
     with no_grad():
         for images, labels in loader:
-            logits = model(Tensor(images))
+            logits = model(Tensor(images.astype(dtype, copy=False)))
             losses.append(F.cross_entropy(logits, labels).item() * len(labels))
             logits_all.append(logits.data)
             labels_all.append(labels)
@@ -107,6 +121,13 @@ def evaluate(model: Module, dataset: ArrayDataset, batch_size: int = 128):
 
 class Trainer:
     """Fit a model on a dataset; records per-epoch statistics.
+
+    Each batch is cast to the model's parameter dtype (a no-op for the
+    default float64; see :meth:`Module.to_dtype
+    <repro.nn.layers.Module.to_dtype>`).  A fit holds one step's
+    autograd graph at a time: the step drops its logits and loss once
+    the loss is read, so reference counting frees the graph before the
+    next batch's forward starts.
 
     Pass a :class:`repro.obs.numerics.NumericsCollector` as
     ``numerics`` to watch training for NaN/inf: the collector is enabled
@@ -181,6 +202,7 @@ class Trainer:
             seed=cfg.seed,
             transform=self.transform,
         )
+        dtype = _param_dtype(self.model)
         stale = 0
         with tracer.span("train.fit", category="train", epochs=cfg.epochs) as fit_span:
             for epoch in range(cfg.epochs):
@@ -197,12 +219,14 @@ class Trainer:
                         with tracer.span(
                             "train.batch", category="train", samples=len(labels)
                         ):
-                            logits = self.model(Tensor(images))
+                            logits = self.model(Tensor(images.astype(dtype, copy=False)))
                             loss = F.cross_entropy(logits, labels)
                             self.optimizer.zero_grad()
                             loss.backward()
                             self.optimizer.step()
                         batch_loss = loss.item()
+                        # frees this step's graph before the next forward
+                        del logits, loss
                         if watch is not None:
                             watch.check_value("train", "loss", batch_loss)
                         total_loss += batch_loss * len(labels)

@@ -16,7 +16,9 @@ Satellite coverage for the lowering backend:
   of full-width vgg16 (batch 1 and 16) and lenet5 (batch 1 to 16);
 * the fused backward's gradients against the reference composition
   over a grid of ``(k, p, pool stride, padding, H != W, activation)``,
-  and its masked branch (an input that needs no gradient);
+  its masked branch (an input that needs no gradient), and its
+  batch-innermost input-gradient scatter, bit for bit against the
+  batch-outer one;
 * the square-only executors reject non-square inputs.
 """
 
@@ -304,6 +306,29 @@ class TestGemmOrientation:
             assert _weight_major_layers(paths) == set(), batch
 
 
+def _fused_backward_batch_outer(g, res):
+    """``fused_backward`` with the input-gradient scatter in (N, Po, Qo)
+    order: one (C, N, Ha, Wa) plane, runs of Qo elements at the pool
+    stride."""
+    n, c, h, w = res.x_shape
+    _, _, ha, wa = res.acc_shape
+    pool, k, padding, stride = res.pool, res.k, res.padding, res.pool_stride
+    g = g * (res.out > 0)
+    m, (po, qo) = g.shape[1], g.shape[-2:]
+    gm = g.transpose(1, 0, 2, 3).reshape(m, n * po * qo)
+    gms = gm * (1.0 / (pool * pool))
+    gweight = (gms @ res.cols.T).reshape(m, c, k, k)
+    gcols = (res.wmat.T @ gms).reshape(c, k, k, n, po, qo)
+    b = pool - 1
+    gacc = np.zeros((c, n, ha + 2 * b, wa + 2 * b), dtype=gcols.dtype)
+    for ki in range(k):
+        rows = slice(b + ki, b + ki + stride * po, stride)
+        for kj in range(k):
+            gacc[:, :, rows, b + kj : b + kj + stride * qo : stride] += gcols[:, ki, kj]
+    gx = box_sum(gacc[:, :, padding : padding + h + b, padding : padding + w + b], pool)
+    return gx.transpose(1, 0, 2, 3), gweight, gm.sum(axis=1)
+
+
 class TestBackwardEquivalence:
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "none"])
     def test_gradients_match_reference_composition(self, rng, activation):
@@ -385,6 +410,25 @@ class TestBackwardEquivalence:
         assert gx is None and gx_full.shape == x.shape
         assert np.array_equal(gw, gw_full) and np.array_equal(gb, gb_full)
         assert np.array_equal(wt.grad, gw) and np.array_equal(bt.grad, gb)
+
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("pool,stride", [(2, 2), (2, 1), (3, 3), (3, 2)])
+    def test_batch_innermost_scatter_is_bit_identical(self, n, padding, pool, stride):
+        """The (Po, Qo, N) scatter gives the (N, Po, Qo) scatter's three
+        gradients bit for bit, overlapping pool strides included."""
+        g = np.random.default_rng(n * 100 + pool * 10 + stride + padding)
+        x = g.normal(size=(n, 3, 13, 11))
+        w = g.normal(size=(4, 3, 3, 3))
+        out, res = fused_forward(
+            x, w, g.normal(size=4), pool=pool, padding=padding, stride=stride
+        )
+        gout = g.normal(size=out.shape)
+        got = fused_backward(gout, res)
+        want = _fused_backward_batch_outer(gout, res)
+        assert got[0].shape == x.shape
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_fused_backward_rejects_nothing_without_bias(self, rng):
         x = rng.normal(size=(1, 2, 8, 8))
