@@ -11,13 +11,7 @@ so the CI gate holds them to a lower-is-better tolerance band.
 
 import numpy as np
 
-from repro.compiler import CompileContext, Pipeline
-from repro.compiler.passes import (
-    QuantizePass,
-    ReorderActivationPoolingPass,
-    ReorderDivergenceProbePass,
-    SetPoolingPass,
-)
+from repro.compiler import CompileContext, numerics_pipeline
 from repro.models import build_model
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs.numerics import NumericsCollector
@@ -27,21 +21,11 @@ BITS = 8
 
 def run_health(model_name):
     model = build_model(model_name, seed=0)
-    ctx = CompileContext(seed=0, quant_bits=BITS)
+    ctx = CompileContext(seed=0)
     collector = NumericsCollector(watchdog="record")
-    # same no-fuse lowering as the --numerics CLI: fused blocks can't be
-    # DoReFa-wrapped, and the point here is quantization health
-    pipeline = Pipeline(
-        [
-            SetPoolingPass("avg"),
-            ReorderActivationPoolingPass(),
-            ReorderDivergenceProbePass(),
-            QuantizePass(BITS),
-        ],
-        name="numerics-health",
-    )
+    # the same no-fuse compile as the --numerics CLI
     with collector:
-        pipeline.run(model, ctx)
+        numerics_pipeline(BITS).run(model, ctx)
         model.eval()
         with no_grad():
             model(Tensor(ctx.probe_batch()))

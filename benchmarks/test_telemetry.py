@@ -88,11 +88,11 @@ def test_telemetry_enabled_fit_overhead(record_metric):
 def test_profiler_overhead(record_metric):
     """telemetry.profiler_overhead_pct (advisory): measured duty cycle
     while profiling a compiled lenet5 forward loop."""
-    from repro.compiler import CompileContext, mlcnn_pipeline
+    from repro.compiler import mlcnn_pipeline
     from repro.nn.tensor import Tensor, no_grad
 
     model = build_model("lenet5", seed=0)
-    mlcnn_pipeline(bits=0, strict=False).run(model, CompileContext(quant_bits=0))
+    mlcnn_pipeline(strict=False).run(model)
     model.eval()
     x = np.random.default_rng(0).normal(size=(16, 3, 32, 32))
     with no_grad():

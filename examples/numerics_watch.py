@@ -8,8 +8,9 @@ Three acts, driven by :class:`repro.obs.numerics.NumericsCollector`:
    every layer instrumented; the NaN/inf watchdog checks each layer's
    forward output and backward gradient and stamps any anomaly with
    its (layer, epoch, batch) position.
-2. **Quantized clip audit** — the model is compiled through the MLCNN
-   pipeline with DoReFa quantization; a second collector counts how
+2. **Quantized clip audit** — the model is compiled through
+   ``numerics_pipeline`` (the MLCNN rewrites without fusion, then
+   DoReFa quantization); a second collector counts how
    often activations/weights hit the clip boundaries, and the run
    prints the activation clip and weight saturation rates.
 3. **Reorder-divergence probe** — the compiled network runs in both
@@ -26,13 +27,7 @@ Run:  PYTHONPATH=src python examples/numerics_watch.py [--epochs 2]
 import argparse
 import sys
 
-from repro.compiler import CompileContext, Pipeline
-from repro.compiler.passes import (
-    QuantizePass,
-    ReorderActivationPoolingPass,
-    ReorderDivergenceProbePass,
-    SetPoolingPass,
-)
+from repro.compiler import CompileContext, numerics_pipeline
 from repro.data import SyntheticImageConfig, make_synth_cifar, train_val_split
 from repro.models import build_model
 from repro.nn.tensor import Tensor, no_grad
@@ -77,18 +72,9 @@ def main() -> int:
     # fresh collector: the training watch and the inference clip rates
     # are different questions
     audit = NumericsCollector(watchdog="warn")
-    ctx = CompileContext(seed=args.seed, quant_bits=args.bits)
-    pipeline = Pipeline(
-        [
-            SetPoolingPass("avg"),
-            ReorderActivationPoolingPass(),
-            ReorderDivergenceProbePass(),
-            QuantizePass(args.bits),
-        ],
-        name="numerics-watch",
-    )
+    ctx = CompileContext(seed=args.seed)
     with audit:
-        pipeline.run(model, ctx)
+        numerics_pipeline(args.bits).run(model, ctx)
         model.eval()
         with no_grad():
             model(Tensor(ctx.probe_batch()))

@@ -14,8 +14,9 @@ Applications* (IPDPS 2022):
   models, the fused conv-pool kernel, network fusion, DoReFa
   quantization.
 * :mod:`repro.compiler` — compiler-style pass pipeline over model
-  graphs: registered passes, validation hooks, plan cache,
-  :class:`CompileReport` instrumentation.
+  graphs: a pipeline is a list of passes, each built with its own
+  settings; validation hooks, plan cache, :class:`CompileReport`
+  instrumentation.
 * :mod:`repro.accel` — accelerator cycle/energy/area model and the
   RTL-level AR-unit/MAC-slice micro-simulator.
 * :mod:`repro.analysis` — FLOP audits and report formatting.
@@ -37,7 +38,6 @@ __version__ = "1.0.0"
 
 from repro.core import (
     fuse_network,
-    prepare_mlcnn,
     fused_conv_pool,
     quantize_model,
     QuantConfig,
@@ -72,7 +72,6 @@ __all__ = [
     "to_allconv",
     "set_pooling",
     "fuse_network",
-    "prepare_mlcnn",
     "fused_conv_pool",
     "quantize_model",
     "QuantConfig",

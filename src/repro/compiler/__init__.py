@@ -1,38 +1,35 @@
 """repro.compiler — compiler-style pass pipeline over model graphs.
 
 The paper's contribution is a *sequence* of cross-layer rewrites —
-reorder activation/pooling, switch to average pooling, fuse conv+pool
+switch to average pooling, reorder activation/pooling, fuse conv+pool
 (RME/LAR/GAR), then quantize.  This package turns each rewrite into a
-registered :class:`Pass` and executes them with a :class:`Pipeline`
-that validates (functional spot-check on a probe batch, parameter
-invariance, MAC deltas) and instruments (per-pass wall time, rewrite
-counts) every step, producing a structured :class:`CompileReport`.
+:class:`Pass` built with its own settings and executes a list of them
+with a :class:`Pipeline` that validates (functional spot-check on a
+probe batch, parameter invariance, MAC deltas) and instruments
+(per-pass wall time, rewrite counts) every step, producing a
+structured :class:`CompileReport`.
 
 Quickstart::
 
-    from repro.compiler import CompileContext, mlcnn_pipeline
-    model, report = mlcnn_pipeline(bits=8).run(model, CompileContext(seed=0))
+    from repro.compiler import mlcnn_pipeline
+    model, report = mlcnn_pipeline(bits=8).run(model)
     print(report.summary())
 
-Custom orderings compose from registered pass names or instances::
+Custom orderings are lists of pass instances::
 
-    from repro.compiler import Pipeline
-    pipe = Pipeline(["set-pooling", "reorder", "fuse", "prune"])
+    from repro.compiler import (
+        FuseConvPoolPass, Pipeline, PrunePass, ReorderActivationPoolingPass,
+        SetPoolingPass,
+    )
+    pipe = Pipeline([SetPoolingPass(), ReorderActivationPoolingPass(),
+                     FuseConvPoolPass(), PrunePass(0.5)])
 """
 
 from repro.compiler.context import CompileContext, PassResult, PassValidationError
-from repro.compiler.pass_base import (
-    Pass,
-    PASS_REGISTRY,
-    register_pass,
-    get_pass,
-    available_passes,
-)
+from repro.compiler.pass_base import Pass
 from repro.compiler.passes import (
     SetPoolingPass,
     ReorderActivationPoolingPass,
-    RestoreOrderPass,
-    AllConvPass,
     FuseConvPoolPass,
     QuantizePass,
     PrunePass,
@@ -44,10 +41,10 @@ from repro.compiler.pipeline import (
     PassRecord,
     CompileReport,
     mlcnn_pipeline,
+    numerics_pipeline,
 )
 from repro.compiler.cache import (
     PLAN_CACHE,
-    PlanCache,
     architecture_signature,
     clear_plan_cache,
 )
@@ -57,14 +54,8 @@ __all__ = [
     "PassResult",
     "PassValidationError",
     "Pass",
-    "PASS_REGISTRY",
-    "register_pass",
-    "get_pass",
-    "available_passes",
     "SetPoolingPass",
     "ReorderActivationPoolingPass",
-    "RestoreOrderPass",
-    "AllConvPass",
     "FuseConvPoolPass",
     "QuantizePass",
     "PrunePass",
@@ -75,8 +66,8 @@ __all__ = [
     "PassRecord",
     "CompileReport",
     "mlcnn_pipeline",
+    "numerics_pipeline",
     "PLAN_CACHE",
-    "PlanCache",
     "architecture_signature",
     "clear_plan_cache",
 ]

@@ -1,22 +1,21 @@
 """Shared state for a compilation run.
 
-A :class:`CompileContext` carries everything a pass may legitimately
-depend on — the seeded RNG, target bit widths, pruning budget, the
-probe batch used for functional-equivalence spot checks — so passes
-themselves stay stateless and reorderable.  Two runs with equal
-contexts over equal models produce bit-identical results (the
-determinism guarantee the tests in ``tests/compiler`` assert).
+A :class:`CompileContext` carries what a pass may depend on beyond its
+own settings: the seed of the probe batch used for the
+functional-equivalence spot checks, and a ``state`` dict in which
+read-only passes leave their measurements.  Every setting of a rewrite
+belongs to the pass that performs it, so two runs of equal pipelines
+with equal contexts over equal models produce bit-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
-#: offset mixed into the context seed for the probe batch, so that a
-#: pass consuming ``ctx.rng`` never perturbs the validation data.
+#: offset mixed into the context seed for the probe batch
 _PROBE_SEED_OFFSET = 0x9E3779B9
 
 #: shape of the standard normal probe batch the validation hooks run
@@ -28,37 +27,25 @@ PROBE_ATOL = 1e-8
 
 
 class PassValidationError(RuntimeError):
-    """A pass violated an invariant it declared (semantics or params)."""
+    """A pass violated an invariant it declared (semantics or params),
+    or broke the forward of a model that ran the probe batch before it."""
 
 
 @dataclass
 class CompileContext:
-    """Mutable per-compilation state shared by every pass in a pipeline.
+    """Per-compilation state shared by every pass in a pipeline.
 
     Parameters
     ----------
     seed:
-        Seeds both ``rng`` (used by passes that create parameters, e.g.
-        the all-conv downsample convs) and the generated probe batch.
-    quant_bits / sparsity / pooling:
-        Defaults for passes constructed without an explicit setting.
-    validate:
-        Master switch for the per-pass validation hooks (functional
-        spot-check on the probe batch, parameter invariance, MAC deltas).
+        Seeds the generated probe batch; part of the plan-cache key.
+    state:
+        Results that passes record for the caller, e.g. the
+        ``reorder-probe`` pass's ``state["reorder_divergence"]``.
     """
 
     seed: int = 0
-    quant_bits: int = 0
-    sparsity: float = 0.0
-    pooling: str = "avg"
-    validate: bool = True
-    use_cache: bool = True
-    rng: Optional[np.random.Generator] = None
     state: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.rng is None:
-            self.rng = np.random.default_rng(self.seed)
 
     def probe_batch(self) -> np.ndarray:
         """The validation input batch: standard normal of
@@ -70,10 +57,6 @@ class CompileContext:
             self.state["_probe_batch"] = cached
         return cached
 
-    def cache_key(self) -> Tuple[int, int, float, str]:
-        """The context fields a cached plan is allowed to depend on."""
-        return (self.seed, self.quant_bits, self.sparsity, self.pooling)
-
 
 @dataclass
 class PassResult:
@@ -82,7 +65,3 @@ class PassResult:
     name: str
     rewrites: int = 0
     details: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def changed(self) -> bool:
-        return self.rewrites > 0

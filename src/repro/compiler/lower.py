@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 from repro.compiler.context import CompileContext, PassResult
-from repro.compiler.pass_base import Pass, register_pass
+from repro.compiler.pass_base import Pass
 from repro.core.fusion import FusedConvPool
 from repro.core.kernels import F32NHWCKernel
 from repro.nn.layers import Conv2d, Module
@@ -65,7 +65,6 @@ def _lowerable(module: Module, prefix: str = "") -> Iterator[Tuple[str, Module]]
         yield from _lowerable(child, f"{prefix}.{name}" if prefix else name)
 
 
-@register_pass
 class LowerFusedKernelPass(Pass):
     """Bind the fp32 NHWC kernel to non-overlapping fused layers and stride-1 convs."""
 

@@ -1,21 +1,21 @@
-"""The ``Pass`` protocol and the pass registry.
+"""The ``Pass`` protocol.
 
-A pass is a named, reorderable graph rewrite with two declared
-invariants the pipeline enforces after each run:
+A pass is a named, reorderable graph rewrite, built with its own
+settings, with two declared invariants the pipeline enforces after each
+run:
 
 * ``preserves_semantics`` — the model computes the same function on the
   probe batch (to ``PROBE_ATOL``); violated ⇒ :class:`PassValidationError`.
 * ``preserves_params`` — ``model.num_parameters()`` is unchanged.
 
-Passes register under a stable name (``@register_pass``) so pipelines
-can be specified as plain strings (``["set-pooling", "reorder",
-"fuse"]``) — the spelling the plan cache and the CLI use.
+A pipeline is a list of pass instances, e.g.
+``Pipeline([SetPoolingPass(), ReorderActivationPoolingPass(),
+FuseConvPoolPass()])``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Type
 
 from repro.compiler.context import CompileContext, PassResult
 from repro.nn.layers import Module
@@ -24,7 +24,7 @@ from repro.nn.layers import Module
 class Pass(ABC):
     """One composable graph rewrite (mutates the model in place)."""
 
-    #: stable registry name (set by subclasses)
+    #: stable name, shown in reports and tracer spans (set by subclasses)
     name: str = "pass"
     #: model outputs on the probe batch are unchanged (to fp tolerance)
     preserves_semantics: bool = False
@@ -45,32 +45,8 @@ class Pass(ABC):
         """Apply the rewrite; report how many sites were rewritten."""
 
     def signature(self) -> str:
-        """Stable spec string (name + config) used in plan-cache keys."""
+        """Stable spec string (name + settings) used in plan-cache keys."""
         return self.name
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.signature()}>"
-
-
-PASS_REGISTRY: Dict[str, Type[Pass]] = {}
-
-
-def register_pass(cls: Type[Pass]) -> Type[Pass]:
-    """Class decorator: register ``cls`` under ``cls.name``."""
-    if not cls.name or cls.name == "pass":
-        raise ValueError(f"{cls.__name__} must set a unique `name`")
-    if cls.name in PASS_REGISTRY:
-        raise ValueError(f"duplicate pass name {cls.name!r}")
-    PASS_REGISTRY[cls.name] = cls
-    return cls
-
-
-def get_pass(name: str, **kwargs) -> Pass:
-    """Instantiate a registered pass by name."""
-    if name not in PASS_REGISTRY:
-        raise KeyError(f"unknown pass {name!r}; available: {available_passes()}")
-    return PASS_REGISTRY[name](**kwargs)
-
-
-def available_passes() -> List[str]:
-    return sorted(PASS_REGISTRY)

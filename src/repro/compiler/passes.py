@@ -1,18 +1,16 @@
-"""Built-in passes: the six existing graph mutators as registered passes.
+"""Built-in passes: the graph mutators of the MLCNN sequence as passes.
 
 Each pass wraps one in-place mutator from :mod:`repro.models.reorder`,
 :mod:`repro.core.transform`, :mod:`repro.core.quantize` or
-:mod:`repro.core.prune`, adds an ``applies_to`` pre-check and an honest
-rewrite count, and declares which invariants the pipeline should
-enforce afterwards:
+:mod:`repro.core.prune`, takes its settings in its constructor, adds an
+``applies_to`` pre-check and an honest rewrite count, and declares
+which invariants the pipeline should enforce afterwards:
 
 =================  ====================  =================
 pass               preserves semantics   preserves params
 =================  ====================  =================
 ``set-pooling``    no (avg ≠ max)        yes
 ``reorder``        no (Jensen, for avg)  yes
-``restore-order``  no                    yes
-``to-allconv``     no                    no (may add convs)
 ``fuse``           **yes** (exact)       yes (shared)
 ``quantize``       no (k-bit rounding)   yes (shared)
 ``prune``          no (zeroed weights)   yes (count only)
@@ -29,49 +27,36 @@ paper's "negligible accuracy impact" claim, recorded at compile time.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.compiler.context import CompileContext, PassResult
-from repro.compiler.pass_base import Pass, register_pass
+from repro.compiler.pass_base import Pass
 from repro.models.blocks import ConvBlock
 from repro.models.reorder import (
     conv_pool_blocks,
     reorder_activation_pooling,
-    restore_original_order,
     set_pooling,
-    to_allconv,
 )
 from repro.nn.layers import Module
 
 
-@register_pass
 class SetPoolingPass(Pass):
-    """Switch every pooling layer to ``kind`` (default from ctx)."""
+    """Switch every pooling layer to average pooling (Section III.B)."""
 
     name = "set-pooling"
     preserves_semantics = False  # avg and max pooling differ
     preserves_params = True
 
-    def __init__(self, kind: Optional[str] = None) -> None:
-        self.kind = kind
-
-    def _kind(self, ctx: CompileContext) -> str:
-        return self.kind or ctx.pooling
-
     def applies_to(self, model: Module) -> bool:
         return bool(conv_pool_blocks(model))
 
     def run(self, model: Module, ctx: CompileContext) -> PassResult:
-        kind = self._kind(ctx)
-        rewrites = sum(1 for b in conv_pool_blocks(model) if b.pool.kind != kind)
-        set_pooling(model, kind)
-        return PassResult(self.name, rewrites, {"kind": kind})
+        rewrites = sum(1 for b in conv_pool_blocks(model) if b.pool.kind != "avg")
+        set_pooling(model, "avg")
+        return PassResult(self.name, rewrites)
 
     def signature(self) -> str:
-        return f"{self.name}({self.kind or 'ctx'})"
+        return f"{self.name}(avg)"
 
 
-@register_pass
 class ReorderActivationPoolingPass(Pass):
     """Conv -> ReLU -> Pool  ⇒  Conv -> Pool -> ReLU (Section III)."""
 
@@ -88,51 +73,12 @@ class ReorderActivationPoolingPass(Pass):
         return PassResult(self.name, rewrites)
 
 
-@register_pass
-class RestoreOrderPass(Pass):
-    """Undo the reordering (back to the conventional ReLU+AP order)."""
-
-    name = "restore-order"
-    preserves_semantics = False
-    preserves_params = True
-
-    def applies_to(self, model: Module) -> bool:
-        return any(b.order != "act_pool" for b in conv_pool_blocks(model))
-
-    def run(self, model: Module, ctx: CompileContext) -> PassResult:
-        rewrites = sum(1 for b in conv_pool_blocks(model) if b.order != "act_pool")
-        restore_original_order(model)
-        return PassResult(self.name, rewrites)
-
-
-@register_pass
-class AllConvPass(Pass):
-    """Fold pooling into conv strides (All-Conv baseline transform).
-
-    New downsample convolutions (inception stages) draw their weights
-    from ``ctx.rng`` — deterministic under a fixed context seed.
-    """
-
-    name = "to-allconv"
-    preserves_semantics = False
-    preserves_params = False  # inception stages gain a downsample conv
-
-    def applies_to(self, model: Module) -> bool:
-        return bool(conv_pool_blocks(model))
-
-    def run(self, model: Module, ctx: CompileContext) -> PassResult:
-        rewrites = len(conv_pool_blocks(model))
-        to_allconv(model, rng=ctx.rng)
-        return PassResult(self.name, rewrites)
-
-
-@register_pass
 class FuseConvPoolPass(Pass):
     """Replace fusable blocks with the RME/LAR/GAR fused kernel.
 
-    The only semantics-preserving pass (outputs equal up to fp
-    association); parameters are shared, not copied.  ``strict=True``
-    keeps the historical loud failure when nothing is fusable;
+    The only rewriting pass that preserves semantics (outputs equal up
+    to fp association); parameters are shared, not copied.
+    ``strict=True`` fails loudly when nothing is fusable;
     ``strict=False`` lets pipelines compose over unfusable models.
     """
 
@@ -140,36 +86,28 @@ class FuseConvPoolPass(Pass):
     preserves_semantics = True
     preserves_params = True
 
-    def __init__(self, strict: bool = True, overlap: bool = False) -> None:
+    def __init__(self, strict: bool = True) -> None:
         self.strict = strict
-        self.overlap = overlap
 
     def run(self, model: Module, ctx: CompileContext) -> PassResult:
         from repro.core.transform import fuse_network
 
-        _, replaced = fuse_network(model, strict=self.strict, overlap=self.overlap)
+        _, replaced = fuse_network(model, strict=self.strict)
         return PassResult(self.name, len(replaced), {"paths": [p for p, _ in replaced]})
 
     def signature(self) -> str:
-        # overlap=False keeps the historical spec string (cache keys stable)
-        extra = ",overlap=True" if self.overlap else ""
-        return f"{self.name}(strict={self.strict}{extra})"
+        return f"{self.name}(strict={self.strict})"
 
 
-@register_pass
 class QuantizePass(Pass):
-    """Wrap conv blocks for k-bit DoReFa execution (Eqs. 8-9)."""
+    """Wrap conv blocks for ``bits``-bit DoReFa execution (Eqs. 8-9)."""
 
     name = "quantize"
     preserves_semantics = False  # k-bit rounding changes outputs
     preserves_params = True  # wrapped blocks share parameters
 
-    def __init__(self, bits: Optional[int] = None, quantize_first_input: bool = False) -> None:
+    def __init__(self, bits: int) -> None:
         self.bits = bits
-        self.quantize_first_input = quantize_first_input
-
-    def _bits(self, ctx: CompileContext) -> int:
-        return self.bits if self.bits is not None else ctx.quant_bits
 
     def applies_to(self, model: Module) -> bool:
         from repro.core.quantize import QuantizedConvBlock
@@ -182,20 +120,16 @@ class QuantizePass(Pass):
     def run(self, model: Module, ctx: CompileContext) -> PassResult:
         from repro.core.quantize import QuantConfig, QuantizedConvBlock, quantize_model
 
-        bits = self._bits(ctx)
-        if not bits:
-            return PassResult(self.name, 0, {"bits": 0})
-        quantize_model(model, QuantConfig(bits, bits), self.quantize_first_input)
+        quantize_model(model, QuantConfig(self.bits, self.bits))
         wrapped = sum(
             1 for _, m in model.named_modules() if isinstance(m, QuantizedConvBlock)
         )
-        return PassResult(self.name, wrapped, {"bits": bits})
+        return PassResult(self.name, wrapped, {"bits": self.bits})
 
     def signature(self) -> str:
-        return f"{self.name}({self.bits if self.bits is not None else 'ctx'})"
+        return f"{self.name}({self.bits})"
 
 
-@register_pass
 class PrunePass(Pass):
     """Global magnitude pruning of conv weights (Section VIII)."""
 
@@ -203,28 +137,21 @@ class PrunePass(Pass):
     preserves_semantics = False
     preserves_params = True  # weights are zeroed, not removed
 
-    def __init__(self, sparsity: Optional[float] = None) -> None:
+    def __init__(self, sparsity: float) -> None:
         self.sparsity = sparsity
-
-    def _sparsity(self, ctx: CompileContext) -> float:
-        return self.sparsity if self.sparsity is not None else ctx.sparsity
 
     def run(self, model: Module, ctx: CompileContext) -> PassResult:
         from repro.core.prune import magnitude_prune
 
-        sparsity = self._sparsity(ctx)
-        if sparsity <= 0.0:
-            return PassResult(self.name, 0, {"sparsity": 0.0})
-        report = magnitude_prune(model, sparsity)
+        report = magnitude_prune(model, self.sparsity)
         return PassResult(
             self.name, report.pruned_weights, {"sparsity": report.sparsity}
         )
 
     def signature(self) -> str:
-        return f"{self.name}({self.sparsity if self.sparsity is not None else 'ctx'})"
+        return f"{self.name}({self.sparsity})"
 
 
-@register_pass
 class ReorderDivergenceProbePass(Pass):
     """Measure act/pool reorder divergence on the probe batch (read-only).
 

@@ -4,27 +4,32 @@
 :class:`~repro.compiler.context.CompileContext` and produces a
 :class:`CompileReport`:
 
-* **validation hooks** (``ctx.validate``) — after each pass the model is
-  re-run on the probe batch; passes declaring ``preserves_semantics``
-  must match the previous output to ``PROBE_ATOL``, NaN for NaN (else
-  :class:`PassValidationError`), passes declaring ``preserves_params``
-  must leave ``num_parameters()`` unchanged, and every pass gets its
-  MAC (FLOP) delta measured via :func:`repro.analysis.flops.probe_forward`.
+* **validation hooks** — after each pass the model is re-run on the
+  probe batch; passes declaring ``preserves_semantics`` must match the
+  previous output to ``PROBE_ATOL``, NaN for NaN, passes declaring
+  ``preserves_params`` must leave ``num_parameters()`` unchanged, and a
+  pass after which the probe forward raises, where it ran before, broke
+  the model; each violation raises :class:`PassValidationError`.  Every
+  pass gets its MAC (FLOP) delta measured via
+  :func:`repro.analysis.flops.probe_forward`.
 * **instrumentation** — per-pass wall time, rewrite counts, parameter
   and MAC before/after, and the max probe deviation, all recorded as
   :class:`PassRecord` rows consumable by
   :class:`repro.analysis.report.ExperimentReport`.
 
-Repeated compilations of the same architecture under the same pipeline
-spec hit the plan cache (:mod:`repro.compiler.cache`) and skip
-re-validation — the hot path in :mod:`repro.experiments` sweeps.
+A compilation of an architecture that the same pipeline, with the same
+probe seed, already validated hits the plan cache
+(:mod:`repro.compiler.cache`) and skips re-validation.
+
+Two pipelines are built here: :func:`mlcnn_pipeline`, the paper's
+rewrite sequence, and :func:`numerics_pipeline`, the numerics audit's.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +39,16 @@ from repro.compiler.context import (
     PassResult,
     PassValidationError,
 )
-from repro.compiler.pass_base import Pass, get_pass
+from repro.compiler.cache import PLAN_CACHE, architecture_signature
+from repro.compiler.lower import LowerFusedKernelPass
+from repro.compiler.pass_base import Pass
+from repro.compiler.passes import (
+    FuseConvPoolPass,
+    QuantizePass,
+    ReorderActivationPoolingPass,
+    ReorderDivergenceProbePass,
+    SetPoolingPass,
+)
 from repro.nn.layers import Module
 from repro.obs.tracer import get_tracer
 
@@ -130,17 +144,15 @@ class CompileReport:
         return self.to_experiment_report().render()
 
 
-PassLike = Union[Pass, str]
-
-
 class Pipeline:
-    """An ordered list of passes executed with shared context."""
+    """An ordered list of pass instances executed with shared context."""
 
-    def __init__(self, passes: Sequence[PassLike], name: str = "pipeline") -> None:
+    def __init__(self, passes: Sequence[Pass], name: str = "pipeline") -> None:
+        for p in passes:
+            if not isinstance(p, Pass):
+                raise TypeError(f"pipeline entries must be Pass instances, got {p!r}")
         self.name = name
-        self.passes: List[Pass] = [
-            p if isinstance(p, Pass) else get_pass(p) for p in passes
-        ]
+        self.passes: List[Pass] = list(passes)
 
     def spec(self) -> str:
         """Stable spec string — part of the plan-cache key."""
@@ -155,15 +167,13 @@ class Pipeline:
         self, model: Module, ctx: Optional[CompileContext] = None
     ) -> Tuple[Module, CompileReport]:
         """Run every pass over ``model`` (in place); return it + report."""
-        from repro.compiler.cache import PLAN_CACHE, architecture_signature
-
         ctx = ctx or CompileContext()
         tracer = get_tracer()
         t0 = time.perf_counter()
         signature = architecture_signature(model)
-        cache_key = (signature, self.spec(), ctx.cache_key())
-        cached = ctx.use_cache and PLAN_CACHE.contains(cache_key)
-        validate = ctx.validate and not cached
+        cache_key = (signature, self.spec(), ctx.seed)
+        cached = cache_key in PLAN_CACHE
+        validate = not cached
 
         report = CompileReport(
             pipeline=self.spec(), signature=signature, cached=cached, validated=validate
@@ -175,13 +185,15 @@ class Pipeline:
             signature=signature[:12],
             cached=cached,
         ) as pipe_span:
-            probe, out_before, macs_before = None, None, None
+            out_before, macs_before = None, None
             if validate:
-                probe = ctx.probe_batch()
-                with tracer.span("compile.probe", category="compiler"):
-                    out_before, macs_before = self._try_probe(model, probe, report)
-                if out_before is None:
-                    probe = None  # model rejects the probe batch: skip functional checks
+                try:
+                    out_before, macs_before = _probe(model, ctx)
+                except Exception as exc:  # model/probe shape mismatch etc.
+                    report.notes.append(
+                        f"probe forward failed ({type(exc).__name__}: {exc}); "
+                        "functional checks skipped"
+                    )
 
             for p in self.passes:
                 if not p.applies_to(model):
@@ -210,28 +222,32 @@ class Pipeline:
                             f"pass {p.name!r} declares parameter invariance but changed "
                             f"num_parameters from {params_before} to {record.params_after}"
                         )
-                    if probe is not None:
-                        with tracer.span("compile.probe", category="compiler"):
-                            out_after, macs_after = self._try_probe(model, probe, report)
-                        if out_after is None:
-                            probe = None  # stop functional checks from here on
-                        else:
-                            record.macs_after = macs_after
-                            if out_before is not None and out_after.shape == out_before.shape:
-                                record.probe_max_dev = float(
-                                    np.max(np.abs(out_after - out_before))
-                                )
-                            if p.preserves_semantics and out_before is not None:
-                                # a NaN the pass did not make is not its fault
-                                if out_after.shape != out_before.shape or not np.allclose(
-                                    out_after, out_before, atol=PROBE_ATOL, equal_nan=True
-                                ):
-                                    raise PassValidationError(
-                                        f"pass {p.name!r} declares semantics preservation "
-                                        f"but changed the probe output "
-                                        f"(max dev {record.probe_max_dev})"
-                                    )
-                            out_before, macs_before = out_after, macs_after
+                    if out_before is not None:
+                        try:
+                            out_after, record.macs_after = _probe(model, ctx)
+                        except Exception as exc:
+                            raise PassValidationError(
+                                f"pass {p.name!r} broke the probe forward that ran "
+                                f"before it ({type(exc).__name__}: {exc})"
+                            ) from exc
+                        same_shape = out_after.shape == out_before.shape
+                        if same_shape:
+                            record.probe_max_dev = float(
+                                np.max(np.abs(out_after - out_before))
+                            )
+                        # a NaN the pass did not make is not its fault
+                        if p.preserves_semantics and not (
+                            same_shape
+                            and np.allclose(
+                                out_after, out_before, atol=PROBE_ATOL, equal_nan=True
+                            )
+                        ):
+                            raise PassValidationError(
+                                f"pass {p.name!r} declares semantics preservation "
+                                f"but changed the probe output "
+                                f"(max dev {record.probe_max_dev})"
+                            )
+                        out_before, macs_before = out_after, record.macs_after
                     record.validated = True
                 report.records.append(record)
 
@@ -241,69 +257,62 @@ class Pipeline:
                 rewrites=report.total_rewrites,
                 validated=validate,
             )
-        if validate and ctx.use_cache:
+        if validate:
             PLAN_CACHE.add(cache_key)
         return model, report
 
-    @staticmethod
-    def _try_probe(model: Module, probe: np.ndarray, report: CompileReport):
-        from repro.analysis.flops import probe_forward
 
-        try:
-            return probe_forward(model, probe)
-        except Exception as exc:  # model/probe shape mismatch etc.
-            note = f"probe forward failed ({type(exc).__name__}: {exc}); functional checks skipped"
-            if note not in report.notes:
-                report.notes.append(note)
-            return None, None
+def _probe(model: Module, ctx: CompileContext):
+    """``(output, macs)`` of one traced probe-batch forward."""
+    from repro.analysis.flops import probe_forward
+
+    with get_tracer().span("compile.probe", category="compiler"):
+        return probe_forward(model, ctx.probe_batch())
 
 
-def mlcnn_pipeline(
-    bits: int = 0,
-    sparsity: float = 0.0,
-    strict: bool = True,
-    probe_divergence: bool = False,
-    lower_bits: int = 64,
-    overlap: bool = False,
-) -> Pipeline:
-    """The canonical MLCNN preparation pipeline (Sections III-IV, VII).
+def mlcnn_pipeline(bits: int = 0, strict: bool = True, lower_bits: int = 64) -> Pipeline:
+    """The MLCNN compile (Sections III-IV, VII).
 
-    ``set-pooling(avg)`` -> ``reorder`` -> ``fuse`` [-> ``prune``]
-    [-> ``quantize(bits)``] [-> ``lower``] — the sequence
-    :func:`repro.core.transform.prepare_mlcnn` has always applied, now
-    as composable passes.  ``probe_divergence=True`` inserts the
-    read-only ``reorder-probe`` validation pass right after
-    ``reorder``, quantifying what the reordering changed on the probe
-    batch (``ctx.state["reorder_divergence"]``).  ``lower_bits=32``
-    appends the ``lower`` pass, which binds the fp32 NHWC kernel to
-    every non-overlapping fused layer (inexact vs the f64 probe); at
-    the default 64 the fused layers run their own float64 forward.
-    ``overlap=True`` lets ``fuse`` take overlapping-pool
-    (stride != pool) blocks too.
+    ``set-pooling(avg)`` -> ``reorder`` -> ``fuse(strict)``
+    [-> ``quantize(bits)``] [-> ``lower``].  ``bits=0`` quantizes
+    nothing.  ``lower_bits=32`` appends the ``lower`` pass, which binds
+    the fp32 NHWC kernel to every non-overlapping fused layer and
+    stride-1 conv (inexact vs the f64 probe); at the default 64 the
+    fused layers run their own float64 forward.
+
+    For average pooling the reorder changes outputs slightly (Jensen),
+    so a model trained in the original order should be fine-tuned after
+    compiling; one trained in the reordered form is unchanged by fusion.
     """
     if lower_bits not in (32, 64):
         raise ValueError(f"lowering bits must be 32 or 64, got {lower_bits}")
-    from repro.compiler.lower import LowerFusedKernelPass
-    from repro.compiler.passes import (
-        FuseConvPoolPass,
-        PrunePass,
-        QuantizePass,
-        ReorderActivationPoolingPass,
-        ReorderDivergenceProbePass,
-        SetPoolingPass,
-    )
-
     passes: List[Pass] = [
-        SetPoolingPass("avg"),
+        SetPoolingPass(),
         ReorderActivationPoolingPass(),
+        FuseConvPoolPass(strict=strict),
     ]
-    if probe_divergence:
-        passes.append(ReorderDivergenceProbePass())
-    passes.append(FuseConvPoolPass(strict=strict, overlap=overlap))
-    if sparsity:
-        passes.append(PrunePass(sparsity))
     if bits:
         passes.append(QuantizePass(bits))
     if lower_bits == 32:
         passes.append(LowerFusedKernelPass())
     return Pipeline(passes, name="mlcnn")
+
+
+def numerics_pipeline(bits: int) -> Pipeline:
+    """The numerics audit's compile.
+
+    ``set-pooling(avg)`` -> ``reorder`` -> ``reorder-probe`` ->
+    ``quantize(bits)``, with no ``fuse``: a fused block cannot be
+    DoReFa-wrapped, and the audit measures quantization health and
+    the reorder divergence, not speed.  The divergence lands in
+    ``ctx.state["reorder_divergence"]``.
+    """
+    return Pipeline(
+        [
+            SetPoolingPass(),
+            ReorderActivationPoolingPass(),
+            ReorderDivergenceProbePass(),
+            QuantizePass(bits),
+        ],
+        name="numerics",
+    )

@@ -41,7 +41,7 @@ from repro.core.fusion import (
     fused_conv_pool_counted,
     dense_conv_pool_counted,
 )
-from repro.core.transform import fuse_network, fused_blocks, prepare_mlcnn
+from repro.core.transform import fuse_network, fused_blocks
 from repro.core.quantize import (
     quantize_k,
     quantize_weights,
@@ -88,7 +88,6 @@ __all__ = [
     "kernels",
     "fuse_network",
     "fused_blocks",
-    "prepare_mlcnn",
     "quantize_k",
     "quantize_weights",
     "quantize_activations",

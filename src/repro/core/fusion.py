@@ -69,7 +69,7 @@ def fused_conv_pool(
     ``pool_stride != pool`` executes the overlapping-pool identity —
     the convolution over the box-summed input runs at the pool stride
     instead.  The conv stride must be 1 (enforced by callers via
-    ``ConvBlock.is_fusable``).
+    :meth:`repro.models.blocks.ConvBlock.is_fusable`).
     """
     pool_stride = pool if pool_stride is None else pool_stride
     if pool_stride < 1:
@@ -170,21 +170,16 @@ class FusedConvPool(Module):
 
     def __init__(self, conv_block) -> None:
         super().__init__()
-        if not conv_block.is_fusable(allow_overlap=True):
+        if not conv_block.is_fusable():
             raise ValueError(
-                "block is not fusable (needs pool_act order, average pooling, "
-                "unit conv stride)"
+                "block is not fusable (needs average pooling, pool_act order, "
+                "unit conv stride, no batch-norm, a square kernel and square padding)"
             )
-        if conv_block.bn is not None:
-            raise ValueError("fusion of batch-norm blocks is not supported")
-        ph, pw = conv_block.conv.padding
-        if ph != pw:
-            raise ValueError("fusion requires square padding")
         # Keep a handle to the original block WITHOUT registering it as
         # a child module: it must not be re-discovered (and re-fused) by
         # module-tree walks, and its parameters are shared below anyway.
         object.__setattr__(self, "source", conv_block)
-        self.padding = ph
+        self.padding = conv_block.conv.padding[0]
         self.pool = conv_block.pool.kernel
         self.pool_stride = conv_block.pool.stride
         self.activation = conv_block.activation

@@ -157,12 +157,12 @@ class QuantizedConvBlock(Module):
         return blk._act(blk.pool.apply(y))
 
 
-def quantize_model(model: Module, config: QuantConfig, quantize_first_input: bool = False) -> Module:
+def quantize_model(model: Module, config: QuantConfig) -> Module:
     """Wrap every :class:`ConvBlock` in ``model`` for k-bit execution.
 
-    The first convolution's *input* is left unquantized by default
-    (images are standardized, not in [0, 1]), matching common DoReFa
-    practice of keeping the first layer higher precision.
+    The first convolution's *input* is left unquantized (images are
+    standardized, not in [0, 1]), matching common DoReFa practice of
+    keeping the first layer higher precision.
     """
     first = True
 
@@ -170,9 +170,7 @@ def quantize_model(model: Module, config: QuantConfig, quantize_first_input: boo
         nonlocal first
         for name, child in list(mod._modules.items()):
             if isinstance(child, ConvBlock):
-                q = QuantizedConvBlock(
-                    child, config, quantize_input=(quantize_first_input or not first)
-                )
+                q = QuantizedConvBlock(child, config, quantize_input=not first)
                 first = False
                 mod._modules[name] = q
                 object.__setattr__(mod, name, q)

@@ -154,7 +154,7 @@ def _compile_pipeline(model_name: str, bits: int, show_report: bool) -> int:
         )
         return 2
     model = build_model(model_name)
-    ctx = CompileContext(quant_bits=bits)
+    ctx = CompileContext()
     # strict=False: models with no fusable ConvBlock (e.g. GoogLeNet,
     # whose pooled stages are PooledInception) still compile cleanly.
     _, report = mlcnn_pipeline(bits=bits, strict=False).run(model, ctx)
@@ -297,8 +297,9 @@ def _run(parser: argparse.ArgumentParser, args, run) -> int:
 def _run_numerics(args, run) -> int:
     """One-command numerics health report (the tentpole CLI surface).
 
-    For each model: compile through the MLCNN pipeline (with the
-    reorder-divergence probe inserted after ``reorder``), instrument
+    For each model: compile through
+    :func:`repro.compiler.numerics_pipeline` (the MLCNN rewrites without
+    ``fuse``, with the reorder-divergence probe after ``reorder``), instrument
     the compiled model with a :class:`~repro.obs.numerics
     .NumericsCollector`, run one forward+backward on the probe batch,
     and print its summary: DoReFa clip/saturation rates per layer, the
@@ -306,13 +307,7 @@ def _run_numerics(args, run) -> int:
     """
     import numpy as np
 
-    from repro.compiler import CompileContext, Pipeline
-    from repro.compiler.passes import (
-        QuantizePass,
-        ReorderActivationPoolingPass,
-        ReorderDivergenceProbePass,
-        SetPoolingPass,
-    )
+    from repro.compiler import CompileContext, numerics_pipeline
     from repro.models import MODEL_REGISTRY, build_model
     from repro.nn import functional as F
     from repro.nn.tensor import Tensor
@@ -329,21 +324,10 @@ def _run_numerics(args, run) -> int:
     bits = args.bits or 8
     for name in models:
         model = build_model(name)
-        ctx = CompileContext(quant_bits=bits)
+        ctx = CompileContext()
         collector = NumericsCollector(watchdog="warn")
-        # no fuse pass: fused blocks can't be DoReFa-wrapped, and the
-        # point here is per-layer quantization health, not speed
-        pipeline = Pipeline(
-            [
-                SetPoolingPass("avg"),
-                ReorderActivationPoolingPass(),
-                ReorderDivergenceProbePass(),
-                QuantizePass(bits),
-            ],
-            name="numerics",
-        )
         with collector:
-            pipeline.run(model, ctx)
+            numerics_pipeline(bits).run(model, ctx)
             obs.instrument_model(model, prefix=name, numerics=collector)
             x = ctx.probe_batch()
             model.train()

@@ -88,23 +88,30 @@ class ConvBlock(Module):
         self.order = order
 
     # -- MLCNN hooks ---------------------------------------------------------
-    def is_fusable(self, allow_overlap: bool = False) -> bool:
+    def is_fusable(self) -> bool:
         """True when this block matches the MLCNN fused conv-pool pattern.
 
-        Requires the reordered layout (pool before activation), average
-        pooling, and a unit conv stride (the fused kernel computes a
-        strided convolution over the box-summed input).  By default the
-        pool must be non-overlapping (``stride == kernel``);
-        ``allow_overlap=True`` accepts any pool stride — the strided
-        lowering (:mod:`repro.core.kernels.strided`) gathers the same
-        box-sum patches at the pool-stride positions.
+        The one fusability predicate:
+        :func:`repro.core.transform.fuse_network` fuses exactly the
+        blocks it accepts, and :class:`repro.core.fusion.FusedConvPool`
+        rejects the others.
+        Requires average pooling in the reordered layout (pool before
+        activation), a unit conv stride (the fused kernel computes a
+        strided convolution over the box-summed input), no batch-norm
+        between conv and pool, and a square kernel and square padding.
+        Any pool stride is accepted: an overlapping pool
+        (``stride != kernel``) gathers the same box-sum patches at the
+        pool-stride positions.
         """
+        conv = self.conv
         return (
             self.pool is not None
             and self.pool.kind == "avg"
             and self.order == "pool_act"
-            and self.conv.stride == (1, 1)
-            and (allow_overlap or self.pool.stride == self.pool.kernel)
+            and conv.stride == (1, 1)
+            and self.bn is None
+            and conv.kernel_size[0] == conv.kernel_size[1]
+            and conv.padding[0] == conv.padding[1]
         )
 
     def _act(self, x: Tensor) -> Tensor:

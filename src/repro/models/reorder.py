@@ -67,9 +67,7 @@ def to_allconv(model: Module, rng=None, seed: Optional[int] = None) -> Module:
     Determinism: the new downsample conv weights are drawn from ``rng``
     if given, else from ``np.random.default_rng(seed)`` (``seed``
     defaults to 0).  Two calls with the same ``rng`` state or the same
-    ``seed`` therefore produce bit-identical models; the compiler's
-    :class:`~repro.compiler.CompileContext` threads its seeded ``rng``
-    through here so pipeline results are reproducible end to end.
+    ``seed`` therefore produce bit-identical models.
     """
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)

@@ -565,18 +565,17 @@ def attribute_model_run(
     import numpy as np
 
     from repro import obs
-    from repro.compiler import CompileContext, mlcnn_pipeline
+    from repro.compiler import mlcnn_pipeline
     from repro.models import build_model
     from repro.nn.tensor import Tensor, no_grad
 
     model = build_model(model_name)
-    ctx = CompileContext(quant_bits=bits)
     tracer = obs.get_tracer()
     was_enabled = tracer.enabled
     first = len(tracer.events)
     tracer.enable()
     try:
-        mlcnn_pipeline(bits=bits, strict=False).run(model, ctx)
+        mlcnn_pipeline(bits=bits, strict=False).run(model)
         x = np.random.default_rng(seed).normal(size=(batch, 3, 32, 32))
         obs.instrument_model(model, prefix=model_name, counters=True)
         model.eval()

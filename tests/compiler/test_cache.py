@@ -36,28 +36,21 @@ class TestArchitectureSignature:
     def test_transforms_change_signature(self):
         a = build_model("lenet5")
         sig_before = architecture_signature(a)
-        mlcnn_pipeline().run(a, CompileContext(validate=False, use_cache=False))
+        mlcnn_pipeline().run(a)
         assert architecture_signature(a) != sig_before
 
 
 class TestPlanCache:
     def test_second_compilation_hits_cache(self):
-        m1, report1 = mlcnn_pipeline(bits=8).run(
-            build_model("lenet5", seed=1), CompileContext(quant_bits=8)
-        )
+        m1, report1 = mlcnn_pipeline(bits=8).run(build_model("lenet5", seed=1))
         assert not report1.cached and report1.validated
-        m2, report2 = mlcnn_pipeline(bits=8).run(
-            build_model("lenet5", seed=2), CompileContext(quant_bits=8)
-        )
+        m2, report2 = mlcnn_pipeline(bits=8).run(build_model("lenet5", seed=2))
         assert report2.cached and not report2.validated
         assert all(not r.validated for r in report2.records if r.ran)
-        assert PLAN_CACHE.hits == 1
 
     def test_different_pipeline_spec_misses(self):
-        mlcnn_pipeline(bits=8).run(build_model("lenet5"), CompileContext(quant_bits=8))
-        _, report = mlcnn_pipeline(bits=4).run(
-            build_model("lenet5"), CompileContext(quant_bits=4)
-        )
+        mlcnn_pipeline(bits=8).run(build_model("lenet5"))
+        _, report = mlcnn_pipeline(bits=4).run(build_model("lenet5"))
         assert not report.cached
 
     def test_different_architecture_misses(self):
@@ -65,11 +58,9 @@ class TestPlanCache:
         _, report = mlcnn_pipeline().run(build_model("vgg16", width_mult=0.125))
         assert not report.cached
 
-    def test_cache_opt_out(self):
+    def test_different_probe_seed_misses(self):
         mlcnn_pipeline().run(build_model("lenet5"))
-        _, report = mlcnn_pipeline().run(
-            build_model("lenet5"), CompileContext(use_cache=False)
-        )
+        _, report = mlcnn_pipeline().run(build_model("lenet5"), CompileContext(seed=1))
         assert not report.cached and report.validated
 
     def test_clear_plan_cache(self):

@@ -153,7 +153,7 @@ class TestPlanCacheInvalidation:
         specs = {
             mlcnn_pipeline().spec(),
             mlcnn_pipeline(lower_bits=32).spec(),
-            mlcnn_pipeline(overlap=True).spec(),
+            mlcnn_pipeline(bits=8).spec(),
         }
         assert len(specs) == 3
 

@@ -1,22 +1,25 @@
-"""Pipeline execution: validation hooks, instrumentation, equivalence
-with the historical prepare_mlcnn recipe."""
+"""Pipeline execution: validation hooks, instrumentation, plan-cache
+interplay and determinism."""
 
 import numpy as np
 import pytest
 
 from repro.compiler import (
     CompileContext,
+    FuseConvPoolPass,
     PassValidationError,
     Pipeline,
+    ReorderActivationPoolingPass,
     clear_plan_cache,
     mlcnn_pipeline,
+    numerics_pipeline,
 )
 from repro.compiler.pass_base import Pass
 from repro.compiler.context import PROBE_SHAPE, PassResult
 from repro.core.opcount import rme_multiplication_reduction
-from repro.core.transform import prepare_mlcnn
 from repro.models import build_model
 from repro.models.specs import get_specs
+from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -32,32 +35,10 @@ def x32():
     return Tensor(np.random.default_rng(8).normal(size=(2, 3, 32, 32)))
 
 
-class TestMLCNNPipelineEquivalence:
-    """Acceptance: prepare_mlcnn(model, bits) == mlcnn_pipeline(bits).run(model)."""
-
-    @pytest.mark.parametrize("name,width", [("lenet5", 1.0), ("vgg16", 0.125)])
-    @pytest.mark.parametrize("bits", [0, 8])
-    def test_functionally_identical(self, name, width, bits, x32):
-        a = build_model(name, width_mult=width, seed=4)
-        b = build_model(name, width_mult=width, seed=4)
-        prepare_mlcnn(a, quantize_bits=bits)
-        b, _report = mlcnn_pipeline(bits=bits).run(b, CompileContext(quant_bits=bits))
-        with no_grad():
-            ya, yb = a(x32).data, b(x32).data
-        np.testing.assert_allclose(ya, yb, atol=1e-12)
-
-    def test_strict_failure_stays_loud(self):
-        model = build_model("lenet5")
-        prepare_mlcnn(model)
-        with pytest.raises(ValueError):
-            prepare_mlcnn(model)  # nothing left to fuse
-
-
 class TestReportInstrumentation:
     def test_records_for_every_ran_pass(self):
         model = build_model("lenet5")
-        ctx = CompileContext(quant_bits=8)
-        _, report = mlcnn_pipeline(bits=8).run(model, ctx)
+        _, report = mlcnn_pipeline(bits=8).run(model)
         ran = [r for r in report.records if r.ran]
         assert [r.name for r in ran] == ["set-pooling", "reorder", "fuse", "quantize"]
         for r in ran:
@@ -80,7 +61,7 @@ class TestReportInstrumentation:
 
     def test_fuse_preserves_probe_outputs(self):
         model = build_model("lenet5", order="pool_act")
-        _, report = Pipeline(["fuse"]).run(model)
+        _, report = Pipeline([FuseConvPoolPass()]).run(model)
         dev = report.record_for("fuse").probe_max_dev
         assert dev is not None and dev < 1e-9
 
@@ -94,7 +75,7 @@ class TestReportInstrumentation:
 
     def test_inapplicable_pass_recorded_as_skipped(self):
         model = build_model("lenet5", order="pool_act")  # already reordered
-        _, report = Pipeline(["reorder", "fuse"]).run(model)
+        _, report = Pipeline([ReorderActivationPoolingPass(), FuseConvPoolPass()]).run(model)
         rec = report.record_for("reorder")
         assert not rec.ran and "not applicable" in rec.notes
 
@@ -121,7 +102,7 @@ class TestValidationHooks:
             def run(self, model, ctx):
                 from repro.models.blocks import ConvBlock
 
-                model.extra = ConvBlock(3, 3, 1, rng=ctx.rng)
+                model.extra = ConvBlock(3, 3, 1)
                 return PassResult(self.name, 1)
 
         model = build_model("lenet5")
@@ -132,17 +113,10 @@ class TestValidationHooks:
         """A NaN in the weights reaches the probe output before any pass
         runs, so the semantics-preserving passes after it are not at
         fault: both the canonical and the numerics pass lists compile."""
-        pipelines = [
-            (mlcnn_pipeline(), CompileContext()),
-            (
-                Pipeline(["set-pooling", "reorder", "reorder-probe", "quantize"]),
-                CompileContext(quant_bits=8),
-            ),
-        ]
-        for pipe, ctx in pipelines:
+        for pipe in (mlcnn_pipeline(), numerics_pipeline(8)):
             model = build_model("lenet5")
             dict(model.named_parameters())["features.0.conv.weight"].data[0, 0, 0, 0] = np.nan
-            _, report = pipe.run(model, ctx)
+            _, report = pipe.run(model)
             assert all(r.validated for r in report.records if r.ran)
 
     def test_nan_written_by_a_semantics_pass_is_caught(self):
@@ -158,12 +132,6 @@ class TestValidationHooks:
         with pytest.raises(PassValidationError, match="'nan'"):
             Pipeline([NaNPass()]).run(model)
 
-    def test_validation_off_skips_checks(self):
-        model = build_model("lenet5")
-        _, report = mlcnn_pipeline().run(model, CompileContext(validate=False))
-        assert not report.validated
-        assert all(not r.validated for r in report.records)
-
     def test_probe_mismatch_is_tolerated(self):
         # default probe is (2, 3, 32, 32); a 1-channel model can't eat it
         model = build_model("lenet5", in_channels=1)
@@ -171,14 +139,38 @@ class TestValidationHooks:
         assert report.notes and "probe forward failed" in report.notes[0]
         assert report.record_for("fuse").ran  # compilation still completed
 
+    def test_pass_that_breaks_the_forward_is_caught_and_not_cached(self):
+        """The probe ran before the pass and raises after it: the pass
+        broke the model, whatever it declares, and the failed compile
+        leaves no plan-cache key behind."""
+
+        class Raising(Module):
+            def __init__(self, inner):
+                super().__init__()
+                self.inner = inner  # keeps the parameters: only the forward breaks
+
+            def forward(self, x):
+                raise RuntimeError("kernel exploded")
+
+        class BreakPass(Pass):
+            name = "break"
+            preserves_semantics = True  # a lie: the forward now raises
+
+            def run(self, model, ctx):
+                setattr(model.features, "0", Raising(model.features[0]))
+                return PassResult(self.name, 1)
+
+        for _ in range(2):  # a failure is never served from the cache
+            with pytest.raises(PassValidationError, match="'break'.*kernel exploded"):
+                Pipeline([BreakPass()]).run(build_model("lenet5"))
+
 
 class TestDeterminism:
     def test_same_context_seed_bitwise_identical(self, x32):
         outs = []
         for _ in range(2):
-            model = build_model("googlenet", width_mult=0.25, seed=9)
-            pipe = Pipeline(["set-pooling", "reorder", "to-allconv"])
-            model, _ = pipe.run(model, CompileContext(seed=21))
+            model = build_model("vgg16", width_mult=0.125, seed=9)
+            model, _ = mlcnn_pipeline(bits=8).run(model, CompileContext(seed=21))
             with no_grad():
                 outs.append(model(x32).data)
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -187,7 +179,7 @@ class TestDeterminism:
 class TestPipelineTracing:
     def test_pass_spans_mirror_records(self, enabled_tracer):
         model = build_model("lenet5")
-        _, report = mlcnn_pipeline(bits=8).run(model, CompileContext(quant_bits=8))
+        _, report = mlcnn_pipeline(bits=8).run(model)
         spans = [ev for ev in enabled_tracer.events if ev.name.startswith("compile.pass.")]
         ran = [r for r in report.records if r.ran]
         assert [ev.name for ev in spans] == [f"compile.pass.{r.name}" for r in ran]

@@ -100,12 +100,19 @@ class TestPruneAfterFusion:
     module, which shares the conv's weight Tensor."""
 
     def test_pipeline_prunes_every_fused_layer(self):
-        from repro.compiler import CompileContext, mlcnn_pipeline
+        from repro.compiler import (
+            FuseConvPoolPass,
+            Pipeline,
+            PrunePass,
+            ReorderActivationPoolingPass,
+            SetPoolingPass,
+        )
         from repro.core.fusion import FusedConvPool
 
-        model, report = mlcnn_pipeline(sparsity=0.5).run(
-            build_model("lenet5", seed=1), CompileContext(seed=0)
+        pipe = Pipeline(
+            [SetPoolingPass(), ReorderActivationPoolingPass(), FuseConvPoolPass(), PrunePass(0.5)]
         )
+        model, report = pipe.run(build_model("lenet5", seed=1))
         fused = [m for _, m in model.named_modules() if isinstance(m, FusedConvPool)]
         assert fused
         for mod in fused:
@@ -119,9 +126,9 @@ class TestPruneAfterFusion:
 
     def test_masks_cover_fused_layers(self):
         from repro.core.fusion import FusedConvPool
-        from repro.core.transform import prepare_mlcnn
+        from repro.compiler import mlcnn_pipeline
 
-        model = prepare_mlcnn(build_model("lenet5", seed=1))
+        model, _ = mlcnn_pipeline().run(build_model("lenet5", seed=1))
         magnitude_prune(model, 0.5)
         masks = capture_masks(model)
         fused = {n: m for n, m in model.named_modules() if isinstance(m, FusedConvPool)}

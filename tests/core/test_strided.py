@@ -11,13 +11,7 @@ leaves overlapping-pool layers on the float64 path.
 import numpy as np
 import pytest
 
-from repro.compiler import (
-    Pipeline,
-    clear_plan_cache,
-    lowered_kernels,
-    mlcnn_pipeline,
-)
-from repro.compiler.passes import FuseConvPoolPass, SetPoolingPass
+from repro.compiler import clear_plan_cache, lowered_kernels, mlcnn_pipeline
 from repro.core.fusion import FusedConvPool, fused_conv_pool
 from repro.models.blocks import ConvBlock, PoolSpec
 from repro.nn.layers import Module, Sequential
@@ -145,7 +139,7 @@ class TestStridedEquivalence:
 
 
 def _overlap_model(rng):
-    """conv3x3 + avg pool3 stride2 block, fusable only with overlap."""
+    """conv3x3 + avg pool3 stride2 block: an overlapping pool."""
     return Sequential(
         ConvBlock(
             1, 2, 3,
@@ -173,7 +167,7 @@ class TestOverlapLowering:
         x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 32, 32)))
         with no_grad():
             want = _mixed_model(5)(x).data
-        model, report = mlcnn_pipeline(lower_bits=32, overlap=True).run(_mixed_model(5))
+        model, report = mlcnn_pipeline(lower_bits=32).run(_mixed_model(5))
         assert report.record_for("fuse").rewrites == 2
         assert [(p, k.name) for p, k in lowered_kernels(model)] == [("1", "fused-f32-nhwc")]
         with no_grad():
@@ -181,8 +175,15 @@ class TestOverlapLowering:
         assert got.shape == want.shape
         assert float(np.max(np.abs(got - want))) <= 1e-4 * float(np.max(np.abs(want)))
 
-    def test_without_overlap_flag_block_stays_unfused(self, rng):
-        model = _overlap_model(rng)
-        pipe = Pipeline([SetPoolingPass("avg"), FuseConvPoolPass(strict=False)])
-        fused, _ = pipe.run(model)
-        assert not any(isinstance(m, FusedConvPool) for _, m in fused.named_modules())
+    def test_mlcnn_pipeline_fuses_overlapping_block(self):
+        """The canonical compile fuses an overlapping pool, and the fused
+        model computes what the unfused one does."""
+        x = Tensor(np.random.default_rng(4).normal(size=(2, 1, 13, 13)))
+        with no_grad():
+            want = _overlap_model(np.random.default_rng(91))(x).data
+        model, report = mlcnn_pipeline().run(_overlap_model(np.random.default_rng(91)))
+        assert report.record_for("fuse").rewrites == 1
+        assert isinstance(model[0], FusedConvPool)
+        with no_grad():
+            got = model(x).data
+        np.testing.assert_allclose(got, want, atol=1e-12)

@@ -1,11 +1,16 @@
 """Network fusion transform: semantics preservation across the zoo."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.compiler import mlcnn_pipeline
 from repro.core.fusion import FusedConvPool
 from repro.core.transform import fuse_network, fused_blocks
 from repro.models import build_model, reorder_activation_pooling, set_pooling
+from repro.models.blocks import ConvBlock, PoolSpec
+from repro.nn.layers import Sequential
 from repro.nn.tensor import Tensor, no_grad
 
 SMALL = {"lenet5": 1.0, "vgg16": 0.125, "vgg19": 0.125, "densenet": 0.5, "resnet18": 0.125}
@@ -92,12 +97,10 @@ class TestFuseNetwork:
             fuse_network(model)  # nothing left to fuse
 
 
-class TestPrepareMLCNN:
+class TestMLCNNPipeline:
     def test_pipeline_from_maxpool_model(self, x32):
-        from repro.core.transform import fused_blocks, prepare_mlcnn
-
         model = build_model("vgg16", width_mult=0.125, pooling="max")
-        prepare_mlcnn(model)
+        model, _ = mlcnn_pipeline().run(model)
         assert len(fused_blocks(model)) == 5
         with no_grad():
             out = model(x32)
@@ -105,10 +108,8 @@ class TestPrepareMLCNN:
 
     def test_pipeline_with_quantization(self, x32):
         from repro.core.quantize import QuantizedConvBlock
-        from repro.core.transform import prepare_mlcnn
 
-        model = build_model("lenet5")
-        prepare_mlcnn(model, quantize_bits=8)
+        model, _ = mlcnn_pipeline(bits=8).run(build_model("lenet5"))
         qblocks = [m for _, m in model.named_modules() if isinstance(m, QuantizedConvBlock)]
         assert qblocks  # the non-fused conv got wrapped
         with no_grad():
@@ -116,9 +117,58 @@ class TestPrepareMLCNN:
         assert np.isfinite(out.data).all()
 
     def test_idempotent_failure_is_loud(self):
-        from repro.core.transform import prepare_mlcnn
-
-        model = build_model("lenet5")
-        prepare_mlcnn(model)
+        model, _ = mlcnn_pipeline().run(build_model("lenet5"))
         with pytest.raises(ValueError):
-            prepare_mlcnn(model)  # nothing left to fuse
+            mlcnn_pipeline().run(model)  # nothing left to fuse
+
+
+#: one axis per condition of ConvBlock.is_fusable; the first value passes
+FUSABILITY_GRID = list(
+    itertools.product(
+        ("avg", "max"),  # pool kind
+        ("pool_act", "act_pool"),  # order
+        (1, 2),  # conv stride
+        (False, True),  # batch-norm
+        ((1, 1), (0, 1)),  # padding
+        ((3, 3), (3, 5)),  # kernel
+        (3, 2),  # pool stride, pool size 3: equal, then overlapping
+    )
+)
+
+
+def _grid_block(kind, order, stride, bn, padding, kernel, pool_stride):
+    return ConvBlock(
+        2, 3, kernel, stride=stride, padding=padding, batchnorm=bn,
+        pool=PoolSpec(kind, 3, stride=pool_stride), order=order,
+        rng=np.random.default_rng(0),
+    )
+
+
+class TestOneFusabilityPredicate:
+    """``ConvBlock.is_fusable`` alone decides: ``fuse_network`` fuses
+    exactly the blocks it accepts, ``FusedConvPool`` rejects exactly the
+    others, and every accepted block computes what the unfused one does."""
+
+    @pytest.mark.parametrize(
+        "case", FUSABILITY_GRID, ids=lambda c: "-".join(map(str, c)).replace(" ", "")
+    )
+    def test_predicate_fuse_network_and_constructor_agree(self, case):
+        kind, order, stride, bn, padding, kernel, _ = case
+        expected = (
+            (kind, order, stride, bn, padding, kernel)
+            == ("avg", "pool_act", 1, False, (1, 1), (3, 3))
+        )
+        block = _grid_block(*case)
+        assert block.is_fusable() == expected
+        model, replaced = fuse_network(Sequential(block), strict=False)
+        assert isinstance(model[0], FusedConvPool) == expected
+        assert len(replaced) == int(expected)
+        if not expected:
+            with pytest.raises(ValueError, match="not fusable"):
+                FusedConvPool(block)
+            return
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 2, 12, 12)))
+        with no_grad():
+            want = _grid_block(*case)(x).data
+            got = model(x).data
+        np.testing.assert_allclose(got, want, atol=1e-12)

@@ -96,8 +96,8 @@ class TestConvBlock:
         assert not ConvBlock(1, 1, 3, stride=2, pool=PoolSpec("avg", 2), order="pool_act", rng=rng).is_fusable()
         # no pool
         assert not ConvBlock(1, 1, 3, rng=rng).is_fusable()
-        # overlapping pool
-        assert not ConvBlock(
+        # an overlapping pool fuses too
+        assert ConvBlock(
             1, 1, 3, pool=PoolSpec("avg", 3, stride=2), order="pool_act", rng=rng
         ).is_fusable()
 

@@ -283,11 +283,11 @@ class TestInstrumentedModelJoin:
     def test_every_arithmetic_leaf_has_measured_ops(self, bits):
         """Every leaf that multiplies records its own multiplications:
         plain, fused and quantized convolutions and linear layers."""
-        from repro.compiler import CompileContext, mlcnn_pipeline
+        from repro.compiler import mlcnn_pipeline
         from repro.models import build_model
 
         model = build_model("lenet5")
-        mlcnn_pipeline(bits=bits, strict=False).run(model, CompileContext(quant_bits=bits))
+        mlcnn_pipeline(bits=bits, strict=False).run(model)
         tracer = Tracer(enabled=True)
         instrument_model(model, tracer=tracer, prefix="lenet5", counters=True)
         model.eval()

@@ -87,13 +87,12 @@ def test_compiled_lenet5_forward_top_frame_is_a_kernel():
     """Acceptance criterion: profiling a lenet5 forward through the
     compiled (fused + lowered) pipeline must attribute the time to
     ``repro.core.kernels`` — the lowered kernels ARE the hot path."""
-    from repro.compiler import CompileContext, mlcnn_pipeline
+    from repro.compiler import mlcnn_pipeline
     from repro.models import build_model
     from repro.nn.tensor import Tensor, no_grad
 
     model = build_model("lenet5", seed=0)
-    ctx = CompileContext(quant_bits=0)
-    mlcnn_pipeline(bits=0, strict=False, lower_bits=32).run(model, ctx)
+    mlcnn_pipeline(strict=False, lower_bits=32).run(model)
     model.eval()
     x = np.random.default_rng(0).normal(size=(16, 3, 32, 32))
     # warm caches so compilation/allocations don't pollute the profile

@@ -2,8 +2,34 @@
 reference real symbols."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: a Sphinx cross-reference to a ``repro.`` name, e.g.
+#: :func:`~repro.compiler.mlcnn_pipeline` or :class:`Pass <repro.compiler.Pass>`
+XREF = re.compile(
+    r":(?:mod|func|class|meth|attr|data):`~?(?:[^`<]*<)?(repro(?:\.\w+)+)>?`"
+)
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute path below one."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 PACKAGES = [
     "repro",
@@ -54,3 +80,22 @@ class TestPublicAPI:
         from repro.models.specs import MODEL_SPECS
 
         assert set(MODEL_REGISTRY) == set(MODEL_SPECS)
+
+
+def test_docstring_cross_references_resolve():
+    """Every :mod:/:func:/:class:/:meth:/:attr:/:data: reference to a
+    ``repro.`` name in the sources, examples and benches names a real
+    module or attribute."""
+    files = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "examples").glob("*.py")),
+        *sorted((ROOT / "benchmarks").glob("*.py")),
+    ]
+    refs = [
+        (path.relative_to(ROOT), m.group(1))
+        for path in files
+        for m in XREF.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert len(refs) > 100  # the pattern still matches the docstrings
+    broken = [f"{path}: {name}" for path, name in refs if not _resolves(name)]
+    assert not broken, "unresolved cross-references:\n" + "\n".join(broken)
