@@ -10,8 +10,8 @@ kernel — the one :class:`LowerFusedKernelPass` binds for
 specialized for.  Two companion metrics keep the other
 implementations on the dashboard trend: ``fused_module_samples_per_sec``
 (the default f64 vectorized autograd path, NCHW Tensors) and
-``fused_reference_samples_per_sec`` (the golden ``impl="reference"``
-composition the vectorized kernels are validated against).
+``fused_reference_samples_per_sec`` (the ``impl="reference"``
+composition: box-sum node, ``F.conv2d`` and epilogue ops).
 """
 
 from time import perf_counter
@@ -110,8 +110,8 @@ def test_bench_fused_module_path(benchmark, workload, record_metric):
 
 
 def test_bench_fused_reference_impl(benchmark, workload, record_metric):
-    """The golden loop-nest composition — the floor the lowered kernels
-    are measured against."""
+    """The reference composition — the floor the lowered kernels are
+    measured against."""
     x, w, b = workload
 
     def run():

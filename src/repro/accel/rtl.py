@@ -9,8 +9,9 @@ one output channel at 2x2 pooling.
 
 What it validates (and the tests assert):
 
-* functional equivalence — the streamed datapath produces exactly the
-  same pooled outputs as the vectorized fused kernel;
+* functional equivalence — a layer of streamed passes produces the
+  pooled outputs of the unfused conv -> average pool -> ReLU
+  composition (``tests/core/test_oracle.py`` holds it to that golden);
 * bounded storage — FIFO high-water marks never exceed their declared
   depths (the paper sizes two FIFOs per MAC slice);
 * reuse — each input element is read from the stream exactly once;
@@ -364,8 +365,11 @@ class RTLFusedConvPoolLayer:
 
     def __init__(self, weights: np.ndarray, bias: Optional[np.ndarray] = None, mac_slices: int = 1):
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 4 or weights.shape[2] != weights.shape[3]:
+        if weights.ndim != 4:
             raise ValueError(f"expected (M, C, K, K) weights, got {weights.shape}")
+        kh, kw = weights.shape[2:]
+        if kh != kw:
+            raise ValueError(f"the RTL datapath needs a square kernel (KH == KW), got {kh}x{kw}")
         if mac_slices < 1:
             raise ValueError("need at least one MAC slice")
         self.weights = weights
@@ -377,10 +381,14 @@ class RTLFusedConvPoolLayer:
     def run(self, image: np.ndarray, pool: int = 2) -> RTLLayerReport:
         x = np.asarray(image, dtype=np.float64)
         m, c, k, _ = self.weights.shape
-        if x.ndim != 3 or x.shape[0] != c:
-            raise ValueError(f"expected ({c}, H, W) input, got {x.shape}")
+        if x.ndim != 3:
+            raise ValueError(f"the RTL layer takes one (C, H, W) image, got shape {x.shape}")
+        if x.shape[0] != c:
+            raise ValueError(f"channel mismatch: input {x.shape[0]}, weight {c}")
         h = x.shape[1]
         po = ((h - k + 1) - pool) // pool + 1
+        if po < 1:
+            raise ValueError(f"input {h}x{x.shape[2]} too small for K={k}, pool={pool}")
 
         outputs = np.zeros((m, po, po))
         total_cycles = 0

@@ -60,10 +60,11 @@ def fused_conv_pool(
     ``impl="vectorized"`` (default) lowers the whole operator to one
     :func:`repro.core.kernels.fused.fused_forward` call (gather + GEMM)
     with a closed-form backward; ``impl="reference"`` keeps the
-    original composition (box sum node + ``F.conv2d`` + epilogue ops)
-    as the golden reference the equivalence suite compares against.
-    Either way the multiplications performed and eliminated are
-    recorded once into the measured counters.
+    original composition (box sum node + ``F.conv2d`` + epilogue ops),
+    which the ``accel-sweep`` benchmark's RTL oracle reads.  Either way
+    the multiplications performed and eliminated are recorded once into
+    the measured counters.  ``weight`` must be a square (M, C, K, K)
+    kernel.
 
     ``pool_stride`` defaults to ``pool`` (non-overlapping pooling);
     ``pool_stride != pool`` executes the overlapping-pool identity —
@@ -106,6 +107,9 @@ def fused_conv_pool(
         return node
 
     n, c, h, w = x.shape
+    m, _, k, kw = weight.shape
+    if k != kw:
+        raise ValueError(f"the fused kernel needs a square kernel (KH == KW), got {k}x{kw}")
 
     if padding:
         pad = padding
@@ -131,7 +135,6 @@ def fused_conv_pool(
         acc_t._backward = _bw
 
     out = F.conv2d(acc_t, weight, bias=None, stride=pool_stride)
-    m, _, k, _ = weight.shape
     _kernels.record_rme_counters(
         n, m, c, k, pool, *out.shape[-2:], *xd.shape[-2:], eliminated_only=True
     )
@@ -246,10 +249,19 @@ class FusedConvPool(Module):
 # Instrumented reference executor
 # ---------------------------------------------------------------------------
 
-def _check_square(h: int, w: int) -> None:
-    """The counted loop nests size every plane from the height alone."""
+def _check_image(x: np.ndarray, weight: np.ndarray) -> None:
+    """The counted loop nests run one square image through a square
+    kernel: they size every plane from H and K alone."""
+    if x.ndim != 3:
+        raise ValueError(f"counted executors take one (C, H, W) image, got shape {x.shape}")
+    c, h, w = x.shape
+    m, cw, kh, kw = weight.shape
+    if c != cw:
+        raise ValueError(f"channel mismatch: input {c}, weight {cw}")
     if h != w:
         raise ValueError(f"counted executors need a square input (H == W), got {h}x{w}")
+    if kh != kw:
+        raise ValueError(f"counted executors need a square kernel (KH == KW), got {kh}x{kw}")
 
 
 def dense_conv_pool_counted(
@@ -257,17 +269,17 @@ def dense_conv_pool_counted(
 ) -> Tuple[np.ndarray, OpCounters]:
     """Reference dense execution (conv then average pool), fully counted.
 
-    Single square image ``(C, H, H)`` and weights ``(M, C, K, K)``; the conv is
-    stride 1, valid padding, followed by a p x p stride-p average pool
-    and ReLU.  This is the baseline the paper's 16-mult example uses.
-    Returns the output and the operation tally, which it also records
-    (a dense run eliminates nothing).
+    Single square image ``(C, H, H)`` and square weights ``(M, C, K, K)``;
+    the conv is stride 1, valid padding, followed by a p x p stride-p
+    average pool and ReLU.  This is the baseline the paper's 16-mult
+    example uses.  Returns the output and the operation tally, which it
+    also records (a dense run eliminates nothing).  The ``1/p^2``
+    scaling costs one multiplication per pooled output, none at
+    ``p = 1``, where there is no pooling.
     """
-    c, h, w = x.shape
-    m, cw, k, _ = weight.shape
-    if c != cw:
-        raise ValueError(f"channel mismatch: input {c}, weight {cw}")
-    _check_square(h, w)
+    _check_image(x, weight)
+    c, h, _ = x.shape
+    m, _, k, _ = weight.shape
     counter = OpCounters()
     co = h - k + 1
     conv = np.zeros((m, co, co))
@@ -292,7 +304,8 @@ def dense_conv_pool_counted(
             for j in range(po):
                 s = conv[to, i * pool : i * pool + pool, j * pool : j * pool + pool].sum()
                 counter.major_additions += pool * pool - 1
-                counter.mults += 1  # scaling by 1/p^2
+                if pool > 1:
+                    counter.mults += 1  # scaling by 1/p^2
                 out[to, i, j] = max(s / (pool * pool), 0.0)
     get_recorder().record(**counter.as_dict(include_derived=False))
     return out, counter
@@ -309,10 +322,10 @@ def fused_conv_pool_counted(
 ) -> Tuple[np.ndarray, OpCounters]:
     """Algorithm 1 with explicit reuse caches and exact op counting.
 
-    Single square image ``(C, H, H)``; stride-1 valid conv + p x p stride-p
-    average pool + ReLU, executed as half additions (vertical runs of
-    ``p``), full additions (horizontal runs of ``p`` half-additions),
-    and per-output major accumulations.
+    Single square image ``(C, H, H)`` and square weights; stride-1 valid
+    conv + p x p stride-p average pool + ReLU, executed as half
+    additions (vertical runs of ``p``), full additions (horizontal runs
+    of ``p`` half-additions), and per-output major accumulations.
 
     Reuse scopes:
 
@@ -329,11 +342,9 @@ def fused_conv_pool_counted(
     of the same geometry.  The output is bit-identical in value to
     :func:`fused_conv_pool` up to fp association order.
     """
-    c, h, w = x.shape
-    m, cw, k, _ = weight.shape
-    if c != cw:
-        raise ValueError(f"channel mismatch: input {c}, weight {cw}")
-    _check_square(h, w)
+    _check_image(x, weight)
+    c, h, _ = x.shape
+    m, _, k, _ = weight.shape
     counter = OpCounters()
     co = h - k + 1
     po = (co - pool) // pool + 1
@@ -425,8 +436,9 @@ def fused_conv_pool_counted(
                     counter.bias_additions += 1
                 out[to, r, q] = max(val, 0.0)
     # RME elimination measured against a dense run of the same geometry:
-    # c*k*k mults per conv output plus one scaling mult per pooled output.
-    dense_mults = m * (co * co * c * k * k + po * po)
+    # c*k*k mults per conv output plus one scaling mult per pooled output
+    # (none without pooling).
+    dense_mults = m * (co * co * c * k * k + (po * po if pool > 1 else 0))
     counter.mults_eliminated = dense_mults - counter.mults
     get_recorder().record(**counter.as_dict(include_derived=False))
     return out, counter

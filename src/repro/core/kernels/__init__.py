@@ -2,12 +2,12 @@
 
 This package is the *lowering* target of the compiler: where
 :mod:`repro.core.fusion` defines what the fused RME/LAR/GAR operator
-computes (and keeps an instrumented loop nest as the golden
-reference), the kernels here define how it executes fast —
+computes (and keeps Algorithm 1's counted loop nest), the kernels
+here define how it executes fast —
 
 * :mod:`~repro.core.kernels.boxsum` — the ``I_Acc`` box sum as
   separable vertical-then-horizontal runs (production) and as
-  materialized windows (reference).
+  materialized windows, the golden the box sum's own tests read.
 * :mod:`~repro.core.kernels.fused` — float64 NCHW forward/backward for
   any pool stride: box sum, pooled-patch gather, one GEMM.  Every
   ``FusedConvPool`` runs it unless a kernel is bound.
@@ -17,8 +17,12 @@ reference), the kernels here define how it executes fast —
   :class:`repro.compiler.lower.LowerFusedKernelPass` binds: to
   non-overlapping fused layers, and as its pool-1 case to stride-1
   convolutions.
-* :mod:`~repro.core.kernels.intpath` — exact int64 accumulation for
-  the fixed-point path (bit-identical to the reference loop).
+* :mod:`~repro.core.kernels.intpath` — the exact int64 gather + GEMM
+  of the fixed-point path, :func:`repro.core.fixedpoint.fused_conv_pool_int`.
+
+Every kernel here is held to one golden, the unfused float64
+``conv2d -> avg_pool2d -> activation`` composition, by the table-driven
+oracle in ``tests/core/test_oracle.py``.
 """
 
 from repro.core.kernels.boxsum import box_sum, box_sum_windows

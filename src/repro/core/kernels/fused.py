@@ -28,11 +28,11 @@ input-gradient GEMM, the K x K scatter and the box-sum adjoint.
 (``mults``, ``mults_eliminated``) for every float fused path: this one,
 the fp32 kernel (including its pool-1 case, a plain convolution that
 eliminates nothing) and the reference composition in
-:mod:`repro.core.fusion`, so the within-1%-of-analytic cross-checks in
-``tests/obs`` cover all three.  Each records when it runs; the
-reference composition records only the elimination, because its inner
-:func:`repro.nn.functional.conv2d` records the multiplications it
-performs.
+:mod:`repro.core.fusion`, so the oracle's check of measured counters
+against :mod:`repro.core.opcount` covers all three.  Each records when
+it runs; the reference composition records only the elimination,
+because its inner :func:`repro.nn.functional.conv2d` records the
+multiplications it performs.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def fused_forward(
 ) -> Tuple[np.ndarray, FusedResiduals]:
     """Vectorized ``activation(AvgPool_p(Conv_K(x)))`` on raw arrays.
 
-    ``x``: (N, C, H, W); ``weight``: (M, C, K, K).  ``stride`` is the
+    ``x``: (N, C, H, W); ``weight``: square (M, C, K, K).  ``stride`` is the
     pool stride and defaults to ``pool`` (the non-overlapping case);
     ``stride != pool`` gathers the same box-sum patches at the strided
     positions, which is exactly the overlapping-pool identity — each
@@ -137,9 +137,11 @@ def fused_forward(
     if stride < 1:
         raise ValueError(f"pool stride must be >= 1, got {stride}")
     n, c, h, w = x.shape
-    m, cw, k, _ = weight.shape
+    m, cw, k, kw = weight.shape
     if c != cw:
         raise ValueError(f"channel mismatch: input {c}, weight {cw}")
+    if k != kw:
+        raise ValueError(f"the fused kernel needs a square kernel (KH == KW), got {k}x{kw}")
     if activation not in ("relu", "sigmoid", "tanh", "none"):
         raise ValueError(f"unknown activation {activation!r}")
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x

@@ -1,12 +1,11 @@
-"""Vectorized integer accumulation for the fixed-point fused kernel.
+"""Exact integer accumulation for the fixed-point fused kernel.
 
-:func:`conv_over_boxsum_int` replaces the per-(ki, kj) einsum loop of
-``repro.core.fixedpoint.fused_conv_pool_int`` with a single gather +
-integer matrix product.  Because int64 addition is associative and
-commutative, the reordered accumulation is **bit-identical** to the
-reference loop — the fixed-point accumulator/requant semantics
-(including the overflow and clip counters, which are computed from the
-accumulator *values*) are preserved exactly, not approximately.
+:func:`conv_over_boxsum_int` is the multiply-accumulate of
+:func:`repro.core.fixedpoint.fused_conv_pool_int`: one gather of the
+pooled-stride ``K x K`` patches of the box-summed plane and one int64
+matrix product.  Integer arithmetic is exact, so the result does not
+depend on the accumulation order as long as no accumulator exceeds the
+int64 range; ``fused_conv_pool_int`` checks that bound before calling.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ def conv_over_boxsum_int(acc: np.ndarray, wi: np.ndarray, pool: int) -> np.ndarr
     """Stride-``pool`` integer convolution over the box-summed plane.
 
     ``acc``: (C, Ha, Wa) int64 ``I_Acc``; ``wi``: (M, C, K, K) int64
-    weights.  Returns the (M, Po, Qo) int64 accumulator plane, equal
-    element-for-element to the reference per-tap accumulation loop.
+    weights.  Returns the (M, Po, Qo) int64 accumulator plane.
     """
     c, ha, wa = acc.shape
     m, cw, k, _ = wi.shape

@@ -197,9 +197,12 @@ class F32NHWCKernel:
         without one), multiplying the patch matrix's ones column.  A
         fold of at least :data:`WEIGHT_MAJOR_MIN_FOLD` floats is the
         transpose view of a C-contiguous (M, C*K*K + 1) array; a smaller
-        one is C-contiguous.
+        one is C-contiguous.  ``weight`` must be a square (M, C, K, K)
+        kernel.
         """
-        m, c, k, _ = weight.shape
+        m, c, k, kw = weight.shape
+        if k != kw:
+            raise ValueError(f"the fp32 kernel needs a square kernel (KH == KW), got {k}x{kw}")
         ck = c * k * k
         # cast straight into gather order: a large fold needs no transposing pass
         wt = np.empty((m, ck + 1), dtype=np.float32)
@@ -289,11 +292,11 @@ class F32NHWCKernel:
         m, cw, k, _ = weight.shape
         if x.shape[-1] != cw:
             raise ValueError(f"channel mismatch: input {x.shape[-1]}, weight {cw}")
+        if wmat is None:
+            wmat = self.fold(weight, bias)  # rejects a non-square kernel
         plan = self._plan_for(x.shape, k, padding)
         p, po, qo, ck = plan.pool, plan.po, plan.qo, plan.ck
-        if wmat is None:
-            wmat = self.fold(weight, bias)
-        elif wmat.shape != (ck + 1, m) or wmat.dtype != np.float32:
+        if wmat.shape != (ck + 1, m) or wmat.dtype != np.float32:
             raise ValueError(
                 f"folded weights must be float32 {(ck + 1, m)}, got {wmat.dtype} {wmat.shape}"
             )

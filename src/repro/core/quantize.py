@@ -34,7 +34,7 @@ from repro.models.blocks import ConvBlock
 from repro.nn import functional as F
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, make_node, send_grad
-from repro.obs.numerics import _ACTIVE, record_quant_event
+from repro.obs.numerics import collecting, record_quant_event
 
 
 def quantize_k(r: np.ndarray, k: int) -> np.ndarray:
@@ -54,7 +54,7 @@ def quantize_weights(w: np.ndarray, k: int) -> np.ndarray:
     t = np.tanh(np.asarray(w))
     denom = 2.0 * np.abs(t).max() + 1e-12
     q = 2.0 * quantize_k(t / denom + 0.5, k) - 1.0
-    if _ACTIVE:
+    if collecting():
         record_quant_event(
             "dorefa.weight_sat", int(np.count_nonzero(np.abs(q) >= 1.0)), q.size
         )
@@ -67,7 +67,7 @@ def quantize_activations(x: np.ndarray, k: int) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)
     x = np.asarray(x)
     q = quantize_k(np.clip(x, 0.0, 1.0), k)
-    if _ACTIVE:
+    if collecting():
         low = int(np.count_nonzero(x < 0.0))
         high = int(np.count_nonzero(x > 1.0))
         record_quant_event("dorefa.act_clip", low + high, x.size, low=low, high=high)

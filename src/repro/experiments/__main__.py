@@ -118,30 +118,6 @@ def _list_experiments() -> None:
         print(f"  {name}")
 
 
-def _trace_model_extras(model_name: str, model, ctx) -> None:
-    """With tracing on, add per-layer forward spans and simulator events.
-
-    Makes one ``--pipeline`` run produce the full unified trace:
-    compiler passes (already traced by :class:`Pipeline`), a per-layer
-    instrumented forward on the probe batch, and the accelerator
-    simulator's per-layer attribution for the model's specs.
-    """
-    from repro.nn.tensor import Tensor, no_grad
-
-    obs.instrument_model(model, prefix=model_name, counters=True)
-    model.eval()
-    with no_grad():
-        model(Tensor(ctx.probe_batch()))
-    try:
-        from repro.accel import get_config, simulate_network
-        from repro.models import specs as model_specs
-
-        layer_specs = model_specs.get_specs(model_name)
-    except (KeyError, ValueError):
-        return  # no analytic layer specs for this model; skip simulation
-    simulate_network(layer_specs, get_config("mlcnn-fp32"))
-
-
 def _compile_pipeline(model_name: str, bits: int, show_report: bool) -> int:
     """Compile a zoo model through the canonical MLCNN pipeline."""
     from repro.compiler import CompileContext, mlcnn_pipeline
@@ -169,7 +145,11 @@ def _compile_pipeline(model_name: str, bits: int, show_report: bool) -> int:
         + (" (plan-cache hit)" if report.cached else "")
     )
     if obs.get_tracer().enabled:
-        _trace_model_extras(model_name, model, ctx)
+        from repro.obs.attrib import instrumented_run
+
+        # one trace: the compiler passes (traced by the pipeline), the
+        # layers' forward spans on the probe batch and the simulated layers
+        instrumented_run(model_name, model, ctx.probe_batch())
     return 0
 
 

@@ -19,7 +19,7 @@ performs when it performs it:
 Counts are forward-only.  Unlike the closed-form
 :mod:`repro.core.opcount` formulas, these numbers come from real
 executions, so the analytic claims are auditable
-(``tests/obs/test_counters_crosscheck.py`` keeps the two within 1%)::
+(``tests/core/test_oracle.py`` requires the two to be equal)::
 
     from repro.obs import collect_counters
 

@@ -52,6 +52,7 @@ __all__ = [
     "normalize_events",
     "build_attribution",
     "attribute_model_run",
+    "instrumented_run",
     "epoch_batch_ms",
 ]
 
@@ -542,6 +543,36 @@ def build_attribution(
     return report
 
 
+def instrumented_run(model_name: str, model, x, simulate: bool = True) -> None:
+    """Instrument ``model``, run one eval forward on ``x``, simulate it.
+
+    The three steps behind both ``--pipeline`` under ``--obs`` and
+    :func:`attribute_model_run`: per-layer spans with measured counters
+    (:func:`~repro.obs.instrument.instrument_model` with
+    ``counters=True``), one gradient-free forward of the array ``x``,
+    and, with ``simulate``, the accelerator simulation of
+    ``model_name``'s layer specs on ``mlcnn-fp32``.  A model without
+    analytic layer specs skips the simulation.
+    """
+    from repro.obs.instrument import instrument_model
+    from repro.nn.tensor import Tensor, no_grad
+
+    instrument_model(model, prefix=model_name, counters=True)
+    model.eval()
+    with no_grad():
+        model(Tensor(x))
+    if not simulate:
+        return
+    from repro.accel import get_config, simulate_network
+    from repro.models import specs as model_specs
+
+    try:
+        layer_specs = model_specs.get_specs(model_name)
+    except (KeyError, ValueError):
+        return  # no analytic layer specs for this model
+    simulate_network(layer_specs, get_config("mlcnn-fp32"))
+
+
 def attribute_model_run(
     model_name: str,
     bits: int = 0,
@@ -564,33 +595,19 @@ def attribute_model_run(
     """
     import numpy as np
 
-    from repro import obs
     from repro.compiler import mlcnn_pipeline
     from repro.models import build_model
-    from repro.nn.tensor import Tensor, no_grad
+    from repro.obs.tracer import get_tracer
 
     model = build_model(model_name)
-    tracer = obs.get_tracer()
+    tracer = get_tracer()
     was_enabled = tracer.enabled
     first = len(tracer.events)
     tracer.enable()
     try:
         mlcnn_pipeline(bits=bits, strict=False).run(model)
         x = np.random.default_rng(seed).normal(size=(batch, 3, 32, 32))
-        obs.instrument_model(model, prefix=model_name, counters=True)
-        model.eval()
-        with no_grad():
-            model(Tensor(x))
-        if simulate:
-            try:
-                from repro.accel import get_config, simulate_network
-                from repro.models import specs as model_specs
-
-                layer_specs = model_specs.get_specs(model_name)
-            except (KeyError, ValueError):
-                pass  # no analytic specs for this model
-            else:
-                simulate_network(layer_specs, get_config("mlcnn-fp32"))
+        instrumented_run(model_name, model, x, simulate=simulate)
     finally:
         tracer.enabled = was_enabled
     return build_attribution(tracer.events[first:], roofline=roofline, root=root)

@@ -8,10 +8,10 @@ benign (Fig. 3) and INT8 DoReFa quantization stays accuracy-equivalent
 (Fig. 12); the gated ``numerics.*`` metrics read the two quantities
 below.
 
-* **The collector** — :class:`NumericsCollector`.  The quantized
-  execution paths (:mod:`repro.core.quantize`,
-  :mod:`repro.core.fixedpoint`) report clip/saturation/overflow events
-  into every *enabled* collector via :func:`record_quant_event`;
+* **The collector** — :class:`NumericsCollector`.  The DoReFa
+  quantizers of :mod:`repro.core.quantize` (the training scheme whose
+  accuracy Fig. 12 claims) report clip and saturation events into
+  every *enabled* collector via :func:`record_quant_event`;
   attached with ``instrument_model(model, numerics=collector)``, each
   event is attributed to the layer currently executing, and every
   module's forward output and backward gradient passes a NaN/inf
@@ -46,6 +46,7 @@ __all__ = [
     "NumericsCollector",
     "WATCHDOG_POLICIES",
     "record_quant_event",
+    "collecting",
     "active_collectors",
     "reorder_divergence",
 ]
@@ -57,7 +58,7 @@ WATCHDOG_POLICIES = ("record", "warn", "raise")
 
 
 # ---------------------------------------------------------------------------
-# Quantization clip / saturation / overflow counters
+# Quantization clip / saturation counters
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -94,6 +95,12 @@ _ACTIVE: List["NumericsCollector"] = []
 _ACTIVE_LOCK = threading.Lock()
 
 
+def collecting() -> bool:
+    """Whether any collector is enabled: the one check a quantized path
+    makes before it computes the counts it would report."""
+    return bool(_ACTIVE)
+
+
 def active_collectors() -> List["NumericsCollector"]:
     """Snapshot of the collectors currently receiving quant events."""
     with _ACTIVE_LOCK:
@@ -103,7 +110,7 @@ def active_collectors() -> List["NumericsCollector"]:
 def record_quant_event(
     name: str, clipped: int, total: int, low: int = 0, high: int = 0
 ) -> None:
-    """Report a clip/saturation/overflow observation from a quantized path.
+    """Report a clip/saturation observation from a quantized path.
 
     No-op (one truthiness check) unless a collector is enabled.  Events
     are attributed to the layer currently executing when the reporting

@@ -1,8 +1,12 @@
-"""RTL micro-simulator: datapath equivalence and structural invariants."""
+"""RTL micro-simulator: structural invariants, counts and traces.
+
+``tests/core/test_oracle.py`` holds ``RTLFusedConvPoolLayer`` (and so
+the single-channel datapath it streams every pass through) to the one
+golden.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.accel.rtl import (
     ARUnit,
@@ -12,8 +16,7 @@ from repro.accel.rtl import (
     RTLFusedConvPoolLayer,
     ShiftRegister,
 )
-from repro.core.fusion import fused_conv_pool, fused_conv_pool_counted
-from repro.nn.tensor import Tensor, no_grad
+from repro.core.fusion import fused_conv_pool_counted
 
 
 @pytest.fixture
@@ -133,33 +136,6 @@ class TestMACSlice:
 
 
 class TestRTLFusedConvPool:
-    @pytest.mark.parametrize("h,k", [(8, 2), (9, 3), (12, 3), (13, 5), (16, 4)])
-    def test_matches_vectorized_kernel(self, rng, h, k):
-        img = rng.normal(size=(h, h))
-        w = rng.normal(size=(k, k))
-        b = float(rng.normal())
-        report = RTLFusedConvPool(w, b).run(img)
-        with no_grad():
-            ref = fused_conv_pool(
-                Tensor(img[None, None]), Tensor(w[None, None]), Tensor(np.array([b])), pool=2
-            ).data[0, 0]
-        np.testing.assert_allclose(report.outputs, ref, atol=1e-10)
-
-    @settings(max_examples=20, deadline=None)
-    @given(h=st.integers(6, 14), k=st.integers(2, 4), seed=st.integers(0, 10_000))
-    def test_property_equivalence(self, h, k, seed):
-        if h < k + 2:
-            return
-        g = np.random.default_rng(seed)
-        img = g.normal(size=(h, h))
-        w = g.normal(size=(k, k))
-        report = RTLFusedConvPool(w, 0.0).run(img)
-        with no_grad():
-            ref = fused_conv_pool(
-                Tensor(img[None, None]), Tensor(w[None, None]), None, pool=2
-            ).data[0, 0]
-        np.testing.assert_allclose(report.outputs, ref, atol=1e-9)
-
     def test_each_input_read_once(self, rng):
         """The stream feeds every vertical pair exactly once: 2 reads per
         (row-pair, column)."""
@@ -219,6 +195,13 @@ class TestRTLFusedConvPool:
         with pytest.raises(ValueError):
             RTLFusedConvPool(rng.normal(size=(5, 5))).run(rng.normal(size=(5, 5)))
 
+    @pytest.mark.parametrize("shape", [(8, 12), (12, 8)], ids=["wide", "tall"])
+    def test_rejects_non_square_input(self, rng, shape):
+        """The output is sized from H alone: a wide input would lose
+        columns, a tall one would fail deep in the loop."""
+        with pytest.raises(ValueError, match=r"square input \(H == W\)"):
+            RTLFusedConvPool(rng.normal(size=(3, 3))).run(rng.normal(size=shape))
+
 
 class TestTrace:
     def test_trace_disabled_by_default(self, rng):
@@ -265,15 +248,6 @@ class TestRTLFusedConvPoolLayer:
     def rng(self):
         return np.random.default_rng(9)
 
-    def test_matches_fused_kernel_multichannel(self, rng):
-        x = rng.normal(size=(3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        rep = RTLFusedConvPoolLayer(w, b).run(x)
-        with no_grad():
-            ref = fused_conv_pool(Tensor(x[None]), Tensor(w), Tensor(b), pool=2).data[0]
-        np.testing.assert_allclose(rep.outputs, ref, atol=1e-9)
-
     def test_parallel_cycles_scale_with_slices(self, rng):
         x = rng.normal(size=(4, 10, 10))
         w = rng.normal(size=(4, 4, 3, 3))
@@ -281,14 +255,6 @@ class TestRTLFusedConvPoolLayer:
         par = RTLFusedConvPoolLayer(w, mac_slices=16).run(x)
         assert par.cycles_parallel == pytest.approx(serial.cycles_parallel / 16, rel=0.05)
         np.testing.assert_allclose(par.outputs, serial.outputs)
-
-    def test_default_zero_bias(self, rng):
-        x = rng.normal(size=(1, 8, 8))
-        w = rng.normal(size=(1, 1, 3, 3))
-        rep = RTLFusedConvPoolLayer(w).run(x)
-        with no_grad():
-            ref = fused_conv_pool(Tensor(x[None]), Tensor(w), None, pool=2).data[0]
-        np.testing.assert_allclose(rep.outputs, ref, atol=1e-10)
 
     def test_op_counts_scale_with_channels(self, rng):
         x1 = rng.normal(size=(1, 9, 9))
@@ -310,3 +276,5 @@ class TestRTLFusedConvPoolLayer:
         layer = RTLFusedConvPoolLayer(rng.normal(size=(2, 2, 3, 3)))
         with pytest.raises(ValueError):
             layer.run(rng.normal(size=(3, 8, 8)))  # channel mismatch
+        with pytest.raises(ValueError, match="too small"):
+            layer.run(rng.normal(size=(2, 1, 1)))

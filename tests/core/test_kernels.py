@@ -1,46 +1,30 @@
-"""The lowering kernels: box-sum formulations, vectorized-vs-reference
-equivalence across shape classes, int-path bit-exactness.
+"""The lowering kernels' own behaviour.
 
-Satellite coverage for the lowering backend:
+Whether each kernel computes the fused operator is checked over one
+shared grid by ``tests/core/test_oracle.py``.  This file covers:
 
 * the separable ``box_sum`` against the naive windowed version for
   non-square inputs and ``p`` not dividing the spatial size, exact on
   integers and accurate on a large float32 plane;
-* the equivalence property suite — vectorized vs reference kernels
-  agree to 1e-6 (float64) and bit-exactly (int path, counters
-  included) across a randomized grid of ``(k, p, stride, bits,
-  channels)``;
+* the fp32 kernel's plan reuse, and bit-identical outputs from a
+  channels-last view and its NCHW copy;
 * the fp32 kernel's row-major and weight-major GEMMs, over both fold
-  layouts, against the f64 reference at 1-32 patch rows on a fold above
-  the floor, and the orientation its rule picks for every lowered layer
-  of full-width vgg16 (batch 1 and 16) and lenet5 (batch 1 to 16);
-* the fused backward's gradients against the reference composition
-  over a grid of ``(k, p, pool stride, padding, H != W, activation)``,
-  its masked branch (an input that needs no gradient), and its
-  batch-innermost input-gradient scatter, bit for bit against the
-  batch-outer one;
-* the square-only executors reject non-square inputs.
+  layouts, against the oracle's golden at 1-32 patch rows on a fold
+  above the floor, and the orientation its rule picks for every lowered
+  layer of full-width vgg16 (batch 1 and 16) and lenet5 (batch 1 to 16);
+* the fused backward's masked branch (an input that needs no gradient)
+  and its batch-innermost input-gradient scatter, bit for bit against
+  the batch-outer one.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import build_model, mlcnn_pipeline
-from repro.accel.rtl import RTLFusedConvPool, RTLFusedConvPoolLayer
 from repro.compiler import lowered_kernels
 from repro.core import kernels
-from repro.core.fixedpoint import (
-    IntPathStats,
-    fused_conv_pool_int,
-    quantize_tensor,
-)
-from repro.core.fusion import (
-    box_sum,
-    dense_conv_pool_counted,
-    fused_conv_pool,
-    fused_conv_pool_counted,
-)
+from repro.core.fusion import box_sum, fused_conv_pool
 from repro.core.kernels import (
     F32NHWCKernel,
     box_sum_windows,
@@ -48,10 +32,8 @@ from repro.core.kernels import (
     fused_forward,
 )
 from repro.core.kernels import nhwc
-from repro.models.specs import LayerSpec
-from repro.core.opcount import dcnn_layer_ops, mlcnn_layer_ops
 from repro.nn.tensor import Tensor, no_grad
-from repro.obs import collect_counters
+from tests.core.test_oracle import golden
 
 
 @pytest.fixture
@@ -65,6 +47,10 @@ def rng():
 
 
 class TestBoxSumFormulations:
+    def test_2x2_values(self):
+        x = np.arange(9.0).reshape(3, 3)
+        np.testing.assert_allclose(box_sum(x, 2), [[8, 12], [20, 24]])
+
     @pytest.mark.parametrize(
         "shape,p",
         [
@@ -131,88 +117,11 @@ class TestBoxSumFormulations:
 
 
 # ---------------------------------------------------------------------------
-# float equivalence grid: vectorized vs reference (satellite 3)
+# fp32 kernel: plans and input layouts
 # ---------------------------------------------------------------------------
 
 
-def _reference_out(x, w, b, pool, padding=0, activation="relu"):
-    with no_grad():
-        return fused_conv_pool(
-            Tensor(x), Tensor(w), None if b is None else Tensor(b),
-            pool=pool, padding=padding, activation=activation, impl="reference",
-        ).data
-
-
-class TestFloatEquivalenceGrid:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        k=st.integers(1, 4),
-        p=st.sampled_from([2, 3]),
-        cin=st.integers(1, 4),
-        cout=st.integers(1, 4),
-        pad=st.integers(0, 2),
-        extra=st.integers(0, 4),
-        seed=st.integers(0, 2**16),
-    )
-    def test_f64_agrees_to_1e6(self, k, p, cin, cout, pad, extra, seed):
-        """The ISSUE bar: float kernels agree to 1e-6 across the
-        randomized (k, p, stride=p, bits=64, channels) grid."""
-        g = np.random.default_rng(seed)
-        h = k + p + extra
-        x = g.normal(size=(2, cin, h, h))
-        w = g.normal(size=(cout, cin, k, k))
-        b = g.normal(size=cout)
-        out, _ = fused_forward(x, w, b, pool=p, padding=pad)
-        np.testing.assert_allclose(out, _reference_out(x, w, b, p, pad), atol=1e-6)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        k=st.integers(1, 3),
-        p=st.sampled_from([1, 2, 3]),
-        h=st.integers(1, 9),
-        w=st.integers(1, 9),
-        extra_pad=st.integers(0, 1),
-        cin=st.integers(1, 3),
-        cout=st.integers(1, 3),
-        seed=st.integers(0, 2**16),
-    )
-    @example(k=1, p=2, h=1, w=6, extra_pad=0, cin=1, cout=4, seed=0)
-    @example(k=3, p=1, h=6, w=4, extra_pad=0, cin=3, cout=2, seed=1)  # pool 1, no padding
-    @example(k=3, p=1, h=2, w=5, extra_pad=1, cin=2, cout=3, seed=2)  # pool 1, padding 2
-    def test_f32_nhwc_within_single_precision(self, k, p, h, w, extra_pad, cin, cout, seed):
-        """The fp32 specialization tracks the f64 reference within its
-        documented single-precision bound (not 1e-6 — that is why the
-        lowering pass declares it non-semantics-preserving), on
-        non-square inputs down to 1 pixel padded to at least one
-        pooled output.  ``p = 1`` is the plain stride-1 convolution,
-        gathered straight from the input when unpadded."""
-        g = np.random.default_rng(seed)
-        pad = max(0, -(-(k + p - 1 - min(h, w)) // 2)) + extra_pad
-        x = g.normal(size=(2, cin, h, w))
-        wt = g.normal(size=(cout, cin, k, k))
-        b = g.normal(size=cout)
-        kern = F32NHWCKernel(p)
-        out = kern.run_nchw(x, wt, b, padding=pad)
-        np.testing.assert_allclose(out, _reference_out(x, wt, b, p, pad), atol=1e-3)
-        # a float32 channels-last view (which the kernel reads in place)
-        # and its contiguous NCHW copy give bit-identical outputs
-        last = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
-        last = last.transpose(0, 3, 1, 2)
-        for xin in (last, np.ascontiguousarray(last)):
-            np.testing.assert_array_equal(kern.run_nchw(xin, wt, b, padding=pad), out)
-
-    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "none"])
-    def test_activations_match_reference(self, rng, activation):
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        out, _ = fused_forward(x, w, b, pool=2, padding=1, activation=activation)
-        ref = _reference_out(x, w, b, 2, 1, activation)
-        np.testing.assert_allclose(out, ref, atol=1e-10)
-        kern = F32NHWCKernel(2)
-        out32 = kern.run_nchw(x, w, b, padding=1, activation=activation)
-        np.testing.assert_allclose(out32, ref, atol=1e-3)
-
+class TestF32Kernel:
     def test_nhwc_plan_reuse_is_consistent(self, rng):
         """Repeated calls through the cached plan stay bit-identical."""
         x = rng.normal(size=(2, 3, 10, 10))
@@ -223,13 +132,18 @@ class TestFloatEquivalenceGrid:
         assert len(kern._plans) == 1
         np.testing.assert_array_equal(first, second)
 
-    def test_pool3_general_path(self, rng):
-        x = rng.normal(size=(1, 2, 15, 15))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
-        kern = F32NHWCKernel(3)
-        out = kern.run_nchw(x, w, b, padding=2)
-        np.testing.assert_allclose(out, _reference_out(x, w, b, 3, 2), atol=1e-3)
+    @pytest.mark.parametrize("pool, padding", [(2, 0), (2, 1), (1, 0), (1, 2), (3, 1)])
+    def test_channels_last_view_and_nchw_copy_agree_bitwise(self, rng, pool, padding):
+        """A float32 channels-last view, which the kernel reads in place,
+        and its contiguous NCHW copy give bit-identical outputs."""
+        x = rng.normal(size=(2, 3, 9, 7))
+        w = rng.normal(size=(4, 3, 3, 3))
+        kern = F32NHWCKernel(pool)
+        last = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
+        last = last.transpose(0, 3, 1, 2)
+        out = kern.run_nchw(last, w, None, padding=padding)
+        copy = kern.run_nchw(np.ascontiguousarray(last), w, None, padding=padding)
+        np.testing.assert_array_equal(copy, out)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +180,7 @@ class TestGemmOrientation:
         kern = F32NHWCKernel(pool)
         fold = kern.fold(w, b)
         assert nhwc.weight_major(n * po * po, fold.size)
-        ref = _reference_out(x, w, b, pool, pad, activation)
+        ref = golden(x, w, b, pool, pool, pad, activation)
         for forced in ("row-major", "weight-major"):
             monkeypatch.setattr(nhwc, "weight_major", lambda rows, size: forced == "weight-major")
             for wmat in (fold, np.ascontiguousarray(fold)):
@@ -330,67 +244,6 @@ def _fused_backward_batch_outer(g, res):
 
 
 class TestBackwardEquivalence:
-    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "none"])
-    def test_gradients_match_reference_composition(self, rng, activation):
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        grads = {}
-        for impl in ("vectorized", "reference"):
-            xt = Tensor(x, requires_grad=True)
-            wt = Tensor(w, requires_grad=True)
-            bt = Tensor(b, requires_grad=True)
-            out = fused_conv_pool(
-                xt, wt, bt, pool=2, padding=1, activation=activation, impl=impl
-            )
-            (out ** 2).sum().backward()
-            grads[impl] = (xt.grad, wt.grad, bt.grad)
-        for gv, gr in zip(grads["vectorized"], grads["reference"]):
-            np.testing.assert_allclose(gv, gr, atol=1e-8)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        k=st.integers(1, 3),
-        p=st.integers(1, 3),
-        stride=st.integers(1, 3),
-        pad=st.integers(0, 2),
-        extra_h=st.integers(0, 4),
-        extra_w=st.integers(0, 4),
-        cout=st.integers(1, 2),
-        activation=st.sampled_from(["relu", "tanh", "none"]),
-        seed=st.integers(0, 2**16),
-    )
-    def test_gradient_grid_matches_reference(
-        self, k, p, stride, pad, extra_h, extra_w, cout, activation, seed
-    ):
-        """Output and all three gradients agree within 1e-9 relative over
-        k, p, pool stride (overlapping pools included), padding and
-        H != W, for one image of one channel."""
-        assume(extra_h != extra_w)
-        g = np.random.default_rng(seed)
-        base = max(1, k + p - 1 - 2 * pad)  # smallest side with one output
-        x = g.normal(size=(1, 1, base + extra_h, base + extra_w))
-        w = g.normal(size=(cout, 1, k, k))
-        b = g.normal(size=cout)
-        results = {}
-        for impl in ("vectorized", "reference"):
-            xt = Tensor(x, requires_grad=True)
-            wt = Tensor(w, requires_grad=True)
-            bt = Tensor(b, requires_grad=True)
-            out = fused_conv_pool(
-                xt, wt, bt, pool=p, pool_stride=stride, padding=pad,
-                activation=activation, impl=impl,
-            )
-            if impl == "vectorized":
-                gout = g.normal(size=out.shape)
-            out.backward(gout)
-            results[impl] = (out.data, xt.grad, wt.grad, bt.grad)
-        for got, ref in zip(results["vectorized"], results["reference"]):
-            assert got.shape == ref.shape
-            np.testing.assert_allclose(
-                got, ref, rtol=1e-9, atol=1e-9 * max(np.abs(ref).max(), 1e-300)
-            )
-
     def test_input_without_grad_skips_its_gradient(self, rng):
         """The masked branch: no input gradient, the same gw and gb."""
         x = rng.normal(size=(2, 3, 11, 9))
@@ -436,112 +289,3 @@ class TestBackwardEquivalence:
         out, res = fused_forward(x, w, None, pool=2)
         gx, gw, gb = fused_backward(np.ones_like(out), res)
         assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (2,)
-
-
-class TestVectorizedCounters:
-    def test_f32_kernel_reports_rme(self, rng):
-        """The fp32 kernel reports the analytic RME tallies."""
-        spec = LayerSpec("v", in_channels=3, out_channels=4, input_size=12, kernel=3, pool=2)
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        ml, dc = mlcnn_layer_ops(spec), dcnn_layer_ops(spec)
-        with collect_counters() as oc:
-            F32NHWCKernel(2).run_nchw(x, w, None)
-        assert oc.mults == 2 * ml.multiplications
-        assert oc.mults_eliminated == 2 * (dc.multiplications - ml.multiplications)
-
-
-# ---------------------------------------------------------------------------
-# int path: bit-exact, counters included (satellite 3)
-# ---------------------------------------------------------------------------
-
-
-class TestIntPathBitExact:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        k=st.integers(1, 4),
-        p=st.sampled_from([2, 3]),
-        c=st.integers(1, 4),
-        m=st.integers(1, 4),
-        bits=st.sampled_from([4, 8, 16]),
-        acc_bits=st.sampled_from([12, 16, 32]),
-        out_bits=st.sampled_from([0, 8]),
-        seed=st.integers(0, 2**16),
-    )
-    def test_vectorized_equals_reference_bitwise(
-        self, k, p, c, m, bits, acc_bits, out_bits, seed
-    ):
-        """Across the (k, p, bits, channels) grid the two accumulation
-        schedules produce identical outputs AND identical saturation
-        counters (overflows, requant clipping, max accumulator)."""
-        g = np.random.default_rng(seed)
-        h = k + 2 * p + int(g.integers(0, 4))
-        xq = quantize_tensor(g.normal(size=(c, h, h)), bits)
-        wq = quantize_tensor(g.normal(size=(m, c, k, k)), bits)
-        b = g.normal(size=m)
-        results, stats = [], []
-        for impl in ("vectorized", "reference"):
-            s = IntPathStats()
-            out = fused_conv_pool_int(
-                xq, wq, b, pool=p, acc_bits=acc_bits, out_bits=out_bits,
-                stats=s, impl=impl,
-            )
-            results.append(out)
-            stats.append(s)
-        assert np.array_equal(results[0], results[1])
-        a, b_ = stats
-        assert (a.acc_max_abs, a.acc_overflows, a.acc_total) == (
-            b_.acc_max_abs, b_.acc_overflows, b_.acc_total
-        )
-        assert (a.requant_clipped, a.requant_total) == (
-            b_.requant_clipped, b_.requant_total
-        )
-
-    def test_bad_impl_rejected(self, rng):
-        xq = quantize_tensor(rng.normal(size=(1, 8, 8)), 8)
-        wq = quantize_tensor(rng.normal(size=(1, 1, 3, 3)), 8)
-        with pytest.raises(ValueError):
-            fused_conv_pool_int(xq, wq, impl="fast")
-
-
-# ---------------------------------------------------------------------------
-# square-only executors
-# ---------------------------------------------------------------------------
-
-
-def _int_path(x, w):
-    return fused_conv_pool_int(quantize_tensor(x, 8), quantize_tensor(w, 8))
-
-
-def _int_path_reference(x, w):
-    return fused_conv_pool_int(quantize_tensor(x, 8), quantize_tensor(w, 8), impl="reference")
-
-
-def _rtl(x, w):
-    return RTLFusedConvPool(w[0, 0]).run(x[0])
-
-
-def _rtl_layer(x, w):
-    return RTLFusedConvPoolLayer(w).run(x)
-
-
-@pytest.mark.parametrize("shape", [(2, 8, 12), (2, 12, 8)], ids=["wide", "tall"])
-@pytest.mark.parametrize(
-    "executor",
-    [
-        _int_path,
-        _int_path_reference,
-        fused_conv_pool_counted,
-        dense_conv_pool_counted,
-        _rtl,
-        _rtl_layer,
-    ],
-    ids=["int-vectorized", "int-reference", "fused-counted", "dense-counted", "rtl", "rtl-layer"],
-)
-def test_square_only_executors_reject_non_square_input(rng, executor, shape):
-    """These size their output from H alone: a wide input would lose
-    columns, a tall one would fail deep in the loop."""
-    x = rng.normal(size=shape)
-    w = rng.normal(size=(3, 2, 3, 3))
-    with pytest.raises(ValueError, match=r"square input \(H == W\)"):
-        executor(x, w)
