@@ -32,13 +32,19 @@ channels-last layout in which every memory stage is contiguous:
   ``out^T = wT @ cols^T``, which streams the weights once; the small
   ``(M, rows)`` result is then copied into a fresh C-contiguous NHWC
   array.  Both products read the same fold.
-* **plan-time workspaces** — all activation intermediates are allocated
-  once per input shape and reused; steady-state calls allocate only the
-  output of the final GEMM, plus its NHWC copy when it ran weight-major.
+* **one workspace per layer geometry** — all activation intermediates
+  live in one plan for each per-sample geometry ``(H, W, C, K,
+  padding)``, sized for the largest batch the kernel has run at it; a
+  smaller batch runs on batch-prefix views, so a workload that draws
+  many batch sizes holds one workspace per layer, not one per size.  A
+  larger batch replaces the workspace with one for that batch.
+  Steady-state calls allocate only the output of the final GEMM, plus
+  its NHWC copy when it ran weight-major.
 * **plan-time views** — each plan builds the strided gather source over
   its own box-sum or pad workspace, and the patch-matrix destination,
-  once, so a call gathers with one copy; only pool 1 without padding,
-  whose source is the input itself, builds its window per call.
+  once per batch size, so a call gathers with one copy; only pool 1
+  without padding, whose source is the input itself, builds its window
+  per call.
 
 Folding the weights — cast to the gather order, scale and append the
 bias row — is a separate step, :meth:`F32NHWCKernel.fold`.  It moves
@@ -64,7 +70,7 @@ therefore declares ``preserves_semantics=False``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -87,11 +93,44 @@ def weight_major(rows: int, fold_size: int) -> bool:
     return rows <= WEIGHT_MAJOR_MAX_ROWS and fold_size >= WEIGHT_MAJOR_MIN_FOLD
 
 
-class _Plan:
-    """Activation workspaces and gather views for one (input shape, padding)."""
+class _Batch(NamedTuple):
+    """The views one batch size runs on: batch-prefix views of a plan's
+    workspaces and the gather views over them."""
 
-    def __init__(self, n: int, h: int, w: int, c: int, k: int, pool: int, pad: int):
-        self.n, self.h, self.w, self.c, self.k = n, h, w, c, k
+    xpad: Optional[np.ndarray]
+    tmp: Optional[np.ndarray]
+    acc: Optional[np.ndarray]
+    #: ``cols[:n*Po*Qo]``, the patch rows of this batch: all the GEMM reads
+    cols: np.ndarray
+    #: the gather destination: contiguous (kj, c) runs of ``cols``
+    dst: np.ndarray
+    #: the gather source over the I_Acc workspace; ``None`` when I_Acc
+    #: is the input itself (pool 1 without padding)
+    src: Optional[np.ndarray]
+
+
+class _Plan:
+    """Activation workspaces for one layer geometry ``(H, W, C, K, padding)``.
+
+    They are sized for ``capacity`` images, the largest batch the kernel
+    has run at this geometry.  A call with ``n <= capacity`` images runs
+    on the batch-prefix views of :meth:`batch`: ``xpad[:n]``,
+    ``tmp[:n]``, ``acc[:n]`` and ``cols[:n*Po*Qo]``.  A prefix view
+    holds what any earlier call left in it, so three invariants keep it
+    correct whatever ran before:
+
+    * nothing writes the zero border of ``xpad``, or of the pairwise
+      ``tmp`` (its pad rows, and its outer ``pad - 1`` columns): a call
+      writes only their interiors, so the zeros written at allocation
+      hold for every image of the capacity;
+    * the ones column of ``cols`` is set once, for the whole capacity;
+    * the GEMM reads only ``cols[:n*Po*Qo]``: the rows past it hold an
+      earlier, larger batch's patches.
+    """
+
+    def __init__(self, capacity: int, h: int, w: int, c: int, k: int, pool: int, pad: int):
+        self.capacity = capacity
+        self.h, self.w, self.c, self.k = h, w, c, k
         self.pool, self.pad = pool, pad
         hp, wp = h + 2 * pad, w + 2 * pad
         self.ha, self.wa = hp - pool + 1, wp - pool + 1
@@ -100,8 +139,7 @@ class _Plan:
         if self.po < 1 or self.qo < 1:
             raise ValueError("input too small for one pooled output")
         self.ck = c * k * k
-        self.rows = n * self.po * self.qo
-        f32 = np.float32
+        n, f32 = capacity, np.float32
         #: the pairwise box sum (pad folded in) serves this plan
         self.pairwise = pool == 2 and h >= 2 and w >= 2
         self.xpad = self.tmp = self.acc = None
@@ -118,14 +156,22 @@ class _Plan:
                 self.tmp = np.empty((n, hp, self.wa, c), dtype=f32)
             self.acc = np.empty((n, self.ha, self.wa, c), dtype=f32)
         # patch matrix with a trailing ones column (bias folded into GEMM)
-        self.cols = np.empty((self.rows, self.ck + 1), dtype=f32)
+        self.cols = np.empty((n * self.po * self.qo, self.ck + 1), dtype=f32)
         self.cols[:, self.ck] = 1.0
-        #: the gather destination: contiguous (kj, c) runs of the patch matrix
-        self.dst = self.cols[:, : self.ck].reshape(n, self.po, self.qo, k, k, c)
-        #: the gather source over the I_Acc workspace; ``None`` when I_Acc
-        #: is the input itself (pool 1 without padding)
-        plane = self.acc if pool > 1 else self.xpad
-        self.src = None if plane is None else self.windows(plane)
+        self._batches: Dict[int, _Batch] = {}
+
+    def batch(self, n: int) -> _Batch:
+        """The views a call with ``n <= capacity`` images runs on, built
+        on its first call."""
+        views = self._batches.get(n)
+        if views is None:
+            xpad, tmp, acc = (None if a is None else a[:n] for a in (self.xpad, self.tmp, self.acc))
+            cols = self.cols[: n * self.po * self.qo]
+            dst = cols[:, : self.ck].reshape(n, self.po, self.qo, self.k, self.k, self.c)
+            plane = acc if self.pool > 1 else xpad
+            src = None if plane is None else self.windows(plane)
+            views = self._batches[n] = _Batch(xpad, tmp, acc, cols, dst, src)
+        return views
 
     def windows(self, plane: np.ndarray) -> np.ndarray:
         """The ``(N, Po, Qo, Ki, Kj, C)`` pooled-stride patch view of an
@@ -134,7 +180,7 @@ class _Plan:
         p = self.pool
         return as_strided(
             plane,
-            (self.n, self.po, self.qo, self.k, self.k, self.c),
+            (len(plane), self.po, self.qo, self.k, self.k, self.c),
             (sn, p * sh, p * sw, sh, sw, sc),
             writeable=False,
         )
@@ -147,6 +193,11 @@ class F32NHWCKernel:
     ``1 - 1/p^2`` of the multiplications, none at ``p = 1``.  Every
     call records its multiplications through
     :func:`~repro.core.kernels.fused.record_rme_counters`.
+
+    The kernel holds one workspace per layer geometry, shared by every
+    batch size it runs (see :class:`_Plan`), so it serves one call at a
+    time: two threads must not call one kernel, even with different
+    batch sizes.  Its ``repr`` shows each workspace's capacity in images.
     """
 
     layout = "nhwc"
@@ -179,12 +230,15 @@ class F32NHWCKernel:
     # -- planning -----------------------------------------------------------
 
     def _plan_for(self, x_shape: Tuple[int, ...], k: int, pad: int) -> _Plan:
-        key = (x_shape, k, pad)
+        """The plan of the geometry of ``x_shape``, grown to its batch."""
+        n, h, w, c = x_shape
+        key = (h, w, c, k, pad)
         plan = self._plans.get(key)
-        if plan is None:
-            n, h, w, c = x_shape
-            plan = _Plan(n, h, w, c, k, self.pool, pad)
-            self._plans[key] = plan
+        if plan is None or n > plan.capacity:
+            # free the smaller workspace, and every view over it, first
+            self._plans.pop(key, None)
+            del plan
+            plan = self._plans[key] = _Plan(n, h, w, c, k, self.pool, pad)
         return plan
 
     # -- weight folding -----------------------------------------------------
@@ -237,34 +291,35 @@ class F32NHWCKernel:
 
     # -- the box sum (I_Acc) --------------------------------------------------
 
-    def _box_sum(self, plan: _Plan, x: np.ndarray) -> None:
-        """Fill the plan's padded ``I_Acc`` workspace from ``x``.
+    def _box_sum(self, plan: _Plan, views: _Batch, x: np.ndarray) -> None:
+        """Fill the batch's padded ``I_Acc`` workspace views from ``x``.
 
         Pool 1 without padding has no workspace: its ``I_Acc`` is ``x``.
         """
         p, pad, h, w = plan.pool, plan.pad, plan.h, plan.w
+        tmp, acc = views.tmp, views.acc
         if plan.pairwise:
             # horizontal pairwise sum with the zero padding folded in
-            core = plan.tmp[:, pad : pad + h]
+            core = tmp[:, pad : pad + h]
             np.add(x[:, :, :-1, :], x[:, :, 1:, :], out=core[:, :, pad : pad + w - 1, :])
             if pad >= 1:
                 core[:, :, pad - 1, :] = x[:, :, 0, :]
                 core[:, :, pad + w - 1, :] = x[:, :, w - 1, :]
             # vertical pairwise sum (pad rows are zero by construction)
-            np.add(plan.tmp[:, :-1], plan.tmp[:, 1:], out=plan.acc)
+            np.add(tmp[:, :-1], tmp[:, 1:], out=acc)
             return
-        xp = plan.xpad
+        xp = views.xpad
         if xp is None:  # pool 1 without padding
             return
         xp[:, pad : pad + h, pad : pad + w, :] = x
         if p == 1:
             return
-        plan.tmp[:] = xp[:, :, : plan.wa, :]
+        tmp[:] = xp[:, :, : plan.wa, :]
         for d in range(1, p):
-            plan.tmp += xp[:, :, d : d + plan.wa, :]
-        plan.acc[:] = plan.tmp[:, : plan.ha]
+            tmp += xp[:, :, d : d + plan.wa, :]
+        acc[:] = tmp[:, : plan.ha]
         for d in range(1, p):
-            plan.acc += plan.tmp[:, d : d + plan.ha]
+            acc += tmp[:, d : d + plan.ha]
 
     # -- execution ----------------------------------------------------------
 
@@ -294,22 +349,25 @@ class F32NHWCKernel:
             raise ValueError(f"channel mismatch: input {x.shape[-1]}, weight {cw}")
         if wmat is None:
             wmat = self.fold(weight, bias)  # rejects a non-square kernel
+        n = x.shape[0]
         plan = self._plan_for(x.shape, k, padding)
         p, po, qo, ck = plan.pool, plan.po, plan.qo, plan.ck
         if wmat.shape != (ck + 1, m) or wmat.dtype != np.float32:
             raise ValueError(
                 f"folded weights must be float32 {(ck + 1, m)}, got {wmat.dtype} {wmat.shape}"
             )
-        self._box_sum(plan, x)
+        views = plan.batch(n)
+        self._box_sum(plan, views, x)
         # gather: contiguous (kj, c) runs in both source and destination
-        np.copyto(plan.dst, plan.windows(x) if plan.src is None else plan.src)
-        if weight_major(plan.rows, wmat.size):
+        np.copyto(views.dst, plan.windows(x) if views.src is None else views.src)
+        cols = views.cols
+        if weight_major(len(cols), wmat.size):
             self.orientation = "weight-major"
             # out = (wT @ cols^T)^T, copied into fresh channels-last memory
-            out = np.ascontiguousarray(np.matmul(wmat.T, plan.cols.T).T)
+            out = np.ascontiguousarray(np.matmul(wmat.T, cols.T).T)
         else:
             self.orientation = "row-major"
-            out = np.matmul(plan.cols, wmat)
+            out = np.matmul(cols, wmat)
         if activation == "relu":
             np.maximum(out, 0.0, out=out)
         elif activation == "sigmoid":
@@ -321,10 +379,8 @@ class F32NHWCKernel:
             np.tanh(out, out=out)
         elif activation != "none":
             raise ValueError(f"unknown activation {activation!r}")
-        record_rme_counters(
-            plan.n, m, plan.c, k, p, po, qo, plan.h + 2 * padding, plan.w + 2 * padding
-        )
-        return out.reshape(plan.n, po, qo, m)
+        record_rme_counters(n, m, plan.c, k, p, po, qo, plan.h + 2 * padding, plan.w + 2 * padding)
+        return out.reshape(n, po, qo, m)
 
     def run_nchw(
         self,
@@ -350,5 +406,6 @@ class F32NHWCKernel:
         return out.transpose(0, 3, 1, 2)
 
     def __repr__(self) -> str:
+        caps = ", ".join(str(plan.capacity) for plan in self._plans.values()) or "none"
         last = f", last call {self.orientation}" if self.orientation else ""
-        return f"<F32NHWCKernel pool={self.pool}, {len(self._plans)} plan(s){last}>"
+        return f"<F32NHWCKernel pool={self.pool}, workspace capacity {caps}{last}>"

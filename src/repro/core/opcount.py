@@ -228,19 +228,15 @@ def mlcnn_layer_ops(spec: LayerSpec, use_lar: bool = True, use_gar: bool = True)
     adds = pooled * (macs_per_out - 1) + pooled  # major accumulation + bias
 
     # I_Acc positions actually touched, per spatial dimension: outputs
-    # x = 0..out-1 read positions {p*x + i : i < K}.  Contiguous when
-    # K >= p; otherwise `out` groups of K (e.g. 1x1 convs touch only
-    # the pooled grid, which is why they admit no reuse).
-    if k >= p:
-        n_fa = (out - 1) * p + k
-        n_ha = n_fa + p - 1
-    else:
-        n_fa = out * k
-        # Half-addition column groups (width k + p - 1, spaced p) overlap
-        # by k - 1 between adjacent outputs; I_Acc reuse computes each
-        # shared column once (0 for the 1x1-conv case, where groups are
-        # exactly the pooled grid).
-        n_ha = out * (k + p - 1) - (out - 1) * (k - 1)
+    # x = 0..out-1 at pool stride s read positions {s*x + i : i < K},
+    # `out` runs of K spaced s.  Contiguous when K >= s; otherwise
+    # `out` separate groups of K (e.g. 1x1 convs touch only the pooled
+    # grid, which is why they admit no reuse).  Half additions run over
+    # every touched column and the next p - 1: runs of K + p - 1 spaced
+    # s, each shared column computed once.
+    s = spec.pool_stride
+    n_fa = (out - 1) * min(s, k) + k
+    n_ha = (out - 1) * min(s, k + p - 1) + k + p - 1
 
     if use_lar and use_gar:
         # I_Acc built once per input channel: half additions (vertical

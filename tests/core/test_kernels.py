@@ -6,8 +6,11 @@ shared grid by ``tests/core/test_oracle.py``.  This file covers:
 * the separable ``box_sum`` against the naive windowed version for
   non-square inputs and ``p`` not dividing the spatial size, exact on
   integers and accurate on a large float32 plane;
-* the fp32 kernel's plan reuse, and bit-identical outputs from a
-  channels-last view and its NCHW copy;
+* the fp32 kernel's workspaces: one per layer geometry, grown to the
+  largest batch it has run, with the invariants its batch-prefix views
+  rely on, and one workspace per lowered layer of compiled lenet5 after
+  batch sizes 1 to 16; and bit-identical outputs from a channels-last
+  view and its NCHW copy;
 * the fp32 kernel's row-major and weight-major GEMMs, over both fold
   layouts, against the oracle's golden at 1-32 patch rows on a fold
   above the floor, and the orientation its rule picks for every lowered
@@ -16,6 +19,8 @@ shared grid by ``tests/core/test_oracle.py``.  This file covers:
   and its batch-innermost input-gradient scatter, bit for bit against
   the batch-outer one.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -117,20 +122,117 @@ class TestBoxSumFormulations:
 
 
 # ---------------------------------------------------------------------------
-# fp32 kernel: plans and input layouts
+# fp32 kernel: workspaces and input layouts
 # ---------------------------------------------------------------------------
+
+
+def _workspace_bytes(plan) -> int:
+    return sum(a.nbytes for a in (plan.xpad, plan.tmp, plan.acc, plan.cols) if a is not None)
+
+
+def _fresh(kern, x, w, **kwargs):
+    """The output of a kernel that has run nothing before."""
+    return F32NHWCKernel(kern.pool).run_nchw(x, w, None, **kwargs)
+
+
+#: (pool, H, padding): the pairwise box sum at padding 0, 1 and 2, the
+#: zero-padded box sum (pool 3, and pool 2 on a 1-pixel-wide input),
+#: and pool 1 with and without padding
+WORKSPACE_CASES = [(2, 6, 0), (2, 6, 1), (2, 6, 2), (3, 7, 1), (2, 1, 1), (1, 5, 2), (1, 5, 0)]
 
 
 class TestF32Kernel:
     def test_nhwc_plan_reuse_is_consistent(self, rng):
-        """Repeated calls through the cached plan stay bit-identical."""
-        x = rng.normal(size=(2, 3, 10, 10))
+        """One workspace per layer geometry, sized for the largest batch
+        it has run; every batch size's output equals a fresh kernel's,
+        and repeated calls stay bit-identical."""
         w = rng.normal(size=(4, 3, 3, 3))
         kern = F32NHWCKernel(2)
-        first = kern.run_nchw(x, w, None, padding=1)
-        second = kern.run_nchw(x, w, None, padding=1)
-        assert len(kern._plans) == 1
-        np.testing.assert_array_equal(first, second)
+        for n, h in [(2, 10), (2, 10), (5, 10), (3, 10), (1, 8), (5, 10)]:
+            x = rng.normal(size=(n, 3, h, h))
+            out = kern.run_nchw(x, w, None, padding=1)
+            np.testing.assert_array_equal(out, _fresh(kern, x, w, padding=1))
+            np.testing.assert_array_equal(kern.run_nchw(x, w, None, padding=1), out)
+        assert sorted(p.capacity for p in kern._plans.values()) == [1, 5]
+        assert "workspace capacity 5, 1" in repr(kern)
+
+    @pytest.mark.parametrize("pool, h, pad", WORKSPACE_CASES)
+    def test_prefix_views_keep_the_workspace_invariants(self, rng, pool, h, pad):
+        """A smaller batch on a grown workspace reads nothing past its
+        prefix, and no call writes the zero borders or the ones column."""
+        w = rng.normal(size=(4, 3, 1, 1)) if h == 1 else rng.normal(size=(4, 3, 3, 3))
+        kern = F32NHWCKernel(pool)
+        kern.run_nchw(rng.normal(size=(4, 3, h, h + 1)), w, None, padding=pad)
+        (plan,) = kern._plans.values()
+        assert plan.capacity == 4
+        for n in (2, 1, 3, 4, 1):
+            # a call of n images reads only its prefix: poison the rest
+            rows = n * plan.po * plan.qo
+            plan.cols[rows:, : plan.ck] = np.nan
+            for a in (plan.xpad, plan.tmp, plan.acc):
+                if a is not None:
+                    a[n:, pad : pad + h, pad : pad + h + 1] = np.nan
+            x = rng.normal(size=(n, 3, h, h + 1))
+            out = kern.run_nchw(x, w, None, padding=pad)
+            np.testing.assert_array_equal(out, _fresh(kern, x, w, padding=pad))
+            # over the whole capacity: the ones column and the zero borders
+            assert (plan.cols[:, plan.ck] == 1.0).all()
+            borders = []
+            if plan.xpad is not None and pad:
+                borders += [plan.xpad[:, :pad], plan.xpad[:, pad + h :]]
+                borders += [plan.xpad[:, :, :pad], plan.xpad[:, :, pad + h + 1 :]]
+            if plan.pairwise and pad:
+                borders += [plan.tmp[:, :pad], plan.tmp[:, pad + h :]]
+                borders += [plan.tmp[:, :, : pad - 1], plan.tmp[:, :, pad + h + 1 :]]
+            assert all((b == 0).all() for b in borders)
+            # the rest stays poisoned: nothing past the prefix was written
+            if n < 4:
+                assert np.isnan(plan.cols[rows:, : plan.ck]).all()
+
+    def test_growth_frees_the_smaller_workspace(self, rng):
+        """A batch larger than the workspace replaces it with one for that
+        batch: the old workspace and every view over it are freed."""
+        w = rng.normal(size=(4, 3, 3, 3))
+        kern = F32NHWCKernel(2)
+        for n in (1, 2):
+            kern.run_nchw(rng.normal(size=(n, 3, 8, 8)), w, None)
+        (plan,) = kern._plans.values()
+        gone = [weakref.ref(a) for a in (plan.tmp, plan.acc, plan.cols, plan.batch(1).dst)]
+        del plan
+        x = rng.normal(size=(3, 3, 8, 8))
+        np.testing.assert_array_equal(kern.run_nchw(x, w, None), _fresh(kern, x, w))
+        assert all(ref() is None for ref in gone)
+        (plan,) = kern._plans.values()
+        assert plan.capacity == 3
+
+    def test_compiled_lenet5_holds_one_workspace_per_layer(self, monkeypatch):
+        """Batch sizes 1 to 16 in a seeded order leave each lowered layer
+        one workspace, the size of a fresh plan at batch 16, and every
+        call, the growing ones included, equals a fresh kernel's."""
+        model, _ = mlcnn_pipeline(strict=False, lower_bits=32).run(build_model("lenet5", seed=0))
+        model.eval()
+        kernel_call = F32NHWCKernel.__call__
+        batches = []
+
+        def checked_call(self, x, weight, bias=None, **kwargs):
+            out = kernel_call(self, x, weight, bias, **kwargs)
+            fresh = kernel_call(F32NHWCKernel(self.pool), x, weight, bias, **kwargs)
+            np.testing.assert_array_equal(out, fresh)
+            batches.append(len(x))
+            return out
+
+        monkeypatch.setattr(F32NHWCKernel, "__call__", checked_call)
+        rng = np.random.default_rng(0)
+        order = rng.permutation(np.arange(1, 17))
+        for n in order:
+            with no_grad():
+                model(Tensor(rng.standard_normal((int(n), 3, 32, 32))))
+        assert batches == np.repeat(order, 3).tolist()
+        for _, kern in lowered_kernels(model):
+            (plan,) = kern._plans.values()
+            assert plan.capacity == 16
+            fresh = nhwc._Plan(16, plan.h, plan.w, plan.c, plan.k, plan.pool, plan.pad)
+            assert _workspace_bytes(plan) == _workspace_bytes(fresh)
 
     @pytest.mark.parametrize("pool, padding", [(2, 0), (2, 1), (1, 0), (1, 2), (3, 1)])
     def test_channels_last_view_and_nchw_copy_agree_bitwise(self, rng, pool, padding):

@@ -177,6 +177,33 @@ class TestLayerOps:
         full = oc.mlcnn_layer_ops(spec, use_lar=True, use_gar=True)
         assert full.preprocessing_additions == no_reuse.preprocessing_additions
 
+    def test_preprocessing_counts_the_touched_positions(self):
+        """LAR/GAR preprocessing builds I_Acc at exactly the positions the
+        pooled outputs read, at any pool stride: output ``x`` reads rows
+        ``{s*x + i : i < K}``, and half additions run over each touched
+        column and the next ``p - 1``.  Brute-force count over H 6-19,
+        K in {1, 2, 3, 5}, p in {2, 3, 4} and s in 1..p+2."""
+        cases = 0
+        for h in range(6, 20):
+            for k in (1, 2, 3, 5):
+                for p in (2, 3, 4):
+                    for s in range(1, p + 3):
+                        if h - k + 1 < p:
+                            continue
+                        spec = LayerSpec("c", 2, 3, h, k, pool=p, pool_stride=s)
+                        out = spec.output_size
+                        rows = {s * x + i for x in range(out) for i in range(k)}
+                        half = {c + j for c in rows for j in range(p)}
+                        fused = oc.mlcnn_layer_ops(spec).preprocessing_additions
+                        gar = oc.mlcnn_layer_ops(spec, use_lar=False).preprocessing_additions
+                        assert fused == 2 * (p - 1) * (len(rows) * len(half) + len(rows) ** 2), spec
+                        assert gar == 2 * (p * p - 1) * len(rows) ** 2, spec
+                        cases += 1
+        assert cases == 823
+        # 11 rows x 13 half-addition columns x 2 + 11 x 11 x 2
+        overlapping = LayerSpec("x", 1, 1, 13, 3, pool=3, pool_stride=2)
+        assert oc.mlcnn_layer_ops(overlapping).preprocessing_additions == 528
+
     def test_network_ops_sum(self):
         specs = [self._spec(), self._spec(name="c2", pool=0)]
         total = oc.network_ops(specs, fused=True)
