@@ -22,7 +22,7 @@ Applications* (IPDPS 2022):
 * :mod:`repro.analysis` — FLOP audits and report formatting.
 * :mod:`repro.obs` — observability: spans (the process-wide tracer,
   whose training spans also carry the per-epoch scalars), measured op
-  counters, roofline attribution, run diffs and the regression gate.
+  counters, per-layer attribution, run diffs and the regression gate.
   ``python -m repro.experiments ... --obs DIR`` (:class:`repro.obs.ObsRun`)
   turns it all on and writes one run directory.
 

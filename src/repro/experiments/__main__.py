@@ -29,13 +29,13 @@ against the committed ``BENCH_<area>.json`` baselines and exits
 non-zero on regression; ``--bench-update`` intentionally refreshes the
 baselines, and ``--bench-dashboard`` renders the trend dashboard.
 
-``--attrib [MODEL ...]`` (default: lenet5 vgg16) runs the roofline
-attribution engine (:mod:`repro.obs.attrib`): compile + instrumented
-forward + accelerator simulation under the tracer, joined with measured
-op counters against this host's calibrated roofline
-(:mod:`repro.obs.roofline`), printed as a per-layer/per-kernel table
-with span-coverage accounting.  With ``--obs`` each model's rows land in
-``attrib.jsonl`` tagged with ``model``.
+``--attrib [MODEL ...]`` (default: lenet5 vgg16) runs the attribution
+engine (:mod:`repro.obs.attrib`): compile + instrumented forward +
+accelerator simulation under the tracer, joined with measured op
+counters, printed as a per-layer/per-kernel table (wall and self time,
+FLOPs, bytes, FLOP/byte, FLOP/s; the accelerator model's bound on its
+simulated layers) with span-coverage accounting.  With ``--obs`` each
+model's rows land in ``attrib.jsonl`` tagged with ``model``.
 
 ``--diff-trace A B`` is cross-run forensics (:mod:`repro.obs.forensics`):
 attribute two traces (``--obs`` run directories or JSONL trace files)
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
         nargs="*",
         metavar="MODEL",
         default=None,
-        help="print the roofline attribution table for the given zoo "
+        help="print the per-layer attribution table for the given zoo "
         "models (default: lenet5 vgg16) and exit; honours --bits",
     )
     parser.add_argument(
@@ -328,15 +328,14 @@ def _run_numerics(args, run) -> int:
 
 
 def _run_attrib(args, run) -> int:
-    """One-command roofline attribution (the tentpole CLI surface).
+    """One-command attribution.
 
     For each model: compile + counter-instrumented forward +
-    accelerator simulation under the tracer, joined against the
-    host-calibrated roofline, printed as the attribution table.
+    accelerator simulation under the tracer, joined with the measured
+    counters, printed as the attribution table.
     """
     from repro.models import MODEL_REGISTRY
     from repro.obs.attrib import attribute_model_run
-    from repro.obs.roofline import get_roofline
 
     models = args.attrib or ["lenet5", "vgg16"]
     unknown = [m for m in models if m not in MODEL_REGISTRY]
@@ -346,10 +345,9 @@ def _run_attrib(args, run) -> int:
             file=sys.stderr,
         )
         return 2
-    roofline = get_roofline()
     reports = {}
     for name in models:
-        reports[name] = attribute_model_run(name, bits=args.bits, roofline=roofline)
+        reports[name] = attribute_model_run(name, bits=args.bits)
         print(f"\n-- {name} --")
         print(reports[name].render())
     if run is not None:

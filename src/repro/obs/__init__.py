@@ -27,13 +27,14 @@ or from the CLI::
 
     python -m repro.experiments --pipeline lenet5 --bits 8 --obs run
 
-On top of collection sits the analysis layer: the roofline attribution
-engine (:func:`build_attribution` / :func:`attribute_model_run` — join
-spans with measured op counters against this host's calibrated
-roofline), cross-run forensics (:func:`diff_runs` — a ranked "what
-changed" report localizing a regression to a layer, pass or kernel) and
-the regression gate (:func:`gate_metrics` — every benchmark metric
-against the committed baselines)::
+On top of collection sits the analysis layer: the attribution engine
+(:func:`build_attribution` / :func:`attribute_model_run` — join the
+span tree the tracer recorded with measured op counters: wall and self
+time, FLOPs, bytes, arithmetic intensity and FLOP/s per layer),
+cross-run forensics (:func:`diff_runs` — a ranked "what changed" report
+localizing a regression to a layer, pass or kernel) and the regression
+gate (:func:`gate_metrics` — every benchmark metric against the
+committed baselines)::
 
     python -m repro.experiments --attrib lenet5
     python -m repro.experiments --diff-trace run_a run_b
@@ -48,7 +49,6 @@ from repro.obs.attrib import (
 )
 from repro.obs.dashboard import write_dashboard
 from repro.obs.forensics import RunDiff, diff_runs
-from repro.obs.roofline import Roofline, calibrate, get_roofline
 from repro.obs.export import (
     ObsRun,
     to_chrome_trace,
@@ -82,7 +82,6 @@ __all__ = [
     "ObsRun",
     "OpCounters",
     "RegressionReport",
-    "Roofline",
     "RunDiff",
     "RunRecord",
     "SamplingProfiler",
@@ -92,7 +91,6 @@ __all__ = [
     "Verdict",
     "attribute_model_run",
     "build_attribution",
-    "calibrate",
     "collect_counters",
     "deinstrument_model",
     "diff_runs",
@@ -101,7 +99,6 @@ __all__ = [
     "gate_jsonl",
     "gate_metrics",
     "get_recorder",
-    "get_roofline",
     "get_tracer",
     "instrument_model",
     "provenance",

@@ -1,4 +1,4 @@
-"""Roofline attribution: join spans + counters + the accel model.
+"""Attribution: join spans + counters + the accel model.
 
 The repo *collects* everything — tracer spans (measured wall time),
 measured :class:`~repro.nn.counters.OpCounters` (ops and bytes), the
@@ -12,11 +12,10 @@ of
   :func:`~repro.obs.instrument.instrument_model` with
   ``counters=True``; every kernel records what it performs, so there
   is no analytic fallback),
-* **arithmetic intensity** (FLOPs/byte) and **attained vs attainable
-  FLOP/s** against the host's measured roofline
-  (:mod:`repro.obs.roofline`), classifying each row compute- or
-  memory-bound — the ops-vs-bytes view that says which MLCNN lever
-  (multiply elimination vs data-movement reuse) each layer needs,
+* **arithmetic intensity** (FLOPs/byte) and **attained FLOP/s**, both
+  from the measured counters — the ops-vs-bytes view that says which
+  MLCNN lever (multiply elimination vs data-movement reuse) each layer
+  needs,
 * the simulator's modeled layers (``sim.layer`` events) as their own
   rows, bound-classified by the accel model's own compute/memory roofs.
 
@@ -34,7 +33,8 @@ The engine is trace-driven: it accepts a live
 dicts — which is what makes cross-run forensics
 (:mod:`repro.obs.forensics`) a diff of two of these tables.  The same
 sources feed :func:`epoch_batch_ms`, the per-epoch batch wall times of
-the :class:`~repro.train.Trainer`'s spans.
+the :class:`~repro.train.Trainer`'s spans.  Both read the call tree the
+tracer recorded: every event carries its ``id`` and its parent span's.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.obs.roofline import Roofline
 from repro.obs.tracer import SpanEvent, Tracer
 
 __all__ = [
@@ -66,8 +65,10 @@ _KIND_BY_CATEGORY = {
     "obs": "obs",
 }
 
-#: tolerance for interval containment when rebuilding the span tree
-_EPS_US = 0.5
+_NO_ID = (
+    "event has no id; a trace written before the tracer recorded span ids "
+    "cannot be attributed"
+)
 
 
 def _counters_ops(counters: Mapping[str, float]) -> float:
@@ -99,6 +100,7 @@ def _event_row(ev: SpanEvent) -> Dict[str, Any]:
         "dur_us": ev.dur_us,
         "tid": ev.tid,
         "depth": ev.depth,
+        "id": ev.id,
         "parent": ev.parent,
         "cat": ev.category,
         "attrs": dict(ev.attrs),
@@ -113,7 +115,9 @@ def normalize_events(
     Accepts a :class:`Tracer`, a path to a JSONL trace, or an iterable
     of :class:`SpanEvent`\\ s or already-parsed rows; rows of any other
     type are dropped.  Returns rows shaped like the JSONL exporter's
-    output.
+    output.  A row without the ``id`` the tracer gives every event (a
+    trace written before events had ids) raises ValueError naming its
+    file and line, or its position in ``source``.
     """
     if isinstance(source, Tracer):
         source = source.events
@@ -129,21 +133,26 @@ def normalize_events(
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
                 if row.get("type") in ("span", "instant"):
+                    if "id" not in row:
+                        raise ValueError(f"{source}:{lineno}: {_NO_ID}")
                     rows.append(row)
         return rows
     rows = [_event_row(r) if isinstance(r, SpanEvent) else dict(r) for r in source]
-    return [r for r in rows if r.get("type") in ("span", "instant")]
+    rows = [r for r in rows if r.get("type") in ("span", "instant")]
+    for i, row in enumerate(rows):
+        if "id" not in row:
+            raise ValueError(f"trace row {i}: {_NO_ID}")
+    return rows
 
 
 class _Node:
-    """One span occurrence in the reconstructed call tree."""
+    """One span occurrence in the recorded call tree."""
 
-    __slots__ = ("row", "children", "instants")
+    __slots__ = ("row", "children")
 
     def __init__(self, row: Dict[str, Any]) -> None:
         self.row = row
         self.children: List["_Node"] = []
-        self.instants: List[Dict[str, Any]] = []
 
     @property
     def dur_us(self) -> float:
@@ -159,49 +168,19 @@ class _Node:
 
 
 def _build_forest(rows: Sequence[Mapping[str, Any]]) -> List[_Node]:
-    """Rebuild the span tree per thread by interval containment.
+    """The span tree the tracer recorded, as its roots in start order.
 
-    The tracer records spans in *completion* order; sorting by start
-    time (longer spans first on ties) lets a single stack sweep assign
-    every span to its tightest enclosing parent.  Instant events attach
-    to the deepest span covering their timestamp.
+    Each span hangs under the span its ``parent`` id names.  A span
+    whose parent is not among ``rows`` (outside the window they were
+    cut from, or none) is a root.  Children come in start order.
     """
-    forest: List[_Node] = []
-    by_tid: Dict[Any, List[Dict[str, Any]]] = {}
-    for row in rows:
-        by_tid.setdefault(row.get("tid"), []).append(dict(row))
-    for tid_rows in by_tid.values():
-        spans = [r for r in tid_rows if r["type"] == "span"]
-        instants = [r for r in tid_rows if r["type"] == "instant"]
-        spans.sort(key=lambda r: (float(r.get("ts_us") or 0.0), -float(r.get("dur_us") or 0.0)))
-        stack: List[_Node] = []
-        roots: List[_Node] = []
-        for row in spans:
-            node = _Node(row)
-            while stack and not (
-                node.ts_us >= stack[-1].ts_us - _EPS_US
-                and node.end_us <= stack[-1].end_us + _EPS_US
-            ):
-                stack.pop()
-            if stack:
-                stack[-1].children.append(node)
-            else:
-                roots.append(node)
-            stack.append(node)
-
-        def _attach_instant(nodes: List[_Node], row: Mapping[str, Any]) -> bool:
-            ts = float(row.get("ts_us") or 0.0)
-            for node in nodes:
-                if node.ts_us - _EPS_US <= ts <= node.end_us + _EPS_US:
-                    if not _attach_instant(node.children, row):
-                        node.instants.append(dict(row))
-                    return True
-            return False
-
-        for row in instants:
-            _attach_instant(roots, row)
-        forest.extend(roots)
-    return forest
+    spans = sorted((_Node(r) for r in rows if r["type"] == "span"), key=lambda n: n.ts_us)
+    nodes = {node.row["id"]: node for node in spans}
+    roots: List[_Node] = []
+    for node in nodes.values():
+        parent = nodes.get(node.row.get("parent"))
+        (roots if parent is None else parent.children).append(node)
+    return roots
 
 
 def epoch_batch_ms(
@@ -212,8 +191,8 @@ def epoch_batch_ms(
     A batch runs from the end of the previous ``train.batch`` span of
     its epoch (the epoch span's start, for the first batch) to the end
     of its own, so the data-loader wait counts.  A batch belongs to the
-    epoch span of its own thread that contains it.  ``source`` is
-    anything :func:`normalize_events` reads; epochs come in start order.
+    epoch span that was open when it began.  ``source`` is anything
+    :func:`normalize_events` reads; epochs come in start order.
     """
     epochs: List[_Node] = []
     nodes = _build_forest(normalize_events(source))
@@ -267,26 +246,17 @@ class AttribRow:
     #: accel-model cycles (simulator rows only)
     cycles: Optional[float] = None
     energy_j: Optional[float] = None
-    #: bound classification: host roofline for measured rows, the accel
-    #: model's own compute/memory comparison for simulator rows
+    #: the accel model's own compute/memory comparison (simulator rows)
     bound: Optional[str] = None
     intensity: Optional[float] = None
     attained_flops: Optional[float] = None
-    attained_fraction: Optional[float] = None
 
-    def finish(self, roofline: Optional[Roofline]) -> None:
-        """Derive the roofline columns once accumulation is complete."""
+    def finish(self) -> None:
+        """Derive intensity and FLOP/s once accumulation is complete."""
         if self.ops and self.bytes_moved:
             self.intensity = self.ops / self.bytes_moved
-        if self.kind == "sim":
-            return  # bound comes from the accel model's own roofs
         if self.ops and self.wall_us > 0:
             self.attained_flops = self.ops / (self.wall_us * 1e-6)
-        if roofline is not None and self.intensity and self.attained_flops:
-            self.bound = roofline.classify(self.intensity)
-            self.attained_fraction = roofline.attained_fraction(
-                self.attained_flops, self.intensity
-            )
 
     def as_dict(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {"name": self.name, "kind": self.kind, "count": self.count}
@@ -301,7 +271,6 @@ class AttribRow:
             "bound",
             "intensity",
             "attained_flops",
-            "attained_fraction",
         ):
             value = getattr(self, key)
             if value is not None:
@@ -370,7 +339,6 @@ class AttributionReport:
     rows: List[AttribRow] = field(default_factory=list)
     total_us: float = 0.0
     attributed_us: float = 0.0
-    roofline: Optional[Roofline] = None
     roots: List[str] = field(default_factory=list)
     #: module path -> selected kernel name, from ``compile.plan`` events
     kernel_plan: Dict[str, str] = field(default_factory=dict)
@@ -393,32 +361,6 @@ class AttributionReport:
                 return r
         raise KeyError(f"no attribution row named {name!r}")
 
-    def layer_rows(self) -> List[AttribRow]:
-        return [r for r in self.rows if r.kind == "layer"]
-
-    def attained_fraction(self) -> Optional[float]:
-        """Wall-weighted mean roofline fraction over classified rows."""
-        pairs = [
-            (r.wall_us, r.attained_fraction)
-            for r in self.rows
-            if r.attained_fraction is not None and r.wall_us > 0
-        ]
-        total = sum(w for w, _ in pairs)
-        if not total:
-            return None
-        return sum(w * f for w, f in pairs) / total
-
-    def metrics(self) -> Dict[str, float]:
-        """Headline numbers in regression-gate shape (``attrib.*``)."""
-        out = {
-            "span_coverage": self.span_coverage,
-            "unexplained_fraction": 1.0 - self.span_coverage,
-        }
-        frac = self.attained_fraction()
-        if frac is not None:
-            out["attained_fraction"] = frac
-        return out
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "total_us": self.total_us,
@@ -427,7 +369,6 @@ class AttributionReport:
             "unexplained_us": self.unexplained_us,
             "roots": list(self.roots),
             "kernel_plan": dict(self.kernel_plan),
-            "roofline": self.roofline.as_dict() if self.roofline else None,
             "rows": [r.as_dict() for r in self.rows],
         }
 
@@ -454,10 +395,10 @@ class AttributionReport:
 
         rep = ExperimentReport(
             "Attribution",
-            "per-layer/per-kernel roofline attribution (top rows by wall time)",
+            "per-layer/per-kernel attribution (top rows by wall time)",
             headers=[
                 "row", "kind", "n", "wall ms", "self ms",
-                "MFLOPs", "MB", "FLOP/B", "GFLOP/s", "%roof", "bound",
+                "MFLOPs", "MB", "FLOP/B", "GFLOP/s", "bound",
             ],
         )
 
@@ -476,7 +417,6 @@ class AttributionReport:
                 fmt(r.bytes_moved, 1e6),
                 fmt(r.intensity, 1.0),
                 fmt(r.attained_flops, 1e9, 3),
-                "-" if r.attained_fraction is None else f"{100 * r.attained_fraction:.1f}",
                 r.bound or "-",
             )
         rep.add_note(
@@ -485,13 +425,6 @@ class AttributionReport:
             f"{self.unexplained_us / 1e3:.3f} ms unexplained) "
             f"over root(s): {', '.join(self.roots) or 'none'}"
         )
-        if self.roofline is not None:
-            rl = self.roofline
-            rep.add_note(
-                f"host roofline: peak {rl.peak_flops / 1e9:.2f} GFLOP/s, "
-                f"stream {rl.stream_bandwidth / 1e9:.2f} GB/s, "
-                f"ridge {rl.ridge_intensity:.2f} FLOP/B"
-            )
         sims = [r for r in self.rows if r.kind == "sim"]
         if sims:
             n_mem = sum(1 for r in sims if r.bound == "memory")
@@ -507,7 +440,6 @@ class AttributionReport:
 
 def build_attribution(
     source: Union[Tracer, str, Iterable[Union[SpanEvent, Mapping[str, Any]]]],
-    roofline: Optional[Roofline] = None,
     root: Optional[str] = None,
 ) -> AttributionReport:
     """Join a trace into an :class:`AttributionReport`.
@@ -523,7 +455,7 @@ def build_attribution(
     forest = _build_forest(rows)
     if root is not None:
         forest = [n for n in forest if str(n.row.get("name", "")).startswith(root)]
-    report = AttributionReport(roofline=roofline)
+    report = AttributionReport()
     agg: Dict[str, AttribRow] = {}
     for node in forest:
         report.total_us += node.dur_us
@@ -538,7 +470,7 @@ def build_attribution(
             kernels = (ev.get("attrs") or {}).get("kernels") or {}
             report.kernel_plan.update({str(k): str(v) for k, v in kernels.items()})
     for row in report.rows:
-        row.finish(roofline)
+        row.finish()
     report.rows.sort(key=lambda r: (-r.wall_us, r.name))
     return report
 
@@ -577,7 +509,6 @@ def attribute_model_run(
     model_name: str,
     bits: int = 0,
     batch: int = 8,
-    roofline: Optional[Roofline] = None,
     simulate: bool = True,
     seed: int = 0,
     root: Optional[str] = None,
@@ -610,4 +541,4 @@ def attribute_model_run(
         instrumented_run(model_name, model, x, simulate=simulate)
     finally:
         tracer.enabled = was_enabled
-    return build_attribution(tracer.events[first:], roofline=roofline, root=root)
+    return build_attribution(tracer.events[first:], root=root)

@@ -2,9 +2,10 @@
 
 Two serializations of one :class:`~repro.obs.tracer.Tracer`:
 
-* :func:`write_jsonl` — one JSON object per span or instant event;
-  greppable, diffable, and the format :mod:`repro.obs.attrib` and
-  :mod:`repro.obs.forensics` read back.
+* :func:`write_jsonl` — one JSON object per span or instant event,
+  with its ``id`` and its ``parent``'s; greppable, diffable, and the
+  format :mod:`repro.obs.attrib` and :mod:`repro.obs.forensics` read
+  back.
 * :func:`write_chrome_trace` — the Chrome trace-event format
   (``chrome://tracing`` / https://ui.perfetto.dev): spans become
   complete (``"ph": "X"``) events with microsecond ``ts``/``dur``,
@@ -60,6 +61,7 @@ def to_jsonl(tracer: Optional[Tracer] = None) -> str:
             "ts_us": round(ev.ts_us, 3),
             "tid": ev.tid,
             "depth": ev.depth,
+            "id": ev.id,
             "parent": ev.parent,
         }
         if ev.is_span:

@@ -76,9 +76,6 @@ class RunDiff:
     def total_delta_us(self) -> float:
         return self.total_b_us - self.total_a_us
 
-    def top(self, n: int = 10) -> List[DiffEntry]:
-        return self.entries[:n]
-
     @property
     def culprit(self) -> Optional[DiffEntry]:
         """The top-ranked entry — the localized change, if any."""

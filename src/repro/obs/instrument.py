@@ -158,7 +158,7 @@ def instrument_model(
     ``counters=True``, leaf spans carry measured
     :class:`~repro.nn.counters.OpCounters`, a ``bytes_io`` traffic
     estimate and the executing kernel name while the tracer is enabled
-    — the inputs of the attribution/roofline join.  Idempotent:
+    — the inputs of the attribution join.  Idempotent:
     already-instrumented modules are left alone (so pass ``numerics``
     and ``counters`` at first instrumentation).  Returns ``model``.
     """

@@ -69,11 +69,8 @@ def _git_sha() -> str:
 def provenance() -> Dict[str, str]:
     """Stamp for one run: git SHA, UTC timestamp, host identity, python.
 
-    ``cpu_count`` and ``machine`` make baselines host-shape-aware: the
-    regression gate downgrades host-sensitive metrics (roofline
-    fractions, absolute latencies) to advisory when the current core
-    count differs from the baseline's, instead of failing the build on
-    hardware variance.
+    ``cpu_count`` and ``machine`` record the shape of the host a
+    baseline was measured on; nothing reads them back.
     """
     try:
         user = getpass.getuser()
@@ -186,9 +183,6 @@ class RunRecord:
     area: str
     metrics: Dict[str, float] = field(default_factory=dict)
     provenance: Dict[str, str] = field(default_factory=provenance)
-
-    def to_doc(self) -> Dict[str, Any]:
-        return {"provenance": dict(self.provenance), "metrics": dict(self.metrics)}
 
     @classmethod
     def from_doc(cls, area: str, doc: Mapping[str, Any]) -> "RunRecord":

@@ -27,7 +27,7 @@ metrics.jsonl`` — exits non-zero iff :attr:`RegressionReport.failed`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import MetricRegistry, load_metrics_jsonl
@@ -40,9 +40,7 @@ __all__ = [
     "compare_metrics",
     "gate_metrics",
     "gate_jsonl",
-    "host_mismatch",
     "POLICY_OVERRIDES",
-    "HOST_SENSITIVE_PREFIXES",
 ]
 
 
@@ -94,14 +92,6 @@ POLICY_OVERRIDES: Dict[str, TolerancePolicy] = {
     "attrib.span_coverage": TolerancePolicy(
         direction="higher", rel_tol=0.05, abs_tol=0.02
     ),
-    "attrib.unexplained_fraction": TolerancePolicy(
-        direction="lower", rel_tol=0.50, abs_tol=0.02, required=False
-    ),
-    # Attained-roofline fractions depend on the host's measured roofs:
-    # advisory trend lines, never gate failures.
-    "roofline.": TolerancePolicy(
-        direction="higher", rel_tol=0.90, abs_tol=0.02, required=False
-    ),
     # Telemetry overhead is the cost of tracing a Trainer fit, a
     # relative measurement (tracer on vs off on the same host,
     # best-of-N), so it gates required: the spans of the batch loop
@@ -112,7 +102,7 @@ POLICY_OVERRIDES: Dict[str, TolerancePolicy] = {
     ),
     # Absolute batch latency (the traced fit's batch spans) and
     # profiler duty cycle are host speed: advisory wide-band trend
-    # lines, auto-downgraded on core mismatch.
+    # lines.
     "telemetry.p99_batch_ms": TolerancePolicy(
         direction="lower", rel_tol=0.90, abs_tol=5.0, required=False
     ),
@@ -120,41 +110,6 @@ POLICY_OVERRIDES: Dict[str, TolerancePolicy] = {
         direction="lower", rel_tol=0.90, abs_tol=1.0, required=False
     ),
 }
-
-#: metric-key prefixes whose values are a property of the machine shape
-#: (core count) rather than the code.  When the baseline was recorded
-#: on a host with a different ``cpu_count``, the gate auto-downgrades
-#: these to advisory — comparing a 2-core roofline against a 16-core
-#: baseline measures the hardware, not the change under test.
-HOST_SENSITIVE_PREFIXES = (
-    "roofline.",
-    "telemetry.p99_batch_ms",
-    "telemetry.profiler_overhead_pct",
-)
-
-
-def host_mismatch(
-    baseline_provenance: Optional[Mapping[str, str]],
-    current_provenance: Optional[Mapping[str, str]] = None,
-) -> Optional[str]:
-    """Why host-sensitive metrics should be advisory, or None if same.
-
-    A baseline without ``cpu_count`` provenance (recorded before the
-    field existed) is treated as mismatched: its host shape is unknown,
-    so host-sensitive comparisons against it cannot be trusted to fail
-    a build.
-    """
-    if current_provenance is None:
-        from repro.obs.metrics import provenance
-
-        current_provenance = provenance()
-    base_cpu = (baseline_provenance or {}).get("cpu_count")
-    cur_cpu = current_provenance.get("cpu_count")
-    if base_cpu is None:
-        return "baseline records no cpu_count"
-    if str(base_cpu) != str(cur_cpu):
-        return f"baseline cpu_count={base_cpu}, host cpu_count={cur_cpu}"
-    return None
 
 _DEFAULT = TolerancePolicy()
 
@@ -189,8 +144,6 @@ class Verdict:
     current: Optional[float]
     policy: TolerancePolicy
     status: str  # improved | ok | regressed | invalid | missing_baseline | missing_current
-    #: explanatory annotation (e.g. the host-mismatch downgrade reason)
-    note: str = ""
 
     @property
     def fails(self) -> bool:
@@ -269,9 +222,6 @@ class RegressionReport:
             out[v.status] = out.get(v.status, 0) + 1
         return out
 
-    def by_status(self, *statuses: str) -> List[Verdict]:
-        return [v for v in self.verdicts if v.status in statuses]
-
     def ranked(self) -> List[Verdict]:
         """Verdicts by status (failures first), then by |delta_rel| within
         a status — the metric that moved most leads its group."""
@@ -293,7 +243,7 @@ class RegressionReport:
         rep = ExperimentReport(
             "Regression gate",
             "every metric vs its committed baseline, largest |delta| first within a status",
-            headers=["status", "area", "metric", "baseline", "current", "delta", "better", "note"],
+            headers=["status", "area", "metric", "baseline", "current", "delta", "better"],
         )
         for v in self.ranked():
             d = v.delta_rel
@@ -305,13 +255,7 @@ class RegressionReport:
                 fmt(v.current),
                 "-" if d is None else f"{100 * d:+.2f}%",
                 v.policy.direction,
-                v.note or "-",
             )
-        # Host-sensitive metrics judged on a machine shaped unlike the
-        # baseline's are advisory; say why.
-        reasons = sorted({v.note for v in self.verdicts if v.note.startswith("host mismatch")})
-        if reasons:
-            rep.add_note("auto-downgraded to advisory: " + "; ".join(reasons))
         rep.add_note(", ".join(f"{k}={n}" for k, n in sorted(self.counts().items())) or "no metrics")
         rep.add_note("REGRESSION GATE: FAIL" if self.failed else "regression gate: pass")
         return rep
@@ -325,33 +269,12 @@ def gate_metrics(
     registry: MetricRegistry,
     overrides: Optional[Mapping[str, TolerancePolicy]] = None,
 ) -> RegressionReport:
-    """Gate already-parsed per-area metrics against the registry.
-
-    Host-shape awareness: when an area's baseline was recorded on a
-    host with a different (or unrecorded) ``cpu_count``, every verdict
-    on a :data:`HOST_SENSITIVE_PREFIXES` metric is downgraded to
-    advisory with the mismatch reason in its note — the metric is still
-    reported and trended, it just cannot fail the gate.
-    """
+    """Gate already-parsed per-area metrics against the registry."""
     verdicts: List[Verdict] = []
     for area in sorted(per_area):
-        doc = registry.load(area)
-        baseline = None if doc is None else {
-            str(k): float(v) for k, v in (doc.get("metrics") or {}).items()
-        }
-        area_verdicts = compare_metrics(area, baseline, per_area[area], overrides)
-        mismatch = host_mismatch(None if doc is None else doc.get("provenance"))
-        if mismatch is not None:
-            for v in area_verdicts:
-                if v.metric.startswith(HOST_SENSITIVE_PREFIXES):
-                    # annotate every host-sensitive metric (the dashboard
-                    # surfaces these notes); downgrade only those that
-                    # could otherwise fail the gate
-                    if v.policy.required:
-                        v.policy = replace(v.policy, required=False)
-                    if not v.note:
-                        v.note = f"host mismatch: {mismatch}"
-        verdicts.extend(area_verdicts)
+        verdicts.extend(
+            compare_metrics(area, registry.baseline(area), per_area[area], overrides)
+        )
     return RegressionReport(verdicts)
 
 

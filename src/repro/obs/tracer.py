@@ -18,6 +18,10 @@ Design constraints:
 * **Thread safety.**  Each thread keeps its own span stack (nesting and
   parent attribution are per-thread); the shared event list is guarded
   by one lock.
+* **The tree is recorded, not inferred.**  Every event draws an ``id``
+  from the tracer's counter when it opens, and names its ``parent``: the
+  id of the span open on the same thread, or ``None``.  Readers
+  (:mod:`repro.obs.attrib`) rebuild the call tree from these ids.
 * **Exception safety.**  A span closes (and is recorded, tagged with
   the exception type) even when the body raises.
 
@@ -28,6 +32,7 @@ stored as microseconds since the tracer's epoch, which is exactly the
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,14 +43,19 @@ __all__ = ["SpanEvent", "Tracer", "get_tracer", "span", "event"]
 
 @dataclass
 class SpanEvent:
-    """One completed span (``dur_us`` set) or instant event (``None``)."""
+    """One completed span (``dur_us`` set) or instant event (``None``).
+
+    ``id`` is unique per tracer; ``parent`` is the ``id`` of the span
+    that was open on the same thread when this one began, or ``None``.
+    """
 
     name: str
     ts_us: float
     dur_us: Optional[float]
     tid: int
     depth: int
-    parent: Optional[str]
+    id: int
+    parent: Optional[int]
     category: str = ""
     attrs: Dict[str, Any] = field(default_factory=dict)
 
@@ -75,7 +85,7 @@ NULL_SPAN = _NullSpan()
 class _Span:
     """Live span context manager; records itself on exit."""
 
-    __slots__ = ("_tracer", "name", "category", "attrs", "_start_s", "_depth", "_parent")
+    __slots__ = ("_tracer", "name", "category", "attrs", "_start_s", "_depth", "_id", "_parent")
 
     def __init__(self, tracer: "Tracer", name: str, category: str, attrs: Dict[str, Any]):
         self._tracer = tracer
@@ -91,7 +101,8 @@ class _Span:
     def __enter__(self) -> "_Span":
         stack = self._tracer._stack()
         self._depth = len(stack)
-        self._parent = stack[-1].name if stack else None
+        self._id = next(self._tracer._ids)
+        self._parent = stack[-1]._id if stack else None
         stack.append(self)
         self._start_s = time.perf_counter()
         return self
@@ -110,6 +121,7 @@ class _Span:
                 dur_us=(end_s - self._start_s) * 1e6,
                 tid=threading.get_ident(),
                 depth=self._depth,
+                id=self._id,
                 parent=self._parent,
                 category=self.category,
                 attrs=self.attrs,
@@ -127,6 +139,9 @@ class Tracer:
         self._local = threading.local()
         self._events: List[SpanEvent] = []
         self._epoch_s = time.perf_counter()
+        # never reset, so a span open across clear() keeps an id no
+        # later event reuses; next() on it is one call under the GIL
+        self._ids = itertools.count()
 
     # -- state ---------------------------------------------------------------
     def enable(self) -> "Tracer":
@@ -169,7 +184,8 @@ class Tracer:
                 dur_us=None,
                 tid=threading.get_ident(),
                 depth=len(stack),
-                parent=stack[-1].name if stack else None,
+                id=next(self._ids),
+                parent=stack[-1]._id if stack else None,
                 category=category,
                 attrs=attrs,
             )

@@ -188,7 +188,7 @@ class TestSimulatorTracing:
         assert net.attrs["cycles"] > 0
         for ev in enabled_tracer.events:
             if ev.name == "sim.layer":
-                assert ev.parent == "sim.network"
+                assert ev.parent == net.id
 
     def test_compare_networks_span(self, enabled_tracer):
         compare_networks(

@@ -181,11 +181,12 @@ class TestPipelineTracing:
         model = build_model("lenet5")
         _, report = mlcnn_pipeline(bits=8).run(model)
         spans = [ev for ev in enabled_tracer.events if ev.name.startswith("compile.pass.")]
+        (pipeline,) = [ev for ev in enabled_tracer.events if ev.name == "compile.pipeline"]
         ran = [r for r in report.records if r.ran]
         assert [ev.name for ev in spans] == [f"compile.pass.{r.name}" for r in ran]
         for ev, record in zip(spans, ran):
             assert ev.attrs["rewrites"] == record.rewrites
-            assert ev.parent == "compile.pipeline"
+            assert ev.parent == pipeline.id
 
     def test_pipeline_span_attrs(self, enabled_tracer):
         model = build_model("lenet5")

@@ -1,4 +1,4 @@
-"""Tracer core: nesting, exception safety, thread safety."""
+"""Tracer core: nesting, span ids, exception safety, thread safety."""
 
 import threading
 
@@ -25,8 +25,21 @@ class TestSpans:
                     pass
         by_name = {ev.name: ev for ev in t.events}
         assert by_name["outer"].depth == 0 and by_name["outer"].parent is None
-        assert by_name["inner"].depth == 1 and by_name["inner"].parent == "outer"
-        assert by_name["leaf"].depth == 2 and by_name["leaf"].parent == "inner"
+        assert by_name["inner"].depth == 1 and by_name["inner"].parent == by_name["outer"].id
+        assert by_name["leaf"].depth == 2 and by_name["leaf"].parent == by_name["inner"].id
+
+    def test_ids_are_unique_and_survive_clear(self):
+        """A span open across clear() keeps an id no later event takes."""
+        t = Tracer(enabled=True)
+        with t.span("open"):
+            t.clear()
+            for _ in range(3):
+                with t.span("child"):
+                    t.event("mark")
+        ids = [ev.id for ev in t.events]
+        assert len(set(ids)) == len(ids) == 7
+        (open_span,) = [ev for ev in t.events if ev.name == "open"]
+        assert {ev.parent for ev in t.events if ev.name == "child"} == {open_span.id}
 
     def test_completion_order_inner_first(self):
         t = Tracer(enabled=True)
@@ -43,7 +56,7 @@ class TestSpans:
             with t.span("b"):
                 pass
         by_name = {ev.name: ev for ev in t.events}
-        assert by_name["a"].parent == by_name["b"].parent == "parent"
+        assert by_name["a"].parent == by_name["b"].parent == by_name["parent"].id
         assert by_name["a"].depth == by_name["b"].depth == 1
 
     def test_span_timestamps_are_ordered(self):
@@ -87,8 +100,9 @@ class TestSpans:
             t.event("marker", layer="conv1", cycles=42)
         instants = [ev for ev in t.events if not ev.is_span]
         (ev,) = instants
+        (ctx,) = [e for e in t.events if e.is_span]
         assert ev.dur_us is None
-        assert ev.parent == "ctx" and ev.depth == 1
+        assert ev.parent == ctx.id != ev.id and ev.depth == 1
         assert ev.attrs == {"layer": "conv1", "cycles": 42}
 
 
@@ -147,12 +161,15 @@ class TestThreadSafety:
         assert not errors
         events = t.events
         assert len(events) == n_threads * n_iters * 2
+        by_id = {ev.id: ev for ev in events}
+        assert len(by_id) == len(events)  # ids are unique across threads
         # nesting is tracked per thread: every inner span has depth 1
         # and its own thread's outer as parent
         for ev in events:
             if ev.name.startswith("inner-"):
                 tid = ev.name.split("-")[1]
                 assert ev.depth == 1
-                assert ev.parent == f"outer-{tid}"
+                assert by_id[ev.parent].name == f"outer-{tid}"
+                assert by_id[ev.parent].tid == ev.tid
             else:
                 assert ev.depth == 0 and ev.parent is None

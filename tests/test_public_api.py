@@ -42,6 +42,7 @@ PACKAGES = [
     "repro.accel",
     "repro.analysis",
     "repro.experiments",
+    "repro.obs",
 ]
 
 
