@@ -31,7 +31,6 @@ from repro.accel.energy import ENERGY_45NM, EnergyBreakdown, dynamic_energy, sta
 from repro.accel.tiling import TilingPlan, dram_traffic, plan_tiling
 from repro.core.opcount import LayerOps, dcnn_layer_ops, mlcnn_layer_ops
 from repro.models.specs import LayerSpec
-from repro.nn.counters import get_recorder
 from repro.obs.tracer import get_tracer
 
 
@@ -202,10 +201,6 @@ def simulate_layer(
         dram_bytes,
     )
     energy.static_j = static_energy(table, cycles / config.frequency_hz)
-
-    recorder = get_recorder()
-    if recorder.enabled:
-        recorder.record(buffer_accesses=accesses, dram_bytes=dram_bytes)
 
     return LayerResult(
         name=spec.name,

@@ -176,7 +176,7 @@ class FusedConvPool(Module):
         if not conv_block.is_fusable():
             raise ValueError(
                 "block is not fusable (needs average pooling, pool_act order, "
-                "unit conv stride, no batch-norm, a square kernel and square padding)"
+                "unit conv stride, a square kernel and square padding)"
             )
         # Keep a handle to the original block WITHOUT registering it as
         # a child module: it must not be re-discovered (and re-fused) by

@@ -128,8 +128,9 @@ class QuantizedConvBlock(Module):
 
     Wraps (and shares parameters with) an existing block; the forward
     quantizes the weight tensor (Eq. 9) and the incoming activations
-    (Eq. 8) before the convolution, then applies the block's pool and
-    activation in the block's configured order.
+    (Eq. 8) before the convolution, then runs the block's
+    :meth:`~repro.models.blocks.ConvBlock.epilogue` (its pool and
+    activation in its configured order).
     """
 
     #: this forward inlines the wrapped block's computation (no child
@@ -148,13 +149,7 @@ class QuantizedConvBlock(Module):
             x = ste_quantize_activations(x, self.config.activation_bits)
         w = ste_quantize_weights(blk.conv.weight, self.config.weight_bits)
         y = F.conv2d(x, w, blk.conv.bias, blk.conv.stride, blk.conv.padding)
-        if blk.bn is not None:
-            y = blk.bn(y)
-        if blk.pool is None:
-            return blk._act(y)
-        if blk.order == "act_pool":
-            return blk.pool.apply(blk._act(y))
-        return blk._act(blk.pool.apply(y))
+        return blk.epilogue(y)
 
 
 def quantize_model(model: Module, config: QuantConfig) -> Module:

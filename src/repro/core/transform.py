@@ -8,7 +8,7 @@ The rewrite is semantics-preserving (same outputs up to fp association)
 — the property tests in ``tests/core/test_transform.py`` assert it.
 
 Blocks that are not fusable (max pooling, original ReLU+AP order,
-strided convs, batch-norm between conv and pool) are left untouched;
+strided convs, non-square kernels or padding) are left untouched;
 run :func:`repro.models.reorder.reorder_activation_pooling` and
 ``set_pooling(model, "avg")`` first to maximize coverage, as the paper
 does — or compile with :func:`repro.compiler.mlcnn_pipeline`, which

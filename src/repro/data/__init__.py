@@ -5,12 +5,12 @@ access, so :mod:`repro.data.synthetic` generates structured synthetic
 image-classification tasks ("synth-CIFAR") that exercise the identical
 training/inference code paths: class-specific spatial patterns, random
 shifts (which make pooling's shift tolerance matter, as in the paper's
-All-Conv comparison), and additive noise.
+All-Conv comparison), and additive noise.  :class:`DataLoader` serves
+them as seeded, shuffled mini-batches, unaugmented.
 """
 
 from repro.data.dataset import ArrayDataset, DataLoader, train_val_split
-from repro.data.synthetic import SyntheticImageConfig, make_synth_cifar, synth_cifar10, synth_cifar100
-from repro.data.augment import Augmentation, cutout, random_crop, random_horizontal_flip
+from repro.data.synthetic import SyntheticImageConfig, make_synth_cifar, synth_cifar10
 
 __all__ = [
     "ArrayDataset",
@@ -19,9 +19,4 @@ __all__ = [
     "SyntheticImageConfig",
     "make_synth_cifar",
     "synth_cifar10",
-    "synth_cifar100",
-    "Augmentation",
-    "cutout",
-    "random_crop",
-    "random_horizontal_flip",
 ]

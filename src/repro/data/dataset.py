@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -25,10 +25,6 @@ class ArrayDataset:
 
     def __getitem__(self, idx) -> Tuple[np.ndarray, np.ndarray]:
         return self.images[idx], self.labels[idx]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
 
     def subset(self, indices: np.ndarray) -> "ArrayDataset":
         return ArrayDataset(self.images[indices], self.labels[indices])
@@ -59,31 +55,20 @@ class DataLoader:
         batch_size: int = 32,
         shuffle: bool = True,
         seed: int = 0,
-        drop_last: bool = False,
-        transform: Optional[callable] = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
-        self.transform = transform
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)
-        stop = n - n % self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
+        for start in range(0, n, self.batch_size):
             batch = order[start : start + self.batch_size]
-            images = self.dataset.images[batch]
-            if self.transform is not None:
-                images = self.transform(images)
-            yield images, self.dataset.labels[batch]
+            yield self.dataset.images[batch], self.dataset.labels[batch]

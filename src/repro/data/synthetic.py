@@ -125,20 +125,3 @@ def synth_cifar10(
             seed=seed,
         )
     )
-
-
-def synth_cifar100(
-    samples_per_class: int = 16, image_size: int = 32, seed: int = 0
-) -> ArrayDataset:
-    """A 100-class synthetic stand-in for CIFAR-100 (crowded classes)."""
-    return make_synth_cifar(
-        SyntheticImageConfig(
-            num_classes=100,
-            samples_per_class=samples_per_class,
-            image_size=image_size,
-            basis_size=64,
-            gratings_per_class=3,
-            noise_sigma=0.45,
-            seed=seed,
-        )
-    )

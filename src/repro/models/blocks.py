@@ -1,11 +1,11 @@
 """Building blocks for the model zoo.
 
 :class:`ConvBlock` is the unit of the paper's cross-layer optimization:
-it owns a convolution, an optional batch-norm, an activation, and an
-optional pooling layer, together with the *relative order* of the
-activation and the pooling.  The MLCNN reordering transform flips that
-order (``act_pool`` -> ``pool_act``); the all-conv transform folds the
-pooling into the convolution stride.
+it owns a convolution, an activation, and an optional pooling layer,
+together with the *relative order* of the activation and the pooling.
+The MLCNN reordering transform flips that order (``act_pool`` ->
+``pool_act``); the all-conv transform folds the pooling into the
+convolution stride.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.layers import BatchNorm2d, Conv2d, Module
+from repro.nn.layers import Conv2d, Module
 from repro.nn.tensor import Tensor
 
 IntPair = Union[int, Tuple[int, int]]
@@ -50,7 +50,7 @@ class PoolSpec:
 
 
 class ConvBlock(Module):
-    """``conv [+ bn] -> activation <-> pooling`` with a mutable order.
+    """``conv -> activation <-> pooling`` with a mutable order.
 
     Parameters
     ----------
@@ -70,7 +70,6 @@ class ConvBlock(Module):
         activation: str = "relu",
         pool: Optional[PoolSpec] = None,
         order: str = "act_pool",
-        batchnorm: bool = False,
         bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -82,7 +81,6 @@ class ConvBlock(Module):
         self.conv = Conv2d(
             in_channels, out_channels, kernel_size, stride, padding, bias=bias, rng=rng
         )
-        self.bn = BatchNorm2d(out_channels) if batchnorm else None
         self.activation = activation
         self.pool = pool
         self.order = order
@@ -97,8 +95,8 @@ class ConvBlock(Module):
         rejects the others.
         Requires average pooling in the reordered layout (pool before
         activation), a unit conv stride (the fused kernel computes a
-        strided convolution over the box-summed input), no batch-norm
-        between conv and pool, and a square kernel and square padding.
+        strided convolution over the box-summed input), and a square
+        kernel and square padding.
         Any pool stride is accepted: an overlapping pool
         (``stride != kernel``) gathers the same box-sum patches at the
         pool-stride positions.
@@ -109,7 +107,6 @@ class ConvBlock(Module):
             and self.pool.kind == "avg"
             and self.order == "pool_act"
             and conv.stride == (1, 1)
-            and self.bn is None
             and conv.kernel_size[0] == conv.kernel_size[1]
             and conv.padding[0] == conv.padding[1]
         )
@@ -123,15 +120,16 @@ class ConvBlock(Module):
             return F.tanh(x)
         return x
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = self.conv(x)
-        if self.bn is not None:
-            x = self.bn(x)
+    def epilogue(self, x: Tensor) -> Tensor:
+        """Everything after the convolution: activation and pool in order."""
         if self.pool is None:
             return self._act(x)
         if self.order == "act_pool":
             return self.pool.apply(self._act(x))
         return self._act(self.pool.apply(x))
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.epilogue(self.conv(x))
 
     def extra_repr(self) -> str:
         pool = f"{self.pool.kind}{self.pool.kernel}" if self.pool else "none"

@@ -1,10 +1,12 @@
 """repro.nn — a from-scratch NumPy deep-learning substrate.
 
 The MLCNN paper evaluates its cross-layer optimization inside PyTorch;
-this package provides the equivalent substrate without external ML
-dependencies: a reverse-mode autograd :class:`Tensor`, vectorized
-(im2col) convolution / pooling kernels, ``Module``-based layers,
-initializers, and optimizers.
+this package provides the part of that substrate the reproduction's
+models use, without external ML dependencies: a reverse-mode autograd
+:class:`Tensor`, vectorized (im2col) convolution / pooling kernels,
+``Module``-based layers, He initialization, and the SGD and Adam
+optimizers.  No model here uses batch norm, LR schedules or
+checkpoints, so the package has none of them.
 
 Public surface::
 
@@ -26,14 +28,12 @@ from repro.nn.layers import (
     AvgPool2d,
     MaxPool2d,
     GlobalAvgPool2d,
-    BatchNorm2d,
     Dropout,
     Flatten,
     Identity,
 )
-from repro.nn.optim import SGD, Adam, StepLR, CosineLR
+from repro.nn.optim import SGD, Adam
 from repro.nn import init
-from repro.nn.serialization import save_checkpoint, load_checkpoint
 
 __all__ = [
     "Tensor",
@@ -51,15 +51,10 @@ __all__ = [
     "AvgPool2d",
     "MaxPool2d",
     "GlobalAvgPool2d",
-    "BatchNorm2d",
     "Dropout",
     "Flatten",
     "Identity",
     "SGD",
     "Adam",
-    "StepLR",
-    "CosineLR",
     "init",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

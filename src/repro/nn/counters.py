@@ -12,9 +12,11 @@ performs when it performs it:
   through :func:`repro.core.kernels.fused.record_rme_counters`;
 * the counted loop nests in :mod:`repro.core.fusion` the whole
   :class:`OpCounters` they return: multiplications, half/full/major/bias
-  additions and LAR/GAR reuse hits;
-* the accelerator simulator (:func:`repro.accel.simulator.simulate_layer`)
-  its memory events: SRAM buffer accesses and DRAM bytes.
+  additions and LAR/GAR reuse hits.
+
+The accelerator simulator's memory traffic is not a counter: each
+:class:`~repro.accel.simulator.LayerResult` and its ``sim.layer`` trace
+event hold its DRAM bytes and buffer accesses.
 
 Counts are forward-only.  Unlike the closed-form
 :mod:`repro.core.opcount` formulas, these numbers come from real
@@ -25,8 +27,7 @@ executions, so the analytic claims are auditable
 
     with collect_counters() as oc:
         fused_conv_pool_counted(x, w, b, pool=2)
-        simulate_network(specs, get_config("mlcnn-fp32"))
-    print(oc.mults_eliminated, oc.dram_bytes)
+    print(oc.mults, oc.mults_eliminated, oc.reuse_hits)
 
 This module imports only the standard library, so the kernels in
 :mod:`repro.nn` can record without importing :mod:`repro.obs`;
@@ -45,15 +46,12 @@ __all__ = ["OpCounters", "CounterRecorder", "get_recorder", "collect_counters"]
 
 @dataclass
 class OpCounters:
-    """Measured event counts from instrumented executions.
+    """Measured arithmetic counts from instrumented kernel executions.
 
-    Arithmetic fields are filled by the kernels; memory fields by the
-    accelerator simulator.  All fields are additive, so one collection can
-    span a whole run (many kernels + a simulation) and still decompose
-    meaningfully.
+    All fields are additive, so one collection can span a whole run
+    (many kernels) and still decompose meaningfully.
     """
 
-    # -- arithmetic (kernels) ---------------------------------------------
     #: multiplications actually performed
     mults: int = 0
     #: multiplications a dense execution of the same geometry would have
@@ -67,12 +65,6 @@ class OpCounters:
     lar_reuse_hits: int = 0
     #: additions avoided because a full box sum was found in the GAR cache
     gar_reuse_hits: int = 0
-
-    # -- memory (accelerator simulator) -----------------------------------
-    #: SRAM accesses attributed by the cycle simulator's buffer model
-    buffer_accesses: float = 0.0
-    #: bytes moved per the simulator's tiling-derived traffic model
-    dram_bytes: float = 0.0
 
     @property
     def additions(self) -> int:

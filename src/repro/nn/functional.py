@@ -293,63 +293,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     return x * mask
 
 
-def batch_norm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Batch normalization over (N, H, W) per channel.
-
-    ``running_mean``/``running_var`` are updated in place in training
-    mode, matching PyTorch semantics.
-    """
-    x = _as_tensor(x)
-    n, c, h, w = x.shape
-    if training:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        # Unbiased variance for the running estimate, as in PyTorch.
-        count = n * h * w
-        unbias = count / max(count - 1, 1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * unbias
-    else:
-        mean = running_mean
-        var = running_var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
-    node = make_node(out, (x, gamma, beta))
-    if node.requires_grad:
-
-        def _bw(g: np.ndarray) -> None:
-            send_grad(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-            send_grad(beta, g.sum(axis=(0, 2, 3)))
-            gxhat = g * gamma.data[None, :, None, None]
-            if training:
-                m = n * h * w
-                gx = (
-                    gxhat
-                    - gxhat.mean(axis=(0, 2, 3), keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                ) * inv_std[None, :, None, None]
-                del m
-            else:
-                gx = gxhat * inv_std[None, :, None, None]
-            send_grad(x, gx)
-
-        node._backward = _bw
-    return node
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     shifted = x - x.max(axis=axis, keepdims=True).detach()
@@ -374,13 +317,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     logp = log_softmax(logits, axis=-1)
     picked = logp[np.arange(len(targets)), targets]
     return -picked.mean()
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels.ravel()] = 1.0
-    return out
 
 
 def accuracy_topk(logits: np.ndarray, targets: np.ndarray, k: int = 1) -> float:

@@ -28,30 +28,3 @@ def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float
     fan_in, _ = _fan(shape)
     std = gain / np.sqrt(fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = np.sqrt(2.0)) -> np.ndarray:
-    fan_in, _ = _fan(shape)
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot initialization (suited to tanh/sigmoid networks)."""
-    fan_in, fan_out = _fan(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fan(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
-
-
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape)

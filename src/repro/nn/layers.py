@@ -1,6 +1,6 @@
 """Module-based layers (PyTorch-like).
 
-A :class:`Module` owns named parameters/buffers and child modules,
+A :class:`Module` owns named parameters and child modules,
 supports ``state_dict``/``load_state_dict`` round trips, and toggles
 train/eval mode recursively.  These layers are the building blocks of
 the model zoo in :mod:`repro.models` and the unit of graph rewriting in
@@ -26,7 +26,6 @@ class Module:
 
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Tensor]" = OrderedDict()
-        self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
         self.training = True
 
@@ -43,10 +42,6 @@ class Module:
         self._parameters[name] = value
         object.__setattr__(self, name, value)
 
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        self._buffers[name] = value
-        object.__setattr__(self, name, value)
-
     # -- traversal -----------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         for name, p in self._parameters.items():
@@ -56,12 +51,6 @@ class Module:
 
     def parameters(self) -> List[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for mname, mod in self._modules.items():
-            yield from mod.named_buffers(prefix + mname + ".")
 
     def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
         yield prefix.rstrip("."), self
@@ -90,7 +79,7 @@ class Module:
             p.zero_grad()
 
     def to_dtype(self, dtype) -> "Module":
-        """Cast all parameters and buffers to ``dtype`` in place.
+        """Cast all parameters to ``dtype`` in place.
 
         ``np.float32`` halves parameter and activation memory for
         training runs; create optimizers *after* the cast (their state
@@ -107,30 +96,15 @@ class Module:
             p.data = p.data.astype(dtype)
             p.bump_version()
             p.grad = None
-        for name, b in self.named_buffers():
-            b_cast = b.astype(dtype)
-            # buffers are replaced in place on their owning module
-            owner = self
-            parts = name.split(".")
-            for part in parts[:-1]:
-                owner = owner._modules[part]
-            owner._buffers[parts[-1]] = b_cast
-            object.__setattr__(owner, parts[-1], b_cast)
         return self
 
     # -- serialization ---------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {}
-        for name, p in self.named_parameters():
-            state[name] = p.data.copy()
-        for name, b in self.named_buffers():
-            state[name] = b.copy()
-        return state
+        return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         params = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
-        missing = (set(params) | set(buffers)) - set(state)
+        missing = set(params) - set(state)
         if missing:
             raise KeyError(f"state_dict missing keys: {sorted(missing)}")
         for name, p in params.items():
@@ -140,8 +114,6 @@ class Module:
                 )
             p.data[...] = state[name]
             p.bump_version()
-        for name, b in buffers.items():
-            b[...] = state[name]
 
     # -- call ---------------------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
@@ -381,33 +353,6 @@ class MaxPool2d(Module):
 class GlobalAvgPool2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
-
-
-class BatchNorm2d(Module):
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.register_parameter("gamma", Tensor(np.ones(num_features)))
-        self.register_parameter("beta", Tensor(np.zeros(num_features)))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.batch_norm2d(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            self.training,
-            self.momentum,
-            self.eps,
-        )
-
-    def extra_repr(self) -> str:
-        return f"{self.num_features}"
 
 
 class Dropout(Module):

@@ -1,8 +1,8 @@
-"""Optimizers and learning-rate schedules."""
+"""Optimizers."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -97,50 +97,3 @@ class Adam(Optimizer):
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
             p.bump_version()
-
-
-class LRSchedule:
-    """Base class: mutates ``optimizer.lr`` per epoch."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.lr_at(self.epoch)
-
-    def lr_at(self, epoch: int) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class StepLR(LRSchedule):
-    """Multiply the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class CosineLR(LRSchedule):
-    """Cosine annealing to ``min_lr`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, min_lr: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.min_lr = min_lr
-
-    def lr_at(self, epoch: int) -> float:
-        t = min(epoch, self.t_max)
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
-            1.0 + np.cos(np.pi * t / self.t_max)
-        )

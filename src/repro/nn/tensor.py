@@ -8,7 +8,7 @@ The design mirrors the "define-by-run" style of PyTorch but stays
 deliberately small: every differentiable primitive is a function that
 creates an output tensor whose ``_backward`` closure knows how to push
 the output gradient to its parents.  Heavier NN primitives (conv2d,
-pooling, batch-norm, losses) live in :mod:`repro.nn.functional`.
+pooling, losses) live in :mod:`repro.nn.functional`.
 
 Graphs are acyclic: a node holds its parents (through ``_parents`` and
 its closure), never the other way round, so reference counting frees a
@@ -81,7 +81,6 @@ class Tensor:
         "_backward",
         "_parents",
         "_is_leaf",
-        "_retain_grad",
         "_version",
         "name",
     )
@@ -104,7 +103,6 @@ class Tensor:
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple[Tensor, ...] = ()
         self._is_leaf = True
-        self._retain_grad = False
         self._version = 0
         self.name = name
 
@@ -156,16 +154,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Return a view of this tensor cut out of the autograd graph."""
         return Tensor(self.data, requires_grad=False)
-
-    def retain_grad(self) -> "Tensor":
-        """Request ``.grad`` accumulation on this non-leaf node.
-
-        Leaves (user-created tensors) always accumulate; intermediates
-        do not, to keep training memory proportional to activations
-        rather than to the whole backward graph.
-        """
-        self._retain_grad = True
-        return self
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
@@ -231,7 +219,7 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._is_leaf or node._retain_grad:
+            if node._is_leaf:
                 node._accumulate(g)
             if node._backward is not None:
                 _CURRENT_SINK.append(grads)

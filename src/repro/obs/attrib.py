@@ -1,17 +1,17 @@
 """Attribution: join spans + counters + the accel model.
 
 The repo *collects* everything — tracer spans (measured wall time),
-measured :class:`~repro.nn.counters.OpCounters` (ops and bytes), the
+measured :class:`~repro.nn.counters.OpCounters` (ops), the
 accelerator simulator's per-layer cycle/energy events — but none of it
 is joined.  This module is the join: one
 :class:`AttributionReport` per run, with a per-layer/per-kernel table
 of
 
 * **measured wall time** (total and self time),
-* **ops and bytes** (measured counters attached to leaf spans by
-  :func:`~repro.obs.instrument.instrument_model` with
-  ``counters=True``; every kernel records what it performs, so there
-  is no analytic fallback),
+* **ops and bytes** (measured counters and a ``bytes_io`` estimate
+  attached to leaf spans by :func:`~repro.obs.instrument.instrument_model`
+  with ``counters=True``; every kernel records what it performs, so
+  there is no analytic op-count fallback),
 * **arithmetic intensity** (FLOPs/byte) and **attained FLOP/s**, both
   from the measured counters — the ops-vs-bytes view that says which
   MLCNN lever (multiply elimination vs data-movement reuse) each layer
@@ -297,8 +297,6 @@ def _accumulate(
         if ops:
             row.ops = (row.ops or 0.0) + ops
     bytes_io = attrs.get("bytes_io")
-    if isinstance(counters, Mapping) and counters.get("dram_bytes"):
-        bytes_io = counters["dram_bytes"]
     if bytes_io:
         row.bytes_moved = (row.bytes_moved or 0.0) + float(bytes_io)
     kern = attrs.get("kernel")
@@ -425,7 +423,7 @@ class AttributionReport:
             f"{self.unexplained_us / 1e3:.3f} ms unexplained) "
             f"over root(s): {', '.join(self.roots) or 'none'}"
         )
-        sims = [r for r in self.rows if r.kind == "sim"]
+        sims = [r for r in self.rows if r.name.startswith("sim.layer.")]
         if sims:
             n_mem = sum(1 for r in sims if r.bound == "memory")
             rep.add_note(

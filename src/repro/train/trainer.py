@@ -7,51 +7,24 @@ vs reordered vs all-conv), pooling functions, and quantization levels.
 
 from __future__ import annotations
 
-import logging
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.nn import functional as F
 from repro.nn.layers import Module
-from repro.nn.optim import Adam, LRSchedule, Optimizer, SGD
+from repro.nn.optim import Adam, Optimizer, SGD
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs.numerics import NumericsCollector
 from repro.obs.tracer import get_tracer
 
-logger = logging.getLogger("repro.train")
-
-#: the one fallback handler this module ever attaches (see
-#: :func:`_ensure_train_logging`)
-_LOG_HANDLER: Optional[logging.Handler] = None
-
-
-def _ensure_train_logging() -> None:
-    """Give verbose training logs exactly one output, once per process.
-
-    If the application configured logging (handlers on the root logger
-    or on ``repro.train``), respect it and do nothing.  Otherwise
-    attach a single fallback ``StreamHandler`` and stop propagation —
-    guarded by a module-level sentinel so repeated ``fit()`` calls in
-    one process (tests, sweeps) never stack handlers or double-emit.
-    """
-    global _LOG_HANDLER
-    if _LOG_HANDLER is not None:
-        if _LOG_HANDLER in logger.handlers:
-            return
-        _LOG_HANDLER = None  # removed externally; re-evaluate
-    if logger.handlers or logging.getLogger().handlers:
-        return
-    handler = logging.StreamHandler()
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    logger.addHandler(handler)
-    if logger.level == logging.NOTSET:
-        logger.setLevel(logging.INFO)
-    logger.propagate = False
-    _LOG_HANDLER = handler
+#: SGD momentum of every fit
+MOMENTUM = 0.9
+#: weight decay of every fit (SGD and Adam)
+WEIGHT_DECAY = 1e-4
 
 
 @dataclass
@@ -61,14 +34,8 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     lr: float = 1e-2
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     optimizer: str = "sgd"  # "sgd" | "adam"
     seed: int = 0
-    #: stop early when validation top-1 has not improved for this many
-    #: epochs (0 disables early stopping)
-    patience: int = 0
-    verbose: bool = False
 
 
 @dataclass
@@ -78,8 +45,6 @@ class EpochStats:
     val_loss: float
     val_top1: float
     val_top5: float
-    #: wall time of the whole epoch (train loop + validation), seconds
-    wall_s: float = 0.0
     #: training throughput over the train loop only (excludes validation)
     samples_per_sec: float = 0.0
 
@@ -122,6 +87,11 @@ def evaluate(model: Module, dataset: ArrayDataset, batch_size: int = 128):
 class Trainer:
     """Fit a model on a dataset; records per-epoch statistics.
 
+    A fit runs every configured epoch and then restores the parameters
+    of the best-validation-top-1 epoch this trainer has run, in any of
+    its fits.  The per-epoch record is :attr:`history` and, with
+    tracing on (``--obs``), each ``train.epoch`` span's scalars.
+
     Each batch is cast to the model's parameter dtype (a no-op for the
     default float64; see :meth:`Module.to_dtype
     <repro.nn.layers.Module.to_dtype>`).  A fit holds one step's
@@ -146,14 +116,11 @@ class Trainer:
         train_set: ArrayDataset,
         val_set: ArrayDataset,
         config: Optional[TrainConfig] = None,
-        schedule_factory: Optional[Callable[[Optimizer], LRSchedule]] = None,
-        transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         numerics: Optional[NumericsCollector] = None,
     ) -> None:
         self.model = model
         self.train_set = train_set
         self.val_set = val_set
-        self.transform = transform
         self.numerics = numerics
         self.config = config or TrainConfig()
         cfg = self.config
@@ -161,22 +128,18 @@ class Trainer:
             self.optimizer: Optimizer = SGD(
                 model.parameters(),
                 lr=cfg.lr,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
+                momentum=MOMENTUM,
+                weight_decay=WEIGHT_DECAY,
             )
         elif cfg.optimizer == "adam":
-            self.optimizer = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+            self.optimizer = Adam(model.parameters(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
         else:
             raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
-        self.schedule = schedule_factory(self.optimizer) if schedule_factory else None
         self.history: List[EpochStats] = []
         self.best_top1 = 0.0
         self.best_state = None
 
     def fit(self) -> List[EpochStats]:
-        cfg = self.config
-        if cfg.verbose:
-            _ensure_train_logging()
         watch = self.numerics
         owns_watch = watch is not None and not watch.enabled
         if owns_watch:
@@ -200,11 +163,9 @@ class Trainer:
             batch_size=cfg.batch_size,
             shuffle=True,
             seed=cfg.seed,
-            transform=self.transform,
         )
         dtype = _param_dtype(self.model)
-        stale = 0
-        with tracer.span("train.fit", category="train", epochs=cfg.epochs) as fit_span:
+        with tracer.span("train.fit", category="train", epochs=cfg.epochs):
             for epoch in range(cfg.epochs):
                 with tracer.span(
                     "train.epoch", category="train", epoch=epoch
@@ -232,8 +193,6 @@ class Trainer:
                         total_loss += batch_loss * len(labels)
                         total_n += len(labels)
                     train_wall = time.perf_counter() - epoch_start
-                    if self.schedule is not None:
-                        self.schedule.step()
                     with tracer.span("train.evaluate", category="train"):
                         val_loss, top1, top5 = evaluate(
                             self.model, self.val_set, cfg.batch_size
@@ -244,7 +203,6 @@ class Trainer:
                         val_loss,
                         top1,
                         top5,
-                        wall_s=time.perf_counter() - epoch_start,
                         samples_per_sec=total_n / max(train_wall, 1e-12),
                     )
                     self.history.append(stats)
@@ -255,27 +213,9 @@ class Trainer:
                         val_top5=top5,
                         samples_per_sec=stats.samples_per_sec,
                     )
-                if cfg.verbose:
-                    logger.info(
-                        "epoch %3d  train_loss %.4f  val_loss %.4f  top1 %.3f  "
-                        "top5 %.3f  %.1f samples/s  (%.2fs)",
-                        epoch,
-                        stats.train_loss,
-                        val_loss,
-                        top1,
-                        top5,
-                        stats.samples_per_sec,
-                        stats.wall_s,
-                    )
                 if top1 > self.best_top1:
                     self.best_top1 = top1
                     self.best_state = self.model.state_dict()
-                    stale = 0
-                else:
-                    stale += 1
-                    if cfg.patience and stale >= cfg.patience:
-                        break
-            fit_span.set(epochs_run=len(self.history))
         if self.best_state is not None:
             self.model.load_state_dict(self.best_state)
         return self.history

@@ -1,7 +1,6 @@
-"""Sweep series and model checkpointing."""
+"""Sweep series."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.sweep import (
     addition_reduction_vs_kernel,
@@ -10,9 +9,6 @@ from repro.analysis.sweep import (
     lar_rate_vs_filter,
     speedup_vs_pool_size,
 )
-from repro.models import build_model
-from repro.nn import load_checkpoint, save_checkpoint
-from repro.nn.tensor import Tensor, no_grad
 
 
 class TestSweeps:
@@ -44,49 +40,6 @@ class TestSweeps:
         # larger kernels amortize preprocessing better
         assert red[0] <= red[-1] + 0.05
         assert (red > 0).all()
-
-
-class TestCheckpointing:
-    def test_roundtrip(self, tmp_path):
-        src = build_model("lenet5", seed=1)
-        dst = build_model("lenet5", seed=2)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(src, path)
-        load_checkpoint(dst, path)
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 32, 32)))
-        with no_grad():
-            np.testing.assert_array_equal(src(x).data, dst(x).data)
-
-    def test_includes_buffers(self, tmp_path):
-        from repro.nn import BatchNorm2d, Sequential
-
-        src = Sequential(BatchNorm2d(4))
-        src[0].running_mean[:] = 7.0
-        path = tmp_path / "bn.npz"
-        save_checkpoint(src, path)
-        dst = Sequential(BatchNorm2d(4))
-        load_checkpoint(dst, path)
-        assert (dst[0].running_mean == 7.0).all()
-
-    def test_shape_mismatch_raises(self, tmp_path):
-        src = build_model("lenet5", width_mult=1.0)
-        dst = build_model("lenet5", width_mult=0.5)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(src, path)
-        with pytest.raises((ValueError, KeyError)):
-            load_checkpoint(dst, path)
-
-    def test_version_guard(self, tmp_path):
-        import numpy as np
-
-        from repro.nn.serialization import FORMAT_KEY
-
-        src = build_model("lenet5")
-        path = tmp_path / "future.npz"
-        state = src.state_dict()
-        np.savez(path, **state, **{FORMAT_KEY: np.array(99)})
-        with pytest.raises(ValueError):
-            load_checkpoint(build_model("lenet5"), path)
 
 
 class TestOperatingPointSweeps:

@@ -139,11 +139,6 @@ class TestFusedConvPoolModule:
         with pytest.raises(ValueError):
             FusedConvPool(blk)
 
-    def test_rejects_batchnorm_block(self, rng):
-        blk = ConvBlock(1, 2, 3, pool=PoolSpec("avg", 2), order="pool_act", batchnorm=True, rng=rng)
-        with pytest.raises(ValueError):
-            FusedConvPool(blk)
-
     def test_trainable_through_fusion(self, rng):
         blk = ConvBlock(1, 2, 3, pool=PoolSpec("avg", 2), order="pool_act", rng=rng)
         fused = FusedConvPool(blk)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import SyntheticImageConfig, make_synth_cifar, synth_cifar10, synth_cifar100
+from repro.data import SyntheticImageConfig, make_synth_cifar, synth_cifar10
 
 
 class TestConfigValidation:
@@ -41,11 +41,6 @@ class TestGeneratedData:
         a = synth_cifar10(samples_per_class=4, image_size=16, seed=1)
         b = synth_cifar10(samples_per_class=4, image_size=16, seed=2)
         assert not np.allclose(a.images, b.images)
-
-    def test_cifar100_has_100_classes(self):
-        ds = synth_cifar100(samples_per_class=2, image_size=16)
-        assert ds.num_classes == 100
-        assert len(ds) == 200
 
     def test_classes_are_linearly_separable_enough(self):
         """A nearest-class-mean classifier must beat chance comfortably —

@@ -125,36 +125,6 @@ class TestFunctionalGradcheck:
             rng.normal(size=(2,)),
         )
 
-    def test_batch_norm_training(self, rng):
-        run_m = np.zeros(2)
-        run_v = np.ones(2)
-
-        def build(x, g, b):
-            return (
-                F.batch_norm2d(x, g, b, run_m.copy(), run_v.copy(), training=True) ** 2
-            ).sum()
-
-        check_grads(
-            build,
-            rng.normal(size=(3, 2, 4, 4)),
-            rng.uniform(0.5, 1.5, size=(2,)),
-            rng.normal(size=(2,)),
-        )
-
-    def test_batch_norm_eval(self, rng):
-        run_m = rng.normal(size=2)
-        run_v = rng.uniform(0.5, 2.0, size=2)
-
-        def build(x, g, b):
-            return F.batch_norm2d(x, g, b, run_m, run_v, training=False).sum()
-
-        check_grads(
-            build,
-            rng.normal(size=(2, 2, 3, 3)),
-            rng.uniform(0.5, 1.5, size=(2,)),
-            rng.normal(size=(2,)),
-        )
-
     def test_softmax(self, rng):
         weights = Tensor(rng.normal(size=(3, 4)))
         check_grads(lambda x: (F.softmax(x) * weights).sum(), rng.normal(size=(3, 4)))

@@ -1,4 +1,4 @@
-"""Leaf-only gradient accumulation and retain_grad()."""
+"""Leaf-only gradient accumulation."""
 
 import numpy as np
 
@@ -16,13 +16,6 @@ class TestLeafGradPolicy:
         y = x * 3
         (y * 2).backward(np.ones(1))
         assert y.grad is None
-        assert np.allclose(x.grad, 6.0)
-
-    def test_retain_grad_opts_in(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        y = (x * 3).retain_grad()
-        (y * 2).backward(np.ones(1))
-        assert np.allclose(y.grad, 2.0)
         assert np.allclose(x.grad, 6.0)
 
     def test_parameters_are_leaves(self):

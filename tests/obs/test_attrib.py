@@ -259,12 +259,6 @@ class TestCountersJoin:
         rep = build_attribution([ev])
         assert rep.row("k").ops == pytest.approx(150.0)
 
-    def test_dram_bytes_counter_overrides_bytes_io(self):
-        """A kernel that counts its own DRAM traffic is charged that,
-        not the array-size estimate."""
-        ev = span("k", 0, 10, id=0, counters={"mults": 8, "dram_bytes": 64}, bytes_io=1000.0)
-        assert build_attribution([ev]).row("k").bytes_moved == pytest.approx(64.0)
-
     def test_kernels_of_one_row_are_joined(self):
         same = [span("k", 0, 10, id=0, kernel="fused-f64"),
                 span("k", 20, 10, id=1, kernel="fused-f64")]
@@ -303,6 +297,25 @@ class TestCountersJoin:
         assert row.ops == pytest.approx(200.0)
         assert row.cycles == pytest.approx(1234)
         assert row.bound == "memory"  # the accel model's own verdict
+
+    def test_note_counts_simulated_layers_not_the_network_span(self):
+        """The accel note counts the ``sim.layer`` rows only: the
+        ``sim.network`` span around them is a row of kind ``sim`` too,
+        but it is no layer and carries no bound."""
+        layers = [
+            {
+                "type": "instant", "name": "sim.layer", "ts_us": 10 + i, "dur_us": None,
+                "tid": 1, "id": 1 + i, "parent": 0, "cat": "accel",
+                "attrs": {"layer": f"C{1 + i}", "cycles": 100, "bound": bound},
+            }
+            for i, bound in enumerate(("memory", "compute", "compute"))
+        ]
+        rep = build_attribution([span("sim.network", 0, 100, id=0, cat="accel"), *layers])
+        assert rep.row("sim.network").kind == "sim"
+        assert (
+            "accel model: 3 simulated layer(s), 1 memory-bound / 2 compute-bound"
+            in rep.to_experiment_report().notes
+        )
 
     def test_report_round_trips_through_jsonl(self, tmp_path):
         rep = build_attribution([span("k", 0, 10, id=0, counters={"mults": 8}, bytes_io=4.0)])

@@ -1,11 +1,11 @@
-"""Measured counters: reuse accounting, simulator memory events, coverage.
+"""Measured counters: reuse accounting, field coverage, determinism.
 
 Every kernel's measured ``mults``, ``mults_eliminated`` and LAR/GAR
 additions are checked against the closed-form :mod:`repro.core.opcount`
 predictions, exactly, on every case of the shared grid that a
 ``LayerSpec`` describes, by ``tests/core/test_oracle.py``.  The checks
-here cover what the oracle's rows do not record: reuse hits, the
-simulator's memory counters and the recorder itself.
+here cover what the oracle's rows do not record: reuse hits and the
+recorder itself.
 """
 
 from dataclasses import fields
@@ -13,10 +13,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.accel import get_config
-from repro.accel.simulator import simulate_network
 from repro.core.fusion import fused_conv_pool_counted
-from repro.models.specs import LayerSpec, get_specs
+from repro.models.specs import LayerSpec
 from repro.obs import OpCounters, collect_counters
 
 
@@ -56,30 +54,15 @@ def test_reuse_hits_account_for_avoided_additions(spec):
     assert with_reuse.gar_reuse_hits > 0
 
 
-def test_simulator_memory_counters_match_results():
-    """Simulator-side counters: DRAM bytes and buffer accesses recorded
-    during a run equal the per-layer attribution it returns."""
-    from repro.models import specs as model_specs
-
-    layer_specs = model_specs.get_specs("lenet5")
-    with collect_counters() as oc:
-        res = simulate_network(layer_specs, get_config("mlcnn-fp32"))
-    assert oc.dram_bytes == pytest.approx(sum(l.dram_bytes for l in res.layers), rel=1e-12)
-    assert oc.buffer_accesses == pytest.approx(
-        sum(l.buffer_accesses for l in res.layers), rel=1e-12
-    )
-
-
 def test_every_counter_field_is_recorded():
     """Each field has a recorder on a path users run: one collection over
     a fused layer whose kernel exceeds its pool (so LAR and GAR both hit)
-    and a simulated network leaves no field at zero."""
+    leaves no field at zero."""
     spec = CASES[0]
     assert spec.kernel > spec.pool
     x, w, b = _workload(spec)
     with collect_counters() as oc:
         fused_conv_pool_counted(x, w, b, pool=spec.pool)
-        simulate_network(get_specs("lenet5"), get_config("mlcnn-fp32"))
     never_recorded = [f.name for f in fields(OpCounters) if getattr(oc, f.name) == 0]
     assert not never_recorded, never_recorded
 

@@ -27,9 +27,9 @@ class TestCounters:
         rec = get_recorder()
         with collect_counters() as oc:
             assert rec.enabled
-            rec.record(mults=3, dram_bytes=1.5)
+            rec.record(mults=3, half_additions=2)
         assert not rec.enabled
-        assert oc.mults == 3 and oc.dram_bytes == 1.5
+        assert oc.mults == 3 and oc.half_additions == 2
         rec.record(mults=99)
         assert oc.mults == 3  # closed scope no longer receives
 
