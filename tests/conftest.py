@@ -7,6 +7,10 @@ import pytest
 
 from repro.data import SyntheticImageConfig, make_synth_cifar, train_val_split
 
+#: a width at which each zoo model builds and runs quickly at 32 px
+ZOO_WIDTH = {"alexnet": 0.25, "lenet5": 1.0, "vgg16": 0.125, "vgg19": 0.125,
+             "googlenet": 0.0625, "densenet": 0.5, "resnet18": 0.125}
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -60,3 +64,23 @@ def numeric_gradient(f, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[i] = old
         gflat[i] = (fp - fm) / (2.0 * eps)
     return grad
+
+
+def reference_epilogue(y, activation, pool, order):
+    """``ConvBlock``'s activation and pool after its convolution ``y``,
+    composed directly from :mod:`repro.nn.functional`.
+
+    ``pool`` is ``None`` or a ``(kind, kernel, stride)`` triple.
+    """
+    from repro.nn import functional as F
+
+    act = {"relu": F.relu, "sigmoid": F.sigmoid, "tanh": F.tanh, "none": lambda t: t}[
+        activation
+    ]
+    if pool is None:
+        return act(y)
+    kind, kernel, stride = pool
+    pool_op = F.avg_pool2d if kind == "avg" else F.max_pool2d
+    if order == "act_pool":
+        return pool_op(act(y), kernel, stride)
+    return act(pool_op(y, kernel, stride))

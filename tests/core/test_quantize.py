@@ -15,8 +15,11 @@ from repro.core.quantize import (
     ste_quantize_weights,
 )
 from repro.models import build_model
-from repro.models.blocks import ConvBlock, PoolSpec
+from repro.models.blocks import ACTIVATIONS, ORDERS, ConvBlock, PoolSpec
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad
+
+from tests.conftest import reference_epilogue
 
 
 @pytest.fixture
@@ -183,3 +186,34 @@ class TestQuantizedModel:
         with no_grad():
             out = q(x)
         assert (out.data >= 0).all()  # relu applied after pool
+
+
+class TestQuantizedEpilogue:
+    """``QuantizedConvBlock`` convolves the quantized input with the
+    quantized weight (Eqs. 8-9) and then runs the wrapped block's own
+    epilogue, for every activation, pool and order."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("pool", [None, ("avg", 2, 2), ("max", 2, 2)],
+                             ids=["none", "avg2", "max2"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_forward_matches_quantized_conv_then_epilogue(
+        self, activation, pool, order, rng
+    ):
+        blk = ConvBlock(
+            2, 3, 3, padding=1, activation=activation,
+            pool=PoolSpec(*pool) if pool else None, order=order, rng=rng,
+        )
+        q = QuantizedConvBlock(blk, QuantConfig(4, 4))
+        x = rng.normal(size=(2, 2, 8, 8))
+        with no_grad():
+            got = q(Tensor(x)).data
+            y = F.conv2d(
+                Tensor(quantize_activations(x, 4)),
+                Tensor(quantize_weights(blk.conv.weight.data, 4)),
+                blk.conv.bias,
+                blk.conv.stride,
+                blk.conv.padding,
+            )
+            want = reference_epilogue(y, activation, pool, order).data
+        np.testing.assert_array_equal(got, want)
