@@ -275,10 +275,12 @@ def mlcnn_pipeline(bits: int = 0, strict: bool = True, lower_bits: int = 64) -> 
 
     ``set-pooling(avg)`` -> ``reorder`` -> ``fuse(strict)``
     [-> ``quantize(bits)``] [-> ``lower``].  ``bits=0`` quantizes
-    nothing.  ``lower_bits=32`` appends the ``lower`` pass, which binds
-    the fp32 NHWC kernel to every non-overlapping fused layer and
-    stride-1 conv (inexact vs the f64 probe); at the default 64 the
-    fused layers run their own float64 forward.
+    nothing.  ``lower_bits=32`` appends the ``lower`` pass, which casts
+    the model to float32 and binds the fp32 NHWC kernel to every
+    non-overlapping fused layer and stride-1 conv (inexact vs the f64
+    probe); every other layer then runs its own forward in float32.  At
+    the default 64 the model stays float64 and every layer runs its own
+    float64 forward.
 
     For average pooling the reorder changes outputs slightly (Jensen),
     so a model trained in the original order should be fine-tuned after

@@ -158,8 +158,9 @@ class FusedConvPool(Module):
     Shares the parameters of the original block (no copy), so a fused
     network stays in sync with the original weights.
 
-    Forwards run the vectorized float64 :func:`fused_conv_pool`.  The
-    lowering pass may :meth:`attach_kernel` the fp32
+    Forwards run the vectorized :func:`fused_conv_pool` in the
+    parameters' dtype.  The lowering pass casts the parameters to
+    float32 and may :meth:`attach_kernel` the fp32
     :class:`~repro.core.kernels.nhwc.F32NHWCKernel`; it then serves
     gradient-free (inference) forwards, while training forwards keep
     the autograd path on the shared parameters.

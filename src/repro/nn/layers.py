@@ -88,7 +88,9 @@ class Module:
         dtype; a direct caller must cast its own inputs, since NumPy
         promotes mixed-precision ops to the wider type.  Python scalars
         in the graph, full reductions (so the loss) and dropout masks
-        follow the tensor's dtype.
+        follow the tensor's dtype.  The compiler's ``lower`` pass
+        (``mlcnn_pipeline(lower_bits=32)``) calls it with ``np.float32``
+        before it binds any kernel; a bound kernel casts its own input.
         """
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"only float32/float64 are supported, got {dtype}")

@@ -6,8 +6,13 @@ case) to every stride-1 conv whose own forward runs, and reports that
 plan; the default pipeline binds nothing.  The plan cache keys on the
 pipeline spec, so a 64-bit compilation can never serve a 32-bit one.
 Consecutive lowered layers hand each other channels-last float32 memory
-without a copy, and no output aliases a kernel workspace.
+without a copy, and no output aliases a kernel workspace.  The pass casts
+the model to float32 before the first fold, so a lowered model is float32
+from its weights to its logits and never holds its float64 weights beside
+its folds.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +28,14 @@ from repro.compiler import (
 from repro.core.fusion import FusedConvPool
 from repro.core.kernels import F32NHWCKernel
 from repro.core.quantize import QuantizedConvBlock
-from repro.models import build_model
+from repro.models import MODEL_REGISTRY, build_model
 from repro.models.blocks import ConvBlock, PoolSpec
 from repro.nn.layers import Conv2d, Flatten, Linear, Sequential
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs import collect_counters
+
+from tests.conftest import ZOO_WIDTH, reference_like
+from tests.nn.test_dtype import _record_dtypes
 
 #: the end-to-end inference bound: max |y - ref| <= RTOL * max |ref|
 RTOL = 1e-4
@@ -63,10 +71,15 @@ def _assert_detached_output_close(model, x, lowered_out):
     assert float(np.max(np.abs(lowered_out - ref))) <= RTOL * float(np.max(np.abs(ref)))
 
 
+def _dtypes(model):
+    return {p.data.dtype for p in model.parameters()}
+
+
 class TestLoweringAttachment:
     def test_default_pipeline_binds_no_kernel(self):
         model, report = mlcnn_pipeline().run(build_model("lenet5"))
         assert lowered_kernels(model) == []
+        assert _dtypes(model) == {np.dtype(np.float64)}
         with pytest.raises(KeyError):
             report.record_for("lower")
 
@@ -130,6 +143,62 @@ class TestPlanCacheReplay:
         with no_grad():
             cached_out = model(x32).data
         _assert_detached_output_close(model, x32, cached_out)
+
+    def test_replay_casts_to_float32(self):
+        mlcnn_pipeline(lower_bits=32).run(build_model("lenet5", seed=1))
+        model, report = mlcnn_pipeline(lower_bits=32).run(build_model("lenet5", seed=2))
+        assert report.cached
+        assert _dtypes(model) == {np.dtype(np.float32)}
+
+
+class TestFloat32Model:
+    """``lower`` casts the whole model, so every layer computes in float32,
+    those the kernel does not compute included."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_lowered_zoo_model_is_float32_from_weights_to_logits(self, name):
+        model, _ = mlcnn_pipeline(strict=False, lower_bits=32).run(
+            build_model(name, width_mult=ZOO_WIDTH[name], seed=0)
+        )
+        model.eval()
+        assert _dtypes(model) == {np.dtype(np.float32)}
+        seen = _record_dtypes(model)
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 32, 32)))
+        with no_grad():
+            y = model(x).data
+        assert ("<root>", "output", np.dtype(np.float32)) in seen
+        assert sorted(s for s in seen if s[2] != np.float32) == []
+        with no_grad():
+            ref = reference_like(model, name, ZOO_WIDTH[name])(x).data
+        assert float(np.max(np.abs(y - ref))) <= RTOL * float(np.max(np.abs(ref)))
+
+    def test_cast_comes_before_the_first_fold(self):
+        """Building full-width vgg16, compiling it and one batch-1 forward
+        never hold the float64 weights beside more than half the folds.
+
+        The traced peak is 126 MiB when the pass casts, against a 140.4
+        MiB bound; without the cast it is 179 MiB (float64 weights beside
+        every fold), and with the same cast after the compile 235 MiB
+        (the fold caches keep the float64 arrays alive beside the float32
+        ones until the next fold)."""
+        tracemalloc.start()
+        try:
+            model = build_model("vgg16")
+            model, _ = mlcnn_pipeline(lower_bits=32).run(model)
+            with no_grad():
+                model(Tensor(np.random.default_rng(0).standard_normal((1, 3, 32, 32))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = model.num_parameters()
+        modules = dict(model.named_modules())
+        fold_bytes = sum(
+            kernel.folded(modules[path].weight, modules[path].bias).nbytes
+            for path, kernel in lowered_kernels(model)
+        )
+        bound = 8 * n + fold_bytes / 2
+        assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB >= {bound / 2**20:.1f}"
+        assert sum(p.data.nbytes for p in model.parameters()) == 4 * n
 
 
 class TestPlanCacheInvalidation:

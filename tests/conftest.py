@@ -66,6 +66,22 @@ def numeric_gradient(f, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def reference_like(model, name="lenet5", width_mult=1.0):
+    """The uncompiled float64 zoo model ``name`` (seed 0, set to average
+    pooling and reordered, as the MLCNN compile leaves it) carrying
+    ``model``'s current weights."""
+    from repro import build_model, reorder_activation_pooling, set_pooling
+
+    ref = build_model(name, width_mult=width_mult, seed=0)
+    ref = reorder_activation_pooling(set_pooling(ref, "avg")).eval()
+    pairs = list(zip(ref.parameters(), model.parameters()))
+    assert len(pairs) == len(model.parameters())
+    for pr, pm in pairs:
+        assert pr.shape == pm.shape
+        pr.data = pm.data.astype(np.float64)
+    return ref
+
+
 def reference_epilogue(y, activation, pool, order):
     """``ConvBlock``'s activation and pool after its convolution ``y``,
     composed directly from :mod:`repro.nn.functional`.

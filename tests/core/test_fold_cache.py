@@ -17,7 +17,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import build_model, mlcnn_pipeline, reorder_activation_pooling, set_pooling
+from repro import build_model, mlcnn_pipeline
 from repro.compiler import clear_plan_cache, lowered_kernels
 from repro.core.kernels import F32NHWCKernel
 from repro.core.kernels.nhwc import WEIGHT_MAJOR_MIN_FOLD
@@ -26,6 +26,8 @@ from repro.nn import functional as F
 from repro.nn.layers import Conv2d
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor, no_grad
+
+from tests.conftest import reference_like
 
 #: the end-to-end inference bound: max |y - ref| <= RTOL * max |ref|
 RTOL = 1e-4
@@ -105,17 +107,6 @@ def _bound(model):
     return [modules[path] for path, _ in lowered_kernels(model)]
 
 
-def _reference_like(model):
-    """The uncompiled float64 lenet5 carrying ``model``'s current weights."""
-    ref = reorder_activation_pooling(set_pooling(build_model("lenet5", seed=0), "avg")).eval()
-    pairs = list(zip(ref.parameters(), model.parameters()))
-    assert len(pairs) == len(model.parameters())
-    for pr, pm in pairs:
-        assert pr.shape == pm.shape
-        pr.data = pm.data.astype(np.float64)
-    return ref
-
-
 X = np.random.default_rng(7).standard_normal((4, 3, 32, 32))
 
 
@@ -127,7 +118,7 @@ def _infer(model, x=X):
 def _assert_current(model):
     """The compiled output matches the f64 model with the same weights."""
     y = _infer(model)
-    ref = _infer(_reference_like(model))
+    ref = _infer(reference_like(model))
     bound = RTOL * float(np.max(np.abs(ref)))
     assert float(np.max(np.abs(y - ref))) <= bound
     return y

@@ -91,16 +91,27 @@ class TestZooToDtype:
         np.testing.assert_allclose(y32, y64, rtol=1e-3, atol=1e-3)
 
 
+def _cast(build):
+    return lambda: build().to_dtype(np.float32)
+
+
+#: float32 models to fit: each cast with ``to_dtype``, except the lowered
+#: lenet5, which the ``lower`` pass casts
 FLOAT32_FIT_MODELS = {
-    "lenet5": lambda: build_model("lenet5", num_classes=4),
-    "lenet5-compiled": lambda: mlcnn_pipeline().run(build_model("lenet5", num_classes=4))[0],
-    "alexnet": lambda: build_model("alexnet", num_classes=4, width_mult=0.125),
-    "vgg16-dropout": lambda: build_model(
-        "vgg16", num_classes=4, width_mult=0.125, dropout=0.5
+    "lenet5": _cast(lambda: build_model("lenet5", num_classes=4)),
+    "lenet5-compiled": _cast(
+        lambda: mlcnn_pipeline().run(build_model("lenet5", num_classes=4))[0]
     ),
-    "googlenet": lambda: build_model("googlenet", num_classes=4, width_mult=0.125),
-    "densenet": lambda: build_model("densenet", num_classes=4, width_mult=0.125),
-    "resnet18": lambda: build_model("resnet18", num_classes=4, width_mult=0.125),
+    "lenet5-lowered": lambda: mlcnn_pipeline(lower_bits=32).run(
+        build_model("lenet5", num_classes=4)
+    )[0],
+    "alexnet": _cast(lambda: build_model("alexnet", num_classes=4, width_mult=0.125)),
+    "vgg16-dropout": _cast(
+        lambda: build_model("vgg16", num_classes=4, width_mult=0.125, dropout=0.5)
+    ),
+    "googlenet": _cast(lambda: build_model("googlenet", num_classes=4, width_mult=0.125)),
+    "densenet": _cast(lambda: build_model("densenet", num_classes=4, width_mult=0.125)),
+    "resnet18": _cast(lambda: build_model("resnet18", num_classes=4, width_mult=0.125)),
 }
 
 
@@ -131,12 +142,13 @@ class TestFloat32Fit:
     @pytest.mark.parametrize("name", sorted(FLOAT32_FIT_MODELS))
     def test_fit_computes_in_float32(self, name):
         """The Trainer casts the loader's float64 batches, and scalars,
-        pooling means, the loss and dropout masks stay float32."""
+        pooling means, the loss and dropout masks stay float32; a
+        lowered model's validation forwards run its fp32 kernels."""
         data = make_synth_cifar(
             SyntheticImageConfig(num_classes=4, samples_per_class=4, max_shift=2, seed=7)
         )
         train_set, val_set = train_val_split(data, val_fraction=0.25, seed=7)
-        model = FLOAT32_FIT_MODELS[name]().to_dtype(np.float32)
+        model = FLOAT32_FIT_MODELS[name]()
         seen = _record_dtypes(model)
         trainer = Trainer(
             model, train_set, val_set,
