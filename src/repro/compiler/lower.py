@@ -1,25 +1,28 @@
-"""The lowering stage: cast the model to float32 and bind the fp32 NHWC
-kernel to conv layers.
+"""The lowering stage: cast the model to float32, bind the fp32 NHWC
+kernel to conv layers and move their parameters into its fold.
 
 :class:`LowerFusedKernelPass` runs at the end of the MLCNN pipeline
 when ``mlcnn_pipeline(lower_bits=32)`` asks for it.  It first casts
 every parameter to float32 (:meth:`~repro.nn.layers.Module.to_dtype`),
 so a lowered model is float32 from its weights to its logits, as the
-accelerator's ``mlcnn-fp32`` configuration is.  The cast comes before
-any fold exists: the pipeline's probe forward after the pass builds the
-first folds, so each float64 array is freed before its fold is built.
-A fold rounds each weight to float32 anyway, so it is bit-identical to
-one built from the float64 weights.  The pass then binds a
+accelerator's ``mlcnn-fp32`` configuration is.  The pass then binds a
 :class:`~repro.core.kernels.nhwc.F32NHWCKernel` to every layer the
 kernel computes: ``F32NHWCKernel(pool)`` to every
 :class:`~repro.core.fusion.FusedConvPool` whose pool stride equals its
 pool, and ``F32NHWCKernel(1)`` to every stride-1
 :class:`~repro.nn.layers.Conv2d` with a square kernel and square
 padding (a plain convolution is the fused operator with a 1x1 pool).
+Each layer's weights are then re-laid into its kernel's fold, in the
+order the GEMM reads them, and the layer's ``weight.data`` and
+``bias.data`` become views of the fold
+(:meth:`~repro.core.kernels.nhwc.F32NHWCKernel.folded`): a lowered
+model stores each weight once, in float32, and every in-place write to
+a parameter reaches the kernel.  Each layer's float32 copy is freed as
+its fold is built, and the float64 arrays before any fold exists.
 Gradient-free forwards of those modules then run the kernel, while
-training forwards keep the autograd path.  Only layers whose own
-forward runs are bound: a module that inlines its children's
-computation (``_numerics_leaf``, e.g.
+training forwards keep the autograd path on the same parameters.  Only
+layers whose own forward runs are bound: a module that inlines its
+children's computation (``_numerics_leaf``, e.g.
 :class:`~repro.core.quantize.QuantizedConvBlock`) hides its subtree.
 Every other layer (FC layers, overlapping pools, strided convs,
 quantized blocks) runs the module's own forward in float32; every layer
@@ -78,7 +81,8 @@ def _lowerable(module: Module, prefix: str = "") -> Iterator[Tuple[str, Module]]
 
 class LowerFusedKernelPass(Pass):
     """Cast the model to float32, then bind the fp32 NHWC kernel to
-    non-overlapping fused layers and stride-1 convs."""
+    non-overlapping fused layers and stride-1 convs, whose parameters
+    become views of its fold."""
 
     name = "lower"
     preserves_params = True
@@ -89,12 +93,12 @@ class LowerFusedKernelPass(Pass):
         return any(True for _ in _lowerable(model))
 
     def run(self, model: Module, ctx: CompileContext) -> PassResult:
-        # here, not after the compile: the post-pass probe builds the first folds
         model.to_dtype(np.float32)
         plan = {}
         for path, mod in _lowerable(model):
             kernel = F32NHWCKernel(mod.lowering_pool)
             mod.attach_kernel(kernel)
+            kernel.folded(mod.weight, mod.bias)  # the parameters move into the fold
             plan[path] = kernel.name
         event("compile.plan", category="compiler", kernels=dict(plan))
         return PassResult(self.name, len(plan), {"kernels": plan})

@@ -42,7 +42,11 @@ class Pass(ABC):
 
     @abstractmethod
     def run(self, model: Module, ctx: CompileContext) -> PassResult:
-        """Apply the rewrite; report how many sites were rewritten."""
+        """Apply the rewrite; report how many sites were rewritten.
+
+        A pass reporting 0 rewrites must leave the model as it was: the
+        pipeline carries the previous probe forward instead of probing.
+        """
 
     def signature(self) -> str:
         """Stable spec string (name + settings) used in plan-cache keys."""

@@ -11,7 +11,9 @@
   pass after which the probe forward raises, where it ran before, broke
   the model; each violation raises :class:`PassValidationError`.  Every
   pass gets its MAC (FLOP) delta measured via
-  :func:`repro.analysis.flops.probe_forward`.
+  :func:`repro.analysis.flops.probe_forward`.  A pass that reports 0
+  rewrites changed nothing, so its probe is skipped: the previous
+  output and MAC count carry forward, and the report notes the skip.
 * **instrumentation** — per-pass wall time, rewrite counts, parameter
   and MAC before/after, and the max probe deviation, all recorded as
   :class:`PassRecord` rows consumable by
@@ -222,7 +224,10 @@ class Pipeline:
                             f"pass {p.name!r} declares parameter invariance but changed "
                             f"num_parameters from {params_before} to {record.params_after}"
                         )
-                    if out_before is not None:
+                    if out_before is not None and not result.rewrites:
+                        record.macs_after = macs_before
+                        report.notes.append(f"{p.name}: 0 rewrites, probe skipped")
+                    elif out_before is not None:
                         try:
                             out_after, record.macs_after = _probe(model, ctx)
                         except Exception as exc:

@@ -165,11 +165,11 @@ class FusedConvPool(Module):
     gradient-free (inference) forwards, while training forwards keep
     the autograd path on the shared parameters.
 
-    The bound kernel gets its weight operand from its own
-    :meth:`~repro.core.kernels.nhwc.F32NHWCKernel.folded` cache, keyed
-    on the identity and ``_version`` of the weight and bias data: it is
-    re-folded only after a rebind of ``.data`` or an in-place write that
-    called :meth:`~repro.nn.tensor.Tensor.bump_version`.
+    A bound kernel's weight operand is its fold, and the parameters
+    live in it: :meth:`~repro.core.kernels.nhwc.F32NHWCKernel.folded`
+    rebinds ``weight.data`` and ``bias.data`` to views of the fold, so
+    every in-place write to them reaches the next inference forward.
+    It re-folds only after a parameter's ``.data`` is rebound.
     """
 
     def __init__(self, conv_block) -> None:

@@ -23,8 +23,11 @@ channels-last layout in which every memory stage is contiguous:
   input itself, so patches are gathered straight from the input, or
   from the zero-padded workspace when there is padding.
 * **bias folded into the GEMM** — the patch matrix carries a constant
-  ones column and the weight matrix a bias row, so bias addition costs
-  nothing extra; the ``1/p^2`` scaling is folded into the weights.
+  column and the weight matrix a bias row, so bias addition costs
+  nothing extra.  The column holds ``p^2`` and the product is scaled by
+  ``1/p^2`` before the activation; a power-of-two scale commutes with
+  rounding, so for pools 2, 4 and 8 this equals scaling the weights,
+  bit for bit, and the weight rows stay the unscaled parameters.
 * **GEMM orientation per call** — :func:`weight_major` picks it from
   the call's patch rows and fold size.  Most calls run row-major,
   ``cols (rows, C*K*K+1) @ wmat``.  A few rows against a large fold
@@ -46,21 +49,27 @@ channels-last layout in which every memory stage is contiguous:
   without padding, whose source is the input itself, builds its window
   per call.
 
-Folding the weights — cast to the gather order, scale and append the
-bias row — is a separate step, :meth:`F32NHWCKernel.fold`.  It moves
-the whole (M, C, K, K) tensor (3-4 ms for a 512x512x3x3 layer on a
-2-core x86 VM, against about a millisecond for its batch-1 GEMM), so
-callers that run the same weights repeatedly fold once and pass the
-result as ``wmat=``.  The fold is the logical ``(C*K*K+1, M)`` operand
-in one layout, picked by its size: a large fold, the only kind a call
-runs weight-major, is the transpose view of a C-contiguous
-``(M, C*K*K+1)`` array, the layout that product streams; a smaller one
-is C-contiguous, the faster layout for the row-major product.
-:meth:`F32NHWCKernel.folded` is that cache for the module the kernel is
-bound to (one kernel per module): it re-folds only when a parameter's
-data object or version changes, whatever the calls' batch sizes.
-Pickles and copies of the kernel drop it and the plans, both derived
-state.  Called without ``wmat``, the kernel folds on every call.
+Folding the weights — cast to the gather order and append the bias
+row — is a separate step, :meth:`F32NHWCKernel.fold`.  It moves the
+whole (M, C, K, K) tensor (3-4 ms for a 512x512x3x3 layer on a 2-core
+x86 VM, against about a millisecond for its batch-1 GEMM), so callers
+that run the same weights repeatedly fold once and pass the result as
+``wmat=``.  The fold is the logical ``(C*K*K+1, M)`` operand in one
+layout, picked by its size: a large fold, the only kind a call runs
+weight-major, is the transpose view of a C-contiguous ``(M, C*K*K+1)``
+array, the layout that product streams; a smaller one is C-contiguous,
+the faster layout for the row-major product.
+
+A lowered layer's parameters live in its fold.
+:meth:`F32NHWCKernel.folded` folds the bound module's weight and bias
+once and rebinds their ``.data`` to views of the fold
+(:func:`fold_views`), so the fold is the parameters' only storage and
+every in-place write to them (an optimizer step, ``load_state_dict``,
+pruning) is a write to the GEMM operand.  It re-folds only when a
+parameter's ``.data`` is no longer the view it made: after a rebind
+(``to_dtype`` included), and in a pickled or copied kernel, which drops
+the fold and the plans, both derived state.  Called without ``wmat``,
+the kernel folds on every call.
 
 Accuracy: outputs deviate from the float64 reference by single-
 precision round-off (measured max ~3e-5 on the benchmark workload;
@@ -77,7 +86,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.core.kernels.fused import record_rme_counters
 
-__all__ = ["F32NHWCKernel", "weight_major"]
+__all__ = ["F32NHWCKernel", "fold_views", "weight_major"]
 
 #: A fold of at least this many floats (2 MiB) is stored weight-major ...
 WEIGHT_MAJOR_MIN_FOLD = 1 << 19
@@ -91,6 +100,19 @@ def weight_major(rows: int, fold_size: int) -> bool:
     """Whether ``rows`` patch rows against a fold of ``fold_size`` floats,
     ``(C*K*K + 1) * M``, run the weight-major product."""
     return rows <= WEIGHT_MAJOR_MAX_ROWS and fold_size >= WEIGHT_MAJOR_MIN_FOLD
+
+
+def fold_views(wmat: np.ndarray, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(M, C, K, K)`` weight and ``(M,)`` bias views of a fold of a
+    ``shape`` weight, in either of its layouts.
+
+    Writing through them writes the fold: they are how a lowered layer's
+    parameters live in it.
+    """
+    m, c, k, _ = shape
+    wt = wmat.T  # (M, C*K*K + 1): C-contiguous for a large fold
+    weight = wt[:, : c * k * k].reshape(m, k, k, c).transpose(0, 3, 1, 2)
+    return weight, wt[:, c * k * k]
 
 
 class _Batch(NamedTuple):
@@ -123,7 +145,8 @@ class _Plan:
       ``tmp`` (its pad rows, and its outer ``pad - 1`` columns): a call
       writes only their interiors, so the zeros written at allocation
       hold for every image of the capacity;
-    * the ones column of ``cols`` is set once, for the whole capacity;
+    * the constant column of ``cols``, which holds ``pool**2``, is set
+      once, for the whole capacity;
     * the GEMM reads only ``cols[:n*Po*Qo]``: the rows past it hold an
       earlier, larger batch's patches.
     """
@@ -155,9 +178,9 @@ class _Plan:
                 self.xpad = np.zeros((n, hp, wp, c), dtype=f32)
                 self.tmp = np.empty((n, hp, self.wa, c), dtype=f32)
             self.acc = np.empty((n, self.ha, self.wa, c), dtype=f32)
-        # patch matrix with a trailing ones column (bias folded into GEMM)
+        # patch matrix with a trailing p^2 column (bias folded into GEMM)
         self.cols = np.empty((n * self.po * self.qo, self.ck + 1), dtype=f32)
-        self.cols[:, self.ck] = 1.0
+        self.cols[:, self.ck] = pool * pool
         self._batches: Dict[int, _Batch] = {}
 
     def batch(self, n: int) -> _Batch:
@@ -207,7 +230,7 @@ class F32NHWCKernel:
             raise ValueError(f"pool must be >= 1, got {pool}")
         self.pool = pool
         self._plans: Dict[Tuple, _Plan] = {}
-        self._folded = None  # (weight data, version, bias data, version, wmat)
+        self._folded = None  # (weight view, bias view, wmat)
         #: ``"row-major"`` or ``"weight-major"``: the product of the latest
         #: call, ``None`` before one
         self.orientation: Optional[str] = None
@@ -218,10 +241,11 @@ class F32NHWCKernel:
         return "conv-f32-nhwc" if self.pool == 1 else "fused-f32-nhwc"
 
     def __getstate__(self):
-        # the folded operand and the plans are derived state: pickles and
-        # deep copies rebuild them on first use.  A copied plan would also
-        # hold a detached copy of its gather view, not a view of its own
-        # workspace.
+        # the fold and the plans are not copied: the module's parameters
+        # carry the weights (their views copy as plain arrays), and pickles
+        # and deep copies fold them back in and re-plan on first use.  A
+        # copied plan would also hold a detached copy of its gather view,
+        # not a view of its own workspace.
         state = self.__dict__.copy()
         state["_folded"] = None
         state["_plans"] = {}
@@ -246,13 +270,12 @@ class F32NHWCKernel:
     def fold(self, weight: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
         """The (C*K*K + 1, M) float32 GEMM operand for ``weight``/``bias``.
 
-        Rows follow the patch gather order (ki, kj, c), the ``1/p^2``
-        pool scaling is folded in, and the last row is the bias (zero
-        without one), multiplying the patch matrix's ones column.  A
-        fold of at least :data:`WEIGHT_MAJOR_MIN_FOLD` floats is the
-        transpose view of a C-contiguous (M, C*K*K + 1) array; a smaller
-        one is C-contiguous.  ``weight`` must be a square (M, C, K, K)
-        kernel.
+        Rows follow the patch gather order (ki, kj, c), unscaled, and the
+        last row is the bias (zero without one), multiplying the patch
+        matrix's ``p^2`` column.  A fold of at least
+        :data:`WEIGHT_MAJOR_MIN_FOLD` floats is the transpose view of a
+        C-contiguous (M, C*K*K + 1) array; a smaller one is C-contiguous.
+        ``weight`` must be a square (M, C, K, K) kernel.
         """
         m, c, k, kw = weight.shape
         if k != kw:
@@ -260,34 +283,33 @@ class F32NHWCKernel:
         ck = c * k * k
         # cast straight into gather order: a large fold needs no transposing pass
         wt = np.empty((m, ck + 1), dtype=np.float32)
-        rows = wt[:, :ck]
-        np.copyto(rows.reshape(m, k, k, c), weight.transpose(0, 2, 3, 1))
-        if self.pool > 1:
-            rows *= np.float32(1.0 / (self.pool ** 2))
+        np.copyto(wt[:, :ck].reshape(m, k, k, c), weight.transpose(0, 2, 3, 1))
         wt[:, ck] = 0.0 if bias is None else bias
         return wt.T if wt.size >= WEIGHT_MAJOR_MIN_FOLD else np.ascontiguousarray(wt.T)
 
     def folded(self, weight, bias=None) -> np.ndarray:
-        """:meth:`fold` of parameter tensors, cached per parameter version.
+        """The fold of the bound module's parameters, which live in it.
 
-        ``weight`` and ``bias`` are the bound module's parameters (any
-        objects with ``.data`` and ``._version``).  The cache is keyed on
-        the identity and version of their data, so it re-folds only after
-        a rebind of ``.data`` or an in-place write that bumped the version.
+        ``weight`` and ``bias`` are the module's parameter tensors.  The
+        first call folds them and rebinds their ``.data`` to the
+        :func:`fold_views` of the fold, so in-place writes to them reach
+        every later call.  It re-folds, and rebinds, only when a
+        parameter's ``.data`` is no longer the view it made.  A float64
+        parameter (a lowered model cast back with ``to_dtype``) cannot
+        live in the float32 fold, so it is folded on every call.
         """
-        bdata, bver = (None, 0) if bias is None else (bias.data, bias._version)
+        wdata, bdata = weight.data, None if bias is None else bias.data
         cached = self._folded
-        if (
-            cached is None
-            or cached[0] is not weight.data
-            or cached[1] != weight._version
-            or cached[2] is not bdata
-            or cached[3] != bver
-        ):
-            wmat = self.fold(weight.data, bdata)
-            # holding the arrays (not their ids) keeps an id from being reused
-            cached = self._folded = (weight.data, weight._version, bdata, bver, wmat)
-        return cached[4]
+        if cached is not None and cached[0] is wdata and cached[1] is bdata:
+            return cached[2]
+        self._folded = None  # frees a stale fold before the new one is built
+        wmat = self.fold(wdata, bdata)
+        if wdata.dtype == np.float32 and (bdata is None or bdata.dtype == np.float32):
+            weight.data, bview = fold_views(wmat, wdata.shape)
+            if bias is not None:
+                bias.data = bview
+            self._folded = (weight.data, None if bias is None else bview, wmat)
+        return wmat
 
     # -- the box sum (I_Acc) --------------------------------------------------
 
@@ -368,6 +390,8 @@ class F32NHWCKernel:
         else:
             self.orientation = "row-major"
             out = np.matmul(cols, wmat)
+        if p > 1:
+            out *= np.float32(1.0 / (p * p))
         if activation == "relu":
             np.maximum(out, 0.0, out=out)
         elif activation == "sigmoid":

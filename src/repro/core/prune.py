@@ -66,7 +66,6 @@ def magnitude_prune(model: Module, sparsity: float) -> SparsityReport:
     for name, weight in convs:
         mask = np.abs(weight.data) <= threshold
         weight.data[mask] = 0.0
-        weight.bump_version()
         pruned += int(mask.sum())
         per_layer[name] = float(mask.mean())
     return SparsityReport(int(all_mags.size), pruned, per_layer)
@@ -85,7 +84,6 @@ def restore_masks(model: Module, masks: Dict[str, np.ndarray]) -> int:
             mask = masks[name]
             reset += int((weight.data[mask] != 0).sum())
             weight.data[mask] = 0.0
-            weight.bump_version()
     return reset
 
 

@@ -130,7 +130,9 @@ class QuantizedConvBlock(Module):
     quantizes the weight tensor (Eq. 9) and the incoming activations
     (Eq. 8) before the convolution, then runs the block's
     :meth:`~repro.models.blocks.ConvBlock.epilogue` (its pool and
-    activation in its configured order).
+    activation in its configured order).  It computes in its weights'
+    dtype: an input of another dtype is cast first, and its gradient
+    cast back, so a float32 block is float32 whatever its batch.
     """
 
     #: this forward inlines the wrapped block's computation (no child
@@ -145,6 +147,8 @@ class QuantizedConvBlock(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         blk = self.block
+        if x.dtype != blk.conv.weight.dtype:
+            x = x.astype(blk.conv.weight.dtype)
         if self.quantize_input:
             x = ste_quantize_activations(x, self.config.activation_bits)
         w = ste_quantize_weights(blk.conv.weight, self.config.weight_bits)

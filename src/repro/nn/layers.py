@@ -91,12 +91,14 @@ class Module:
         follow the tensor's dtype.  The compiler's ``lower`` pass
         (``mlcnn_pipeline(lower_bits=32)``) calls it with ``np.float32``
         before it binds any kernel; a bound kernel casts its own input.
+        On a lowered model the cast moves each lowered parameter out of
+        its kernel's fold; the next inference forward moves a float32
+        one back in, and folds a float64 one on every call.
         """
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"only float32/float64 are supported, got {dtype}")
         for _, p in self.named_parameters():
             p.data = p.data.astype(dtype)
-            p.bump_version()
             p.grad = None
         return self
 
@@ -115,7 +117,6 @@ class Module:
                     f"shape mismatch for {name}: {p.data.shape} vs {state[name].shape}"
                 )
             p.data[...] = state[name]
-            p.bump_version()
 
     # -- call ---------------------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
@@ -189,9 +190,10 @@ class Conv2d(Module):
 
     The lowering pass may :meth:`attach_kernel` a lowered inference
     kernel: a fused conv-pool kernel with a 1x1 pool, which is a plain
-    stride-1 convolution.  It then serves gradient-free forwards, taking
-    its weight operand from the kernel's ``folded`` cache; training
-    forwards keep :func:`repro.nn.functional.conv2d`.
+    stride-1 convolution.  It then serves gradient-free forwards on its
+    fold, which the kernel's ``folded`` makes the parameters' storage:
+    ``weight`` and ``bias`` become views of it.  Training forwards keep
+    :func:`repro.nn.functional.conv2d` on the same parameters.
     """
 
     def __init__(

@@ -81,7 +81,6 @@ class Tensor:
         "_backward",
         "_parents",
         "_is_leaf",
-        "_version",
         "name",
     )
 
@@ -103,7 +102,6 @@ class Tensor:
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple[Tensor, ...] = ()
         self._is_leaf = True
-        self._version = 0
         self.name = name
 
     # ------------------------------------------------------------------
@@ -140,16 +138,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def bump_version(self) -> None:
-        """Mark ``data`` as written in place.
-
-        Consumers that cache something derived from ``data`` (the fp32
-        kernels' folded weights) key it on the array object and this
-        counter.  Code that writes into ``data`` in place must call this;
-        rebinding ``data`` to a new array needs no call.
-        """
-        self._version += 1
 
     def detach(self) -> "Tensor":
         """Return a view of this tensor cut out of the autograd graph."""

@@ -88,9 +88,11 @@ class Trainer:
     """Fit a model on a dataset; records per-epoch statistics.
 
     A fit runs every configured epoch and then restores the parameters
-    of the best-validation-top-1 epoch this trainer has run, in any of
-    its fits.  The per-epoch record is :attr:`history` and, with
-    tracing on (``--obs``), each ``train.epoch`` span's scalars.
+    of its own best-validation-top-1 epoch (:attr:`best_top1`,
+    :attr:`best_state`), so a later fit keeps its training even when an
+    earlier fit scored higher.  The per-epoch record of every fit is
+    :attr:`history` and, with tracing on (``--obs``), each
+    ``train.epoch`` span's scalars.
 
     Each batch is cast to the model's parameter dtype (a no-op for the
     default float64; see :meth:`Module.to_dtype
@@ -165,6 +167,7 @@ class Trainer:
             seed=cfg.seed,
         )
         dtype = _param_dtype(self.model)
+        self.best_top1, self.best_state = 0.0, None
         with tracer.span("train.fit", category="train", epochs=cfg.epochs):
             for epoch in range(cfg.epochs):
                 with tracer.span(

@@ -9,7 +9,7 @@ Consecutive lowered layers hand each other channels-last float32 memory
 without a copy, and no output aliases a kernel workspace.  The pass casts
 the model to float32 before the first fold, so a lowered model is float32
 from its weights to its logits and never holds its float64 weights beside
-its folds.
+its folds, and its lowered weights live in their folds, stored once.
 """
 
 import tracemalloc
@@ -151,13 +151,26 @@ class TestPlanCacheReplay:
         assert _dtypes(model) == {np.dtype(np.float32)}
 
 
+#: every zoo model, and with ``bits=8`` each one ``lower`` still binds a
+#: layer of (googlenet's quantized blocks hide every conv it could bind)
+FLOAT32_CASES = [(name, 0) for name in sorted(MODEL_REGISTRY)] + [
+    (name, 8) for name in sorted(MODEL_REGISTRY) if name != "googlenet"
+]
+
+
 class TestFloat32Model:
     """``lower`` casts the whole model, so every layer computes in float32,
     those the kernel does not compute included."""
 
-    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-    def test_lowered_zoo_model_is_float32_from_weights_to_logits(self, name):
-        model, _ = mlcnn_pipeline(strict=False, lower_bits=32).run(
+    @pytest.mark.parametrize(
+        "name, bits",
+        FLOAT32_CASES,
+        ids=[f"{name}-bits{bits}" if bits else name for name, bits in FLOAT32_CASES],
+    )
+    def test_lowered_zoo_model_is_float32_from_weights_to_logits(self, name, bits):
+        """A quantized block first in the model (vgg16 and vgg19 with
+        ``bits=8``) casts the float64 batch itself."""
+        model, _ = mlcnn_pipeline(bits=bits, strict=False, lower_bits=32).run(
             build_model(name, width_mult=ZOO_WIDTH[name], seed=0)
         )
         model.eval()
@@ -168,6 +181,8 @@ class TestFloat32Model:
             y = model(x).data
         assert ("<root>", "output", np.dtype(np.float32)) in seen
         assert sorted(s for s in seen if s[2] != np.float32) == []
+        if bits:
+            return  # the float64 reference below is unquantized
         with no_grad():
             ref = reference_like(model, name, ZOO_WIDTH[name])(x).data
         assert float(np.max(np.abs(y - ref))) <= RTOL * float(np.max(np.abs(ref)))
@@ -199,6 +214,28 @@ class TestFloat32Model:
         bound = 8 * n + fold_bytes / 2
         assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB >= {bound / 2**20:.1f}"
         assert sum(p.data.nbytes for p in model.parameters()) == 4 * n
+
+    def test_lowered_model_stores_each_weight_once(self):
+        """Full-width vgg16, built, compiled and run once at batch 1, holds
+        about 4 bytes per parameter: its lowered weights live in their
+        folds.  It read 4.7 bytes (the rest is workspaces); holding each
+        weight beside its fold read 8.7."""
+        tracemalloc.start()
+        try:
+            model = build_model("vgg16")
+            model, _ = mlcnn_pipeline(lower_bits=32).run(model)
+            with no_grad():
+                model(Tensor(np.random.default_rng(0).standard_normal((1, 3, 32, 32))))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = model.num_parameters()
+        assert held < 6 * n, f"{held / n:.2f} bytes per parameter"
+        # every float32 parameter is stored once: in a fold, or on its own
+        folds = [kernel._folded[-1] for _, kernel in lowered_kernels(model)]
+        loose = [p.data for p in model.parameters()
+                 if not any(np.shares_memory(p.data, f) for f in folds)]
+        assert sum(f.nbytes for f in folds) + sum(a.nbytes for a in loose) == 4 * n
 
 
 class TestPlanCacheInvalidation:

@@ -4,12 +4,18 @@ interplay and determinism."""
 import numpy as np
 import pytest
 
+from repro.analysis.flops import probe_forward
 from repro.compiler import (
     CompileContext,
     FuseConvPoolPass,
+    LowerFusedKernelPass,
     PassValidationError,
     Pipeline,
+    PrunePass,
+    QuantizePass,
     ReorderActivationPoolingPass,
+    ReorderDivergenceProbePass,
+    SetPoolingPass,
     clear_plan_cache,
     mlcnn_pipeline,
     numerics_pipeline,
@@ -17,10 +23,12 @@ from repro.compiler import (
 from repro.compiler.pass_base import Pass
 from repro.compiler.context import PROBE_SHAPE, PassResult
 from repro.core.opcount import rme_multiplication_reduction
-from repro.models import build_model
+from repro.models import MODEL_REGISTRY, build_model
 from repro.models.specs import get_specs
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, no_grad
+
+from tests.conftest import ZOO_WIDTH
 
 
 @pytest.fixture(autouse=True)
@@ -163,6 +171,60 @@ class TestValidationHooks:
         for _ in range(2):  # a failure is never served from the cache
             with pytest.raises(PassValidationError, match="'break'.*kernel exploded"):
                 Pipeline([BreakPass()]).run(build_model("lenet5"))
+
+
+#: every built-in pass, and whether some zoo model, as built, makes it
+#: report 0 rewrites
+BUILT_IN_PASSES = [
+    (SetPoolingPass, True),  # the zoo builds average pools
+    (ReorderActivationPoolingPass, False),
+    (lambda: FuseConvPoolPass(strict=False), True),  # nothing is pool_act yet
+    (lambda: QuantizePass(8), False),
+    (LowerFusedKernelPass, False),
+    (lambda: PrunePass(0.0), True),
+    (ReorderDivergenceProbePass, True),
+]
+
+
+class TestZeroRewriteProbeSkip:
+    """A pass that reports 0 rewrites gets no probe forward: the previous
+    output and MAC count carry forward."""
+
+    @pytest.mark.parametrize(
+        "make, some_zero", BUILT_IN_PASSES, ids=[m().name for m, _ in BUILT_IN_PASSES]
+    )
+    def test_zero_rewrites_leave_the_probe_bit_identical(self, make, some_zero):
+        """Run each built-in pass on every zoo model it applies to: where
+        it reports 0 rewrites, the probe output is bit-identical and the
+        MAC count unchanged."""
+        zero = []
+        for name in sorted(MODEL_REGISTRY):
+            model = build_model(name, width_mult=ZOO_WIDTH[name], seed=0)
+            ctx = CompileContext()
+            out, macs = probe_forward(model, ctx.probe_batch())
+            p = make()
+            if not p.applies_to(model) or p.run(model, ctx).rewrites:
+                continue
+            zero.append(name)
+            out_after, macs_after = probe_forward(model, ctx.probe_batch())
+            np.testing.assert_array_equal(out_after, out, err_msg=name)
+            assert macs_after == macs, name
+        assert bool(zero) == some_zero, zero
+
+    def test_pipeline_skips_the_probe_and_says_so(self, enabled_tracer):
+        """vgg16 already has average pools: ``set-pooling`` rewrites
+        nothing, so the compile probes once before the passes and once
+        after each of ``reorder`` and ``fuse``."""
+        model = build_model("vgg16", width_mult=0.125)
+        _, report = mlcnn_pipeline().run(model)
+        rec = report.record_for("set-pooling")
+        assert rec.ran and rec.rewrites == 0 and rec.validated
+        assert rec.flop_delta == 0 and rec.probe_max_dev is None
+        assert report.notes == ["set-pooling: 0 rewrites, probe skipped"]
+        assert "set-pooling: 0 rewrites, probe skipped" in report.summary()
+        probes = [ev for ev in enabled_tracer.events if ev.name == "compile.probe"]
+        assert len(probes) == 3
+        assert [r.rewrites > 0 for r in report.records] == [False, True, True]
 
 
 class TestDeterminism:

@@ -159,7 +159,8 @@ class TestF32Kernel:
     @pytest.mark.parametrize("pool, h, pad", WORKSPACE_CASES)
     def test_prefix_views_keep_the_workspace_invariants(self, rng, pool, h, pad):
         """A smaller batch on a grown workspace reads nothing past its
-        prefix, and no call writes the zero borders or the ones column."""
+        prefix, and no call writes the zero borders or the constant
+        ``pool**2`` column."""
         w = rng.normal(size=(4, 3, 1, 1)) if h == 1 else rng.normal(size=(4, 3, 3, 3))
         kern = F32NHWCKernel(pool)
         kern.run_nchw(rng.normal(size=(4, 3, h, h + 1)), w, None, padding=pad)
@@ -175,8 +176,8 @@ class TestF32Kernel:
             x = rng.normal(size=(n, 3, h, h + 1))
             out = kern.run_nchw(x, w, None, padding=pad)
             np.testing.assert_array_equal(out, _fresh(kern, x, w, padding=pad))
-            # over the whole capacity: the ones column and the zero borders
-            assert (plan.cols[:, plan.ck] == 1.0).all()
+            # over the whole capacity: the pool**2 column and the zero borders
+            assert (plan.cols[:, plan.ck] == pool * pool).all()
             borders = []
             if plan.xpad is not None and pad:
                 borders += [plan.xpad[:, :pad], plan.xpad[:, pad + h :]]

@@ -179,6 +179,24 @@ class TestQuantizedModel:
         hist = trainer.fit()
         assert hist[-1].train_loss < hist[0].train_loss
 
+    @pytest.mark.parametrize("quantize_input", [False, True], ids=["first", "later"])
+    def test_computes_in_its_weights_dtype(self, rng, quantize_input):
+        """A float32 block casts a float64 input and sends the gradient
+        straight through, back in float64: output and gradient equal a
+        float32 input's."""
+        blk = ConvBlock(2, 3, 3, padding=1, rng=rng).to_dtype(np.float32)
+        q = QuantizedConvBlock(blk, QuantConfig(8, 8), quantize_input=quantize_input)
+        x = rng.uniform(-0.5, 1.5, size=(2, 2, 8, 8))
+        x64 = Tensor(x, requires_grad=True)
+        x32 = Tensor(x.astype(np.float32), requires_grad=True)
+        out64, out32 = q(x64), q(x32)
+        assert out64.dtype == np.float32
+        np.testing.assert_array_equal(out64.data, out32.data)
+        out64.sum().backward()
+        out32.sum().backward()
+        assert x64.grad.dtype == np.float64
+        np.testing.assert_array_equal(x64.grad, x32.grad.astype(np.float64))
+
     def test_respects_block_order(self, rng):
         blk = ConvBlock(1, 2, 3, pool=PoolSpec("avg", 2), order="pool_act", rng=rng)
         q = QuantizedConvBlock(blk, QuantConfig(8, 8), quantize_input=False)

@@ -127,19 +127,24 @@ class TestTrainerSettings:
         b = _fit(tiny_split, lr=0.05, seed=4)
         assert a.history[0].train_loss != b.history[0].train_loss
 
-    def test_best_state_spans_every_fit(self, tiny_split):
-        """After two fits the model holds the best epoch of either."""
+    def test_each_fit_restores_its_own_best_epoch(self, tiny_split):
+        """A second fit from zeroed weights scores below the first, and
+        still ends on its own best epoch, not on the first fit's."""
         train_set, val_set = tiny_split
         trainer = Trainer(
             small_model(), train_set, val_set, TrainConfig(epochs=3, batch_size=16, lr=0.05)
         )
         trainer.fit()
+        for p in trainer.model.parameters():
+            p.data[...] = 0.0
         hist = trainer.fit()
         assert len(hist) == 6
-        assert trainer.best_top1 == max(h.val_top1 for h in hist)
+        second = max(h.val_top1 for h in hist[3:])
+        assert second < max(h.val_top1 for h in hist[:3])
+        assert trainer.best_top1 == second
         for name, p in trainer.model.named_parameters():
             np.testing.assert_array_equal(p.data, trainer.best_state[name])
-        assert evaluate(trainer.model, val_set)[1] == trainer.best_top1
+        assert evaluate(trainer.model, val_set)[1] == second
 
 
 class TestEpochTiming:
